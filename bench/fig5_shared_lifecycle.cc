@@ -87,7 +87,6 @@ int RunDiffChecks(const ScenarioResult& base, const std::string& diff_path) {
 
 int Main(int argc, char** argv) {
   std::string timeline_path;
-  std::string trace_path;
   std::string spans_path;
   std::string chrome_path;
   std::string report_path;
@@ -99,8 +98,6 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--timeline=", 11) == 0) {
       timeline_path = argv[i] + 11;
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--spans=", 8) == 0) {
       spans_path = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--chrome=", 9) == 0) {
@@ -126,7 +123,6 @@ int Main(int argc, char** argv) {
   ScenarioResult r = RunSharedClusterScenario(
       /*seed=*/38, /*cluster_outage_shift=*/Duration::Zero(), storm_mode);
   if (!timeline_path.empty()) WriteFileOrWarn(timeline_path, r.timeline_csv);
-  if (!trace_path.empty()) WriteFileOrWarn(trace_path, r.trace_jsonl);
   if (!spans_path.empty()) WriteFileOrWarn(spans_path, r.spans_jsonl);
   if (!chrome_path.empty()) WriteFileOrWarn(chrome_path, r.chrome_json);
   if (!report_path.empty()) WriteFileOrWarn(report_path, r.report_text);

@@ -158,9 +158,8 @@ ScenarioResult Collect(BenchWorld* world, const std::string& id,
     result.comms.kills_abandoned =
         metric("engine_comms_kills_abandoned_total");
   }
-  result.trace_jsonl = world->obs.trace.ExportJsonl();
-  result.timeline_csv = obs::TimelineCsv(
-      obs::BuildTimeline(world->obs.trace, ""), world->obs.trace.dropped());
+  result.timeline_csv = obs::TimelineCsv(obs::BuildTimeline(world->obs.spans),
+                                        world->obs.spans.dropped());
   result.spans_jsonl = world->obs.spans.ExportJsonl();
   result.chrome_json = world->obs.spans.ExportChromeTrace();
   auto lineage = world->engine->ExportLineageJsonl(id);

@@ -46,10 +46,9 @@ struct ScenarioResult {
   int manual_interventions = 0;
   /// End-of-run metrics-registry snapshot (text form).
   std::string metrics_text;
-  /// Full trace export (JSONL) and the all-nodes timeline CSV. Both are
-  /// byte-deterministic for a given seed, so they double as the A/B
+  /// The all-nodes timeline CSV (the job spans as per-node intervals).
+  /// Byte-deterministic for a given seed, so it doubles as the A/B
   /// fixture proving scheduling order survives dispatcher refactors.
-  std::string trace_jsonl;
   std::string timeline_csv;
   /// Span exports (same determinism guarantee): the raw span log, the
   /// Chrome-trace JSON (load in chrome://tracing or Perfetto), and the

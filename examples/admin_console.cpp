@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     run("RESUME " + *tower);
     run("HISTORY " + *tower + " 6");
     run("METRICS");
-    run("TRACE " + *avsa + " 5");
+    run("SPANS " + *avsa + " 5");
     run("TIMELINE sun0");
   }
 

@@ -37,7 +37,7 @@ ClusterSim::ClusterSim(Simulator* sim) : sim_(sim) {
 
 void ClusterSim::SetObservability(obs::Observability* obs) {
   obs_ = obs;
-  if (obs_ != nullptr && !obs_->trace.has_clock()) obs_->SetClock(sim_);
+  if (obs_ != nullptr && !obs_->spans.has_clock()) obs_->SetClock(sim_);
 }
 
 Status ClusterSim::AddNode(const NodeConfig& config) {
@@ -327,8 +327,6 @@ Status ClusterSim::CrashNode(const std::string& name) {
   for (JobId id : lost) job_locations_.erase(id);
   UpdateTrace();
   if (obs_ != nullptr) {
-    obs_->trace.Emit(obs::EventType::kNodeDown, "", "", name,
-                     {{"jobs_lost", StrFormat("%zu", lost.size())}});
     obs_->spans.Begin(obs::SpanKind::kNodeOutage, "node down", /*parent=*/0,
                       /*link=*/0, /*instance=*/"", /*task=*/"", name,
                       {{"jobs_lost", StrFormat("%zu", lost.size())}});
@@ -355,7 +353,6 @@ Status ClusterSim::RepairNode(const std::string& name) {
   ArmHeartbeat(node);
   UpdateTrace();
   if (obs_ != nullptr) {
-    obs_->trace.Emit(obs::EventType::kNodeUp, "", "", name);
     obs_->spans.End(
         obs_->spans.FindOpen(obs::SpanKind::kNodeOutage, "", name),
         "repaired");
@@ -589,12 +586,6 @@ void ClusterSim::SendHeartbeat(Node* node) {
 }
 
 void ClusterSim::Annotate(std::string label) {
-  // The legacy figure annotations and the structured sink carry the same
-  // marks; benches keep reading Events() while exports read the trace.
-  if (obs_ != nullptr) {
-    obs_->trace.Emit(obs::EventType::kAnnotation, "", "", "",
-                     {{"label", label}});
-  }
   events_.push_back({sim_->Now(), std::move(label)});
 }
 

@@ -104,8 +104,8 @@ class ClusterSim : public comms::CommandHandler {
   /// rebirth via resumed heartbeats, as on a real network.
   void SetSilentCrashes(bool silent) { silent_crashes_ = silent; }
 
-  /// Attaches an observability context: node up/down transitions and
-  /// Annotate() marks are mirrored into its trace sink (stamped with this
+  /// Attaches an observability context: each node's down -> up window
+  /// becomes a node_outage span in its span sink (stamped with this
   /// cluster's virtual clock). nullptr detaches.
   void SetObservability(obs::Observability* obs);
   obs::Observability* observability() const { return obs_; }

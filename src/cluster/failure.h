@@ -24,7 +24,8 @@ class FailureInjector {
   explicit FailureInjector(ClusterSim* cluster);
 
   // --- Scripted events ------------------------------------------------------
-  /// Node crash at `at`, repaired `downtime` later. Annotates the trace.
+  /// Node crash at `at`, repaired `downtime` later. Annotates the
+  /// cluster's event list.
   void ScheduleNodeOutage(TimePoint at, Duration downtime,
                           const std::string& node, const std::string& label);
   /// Crash + repair of every node (cluster-wide failure).
@@ -36,7 +37,7 @@ class FailureInjector {
   /// CPU upgrade on all nodes at `at` (Fig. 6: one to two processors).
   void ScheduleCpuUpgrade(TimePoint at, int new_cpus,
                           const std::string& label);
-  /// Arbitrary scripted action with a trace annotation.
+  /// Arbitrary scripted action with an event-list annotation.
   void ScheduleAction(TimePoint at, const std::string& label,
                       std::function<void()> action);
   /// Storage outage: the fault filesystem reports ENOSPC for every

@@ -44,7 +44,7 @@ constexpr char kHelp[] = R"(commands:
   DIFF <idA> <idB>
   WHATIF <node> [node...]
   TASKS <id> | ETA <id>
-  METRICS [prefix] | STATS | TRACE <id|*> [n] | TIMELINE <node|*> | SCRUB
+  METRICS [prefix] | STATS | TIMELINE <node|*> | SCRUB
   REPORT <id> [--json] | CRITPATH <id> | SPANS <id|*> [n] [kind]
   SUSPEND <id> | RESUME <id> | ABORT <id> | RESTART <id>
   RAISE <id> <event> | INVALIDATE <id> <task> | ARCHIVE <id>
@@ -228,24 +228,6 @@ Result<std::string> AdminConsole::Execute(const std::string& line) {
         static_cast<unsigned long long>(s.dispatched));
   }
 
-  if (command == "TRACE") {
-    BIOPERA_RETURN_IF_ERROR(need(1));
-    obs::Observability* obs = engine_->observability();
-    if (obs == nullptr) return std::string("(observability not enabled)\n");
-    long long n = 20;
-    if (args.size() > 2 && (!ParseInt64(args[2], &n) || n <= 0)) {
-      return Status::InvalidArgument("TRACE: bad count " + args[2]);
-    }
-    std::string filter = args[1] == "*" ? "" : args[1];
-    std::vector<obs::TraceRecord> records =
-        obs->trace.Tail(static_cast<size_t>(n), filter);
-    std::string out;
-    for (const obs::TraceRecord& rec : records) {
-      out += rec.ToJson() + "\n";
-    }
-    return out.empty() ? std::string("(no matching trace events)\n") : out;
-  }
-
   if (command == "SCRUB") {
     return engine_->ScrubStore();
   }
@@ -256,9 +238,9 @@ Result<std::string> AdminConsole::Execute(const std::string& line) {
     if (obs == nullptr) return std::string("(observability not enabled)\n");
     std::string node = args[1] == "*" ? "" : args[1];
     std::vector<obs::TimelineInterval> intervals =
-        obs::BuildTimeline(obs->trace, node);
+        obs::BuildTimeline(obs->spans, node);
     if (intervals.empty()) return std::string("(no timeline intervals)\n");
-    return obs::TimelineCsv(intervals, obs->trace.dropped());
+    return obs::TimelineCsv(intervals, obs->spans.dropped());
   }
 
   if (command == "REPORT") {

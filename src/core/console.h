@@ -24,9 +24,15 @@ namespace biopera::core {
 ///   LINEAGE <id> <var>            which task wrote the variable
 ///   NODES                         awareness-model view of the cluster
 ///   JOBS                          running jobs (instance, task, node)
-///   METRICS                       metrics-registry snapshot (if enabled)
-///   TRACE <id|*> [n]              last n trace events (default 20)
-///   TIMELINE <node|*>             per-task execution intervals as CSV
+///   METRICS [prefix]              metrics-registry snapshot (if enabled)
+///   STATS                         dispatcher internals
+///   TIMELINE <node|*>             job spans as per-node execution
+///                                 intervals (CSV)
+///   SPANS <id|*> [n] [kind]       last n spans (default 20) as JSONL
+///   REPORT <id> [--json]          progress, ETA, critical path, per-node
+///                                 utilization
+///   CRITPATH <id>                 critical-path breakdown
+///   SCRUB                         store self-check
 ///   WHATIF <node> [node...]       outage plan for taking nodes off-line
 ///   SUSPEND|RESUME|ABORT|RESTART <id>
 ///   RAISE <id> <event>            deliver an OCR event

@@ -359,13 +359,6 @@ Engine::Engine(Simulator* sim, cluster::ClusterSim* cluster,
   }
 }
 
-void Engine::EmitInstanceState(const ProcessInstance* inst) {
-  if (options_.observability == nullptr) return;
-  options_.observability->trace.Emit(
-      obs::EventType::kInstanceStateChanged, inst->id(), "", "",
-      {{"state", std::string(InstanceStateName(inst->state()))}});
-}
-
 void Engine::SyncObsGauges() {
   if (queue_depth_gauge_ == nullptr) return;
   queue_depth_gauge_->Set(
@@ -476,22 +469,12 @@ Status Engine::Startup() {
     spans_->End(server_down_span_, "recovered");
     server_down_span_ = 0;
   }
-  if (options_.observability != nullptr) {
-    options_.observability->trace.Emit(
-        obs::EventType::kServerStarted, "", "", "",
-        {{"instances", StrFormat("%zu", instances_.size())}});
-  }
   PumpDispatch();
   SyncObsGauges();
   return Status::OK();
 }
 
 void Engine::Crash() {
-  if (options_.observability != nullptr) {
-    options_.observability->trace.Emit(
-        obs::EventType::kServerCrashed, "", "", "",
-        {{"jobs_killed", StrFormat("%zu", jobs_.size())}});
-  }
   if (spans_ != nullptr) {
     // Every queued attempt and running job dies with the server; instance
     // spans stay open — the server-down window explains the causal gap
@@ -590,10 +573,6 @@ void Engine::EnterDegraded(const Status& cause) {
     degraded_gauge_->Set(1);
     degraded_total_metric_->Increment();
   }
-  if (options_.observability != nullptr) {
-    options_.observability->trace.Emit(obs::EventType::kStoreDegraded, "", "",
-                                       "", {{"reason", cause.ToString()}});
-  }
   if (spans_ != nullptr && degraded_span_ == 0) {
     degraded_span_ = spans_->Begin(obs::SpanKind::kStoreDegraded, "store degraded",
                                    0, 0, "", "", "",
@@ -630,10 +609,6 @@ void Engine::RetryDegradedCommit() {
   }
   degraded_ = false;
   if (degraded_gauge_ != nullptr) degraded_gauge_->Set(0);
-  if (options_.observability != nullptr) {
-    options_.observability->trace.Emit(obs::EventType::kStoreRecovered, "",
-                                       "", "", {});
-  }
   if (spans_ != nullptr) {
     spans_->End(degraded_span_, "recovered");
     degraded_span_ = 0;
@@ -661,11 +636,14 @@ void Engine::TearDownFenced() {
   if (!up_) return;
   BIOPERA_LOG(kWarning) << "writer epoch " << spaces_.epoch()
                         << " fenced: another server took over; stepping down";
-  if (options_.observability != nullptr) {
-    options_.observability->trace.Emit(
-        obs::EventType::kServerFenced, "", "", "",
+  if (spans_ != nullptr) {
+    // A zero-length server-down window: this engine never restarts; the
+    // one that fenced it carries the run on.
+    spans_->EmitInstant(
+        obs::SpanKind::kServerDown, "server fenced", /*parent=*/0, "", "", "",
         {{"stale_epoch", StrFormat("%llu", static_cast<unsigned long long>(
-                                               spaces_.epoch()))}});
+                                               spaces_.epoch()))}},
+        "fenced");
   }
   up_ = false;
   degraded_ = false;
@@ -789,7 +767,6 @@ Result<std::string> Engine::StartProcess(const std::string& template_name,
   BIOPERA_RETURN_IF_ERROR(MaybeCompleteScope(raw, raw->root(), &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(id, "started template=" + template_name);
-  EmitInstanceState(raw);
   PumpDispatch();
   return id;
 }
@@ -806,7 +783,6 @@ Status Engine::Suspend(const std::string& instance_id) {
   PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "suspended");
-  EmitInstanceState(inst);
   return Status::OK();
 }
 
@@ -822,7 +798,6 @@ Status Engine::Resume(const std::string& instance_id) {
   PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "resumed");
-  EmitInstanceState(inst);
   WakeInstance(instance_id);
   PumpDispatch();
   return Status::OK();
@@ -853,7 +828,6 @@ Status Engine::Abort(const std::string& instance_id) {
   PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "aborted");
-  EmitInstanceState(inst);
   SyncObsGauges();
   return Status::OK();
 }
@@ -911,7 +885,6 @@ Status Engine::Restart(const std::string& instance_id) {
   BIOPERA_RETURN_IF_ERROR(ReevaluateAll(inst, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "restarted");
-  EmitInstanceState(inst);
   PumpDispatch();
   return Status::OK();
 }
@@ -1022,7 +995,6 @@ Status Engine::Invalidate(const std::string& instance_id,
   // Upstream results are intact; re-evaluation re-activates the tail.
   BIOPERA_RETURN_IF_ERROR(ReevaluateAll(inst, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
-  EmitInstanceState(inst);
   PumpDispatch();
   return Status::OK();
 }
@@ -1480,7 +1452,6 @@ Status Engine::MaybeCompleteScope(ProcessInstance* inst, TaskNode* scope,
       inst->stats().finished = sim_->Now();
       PersistHeader(inst, batch);
       AppendHistory(inst->id(), any_failed ? "failed" : "completed");
-      EmitInstanceState(inst);
       // The instance span closes only on success; a kFailed instance may
       // still be RESTARTed, and its makespan should cover that recovery.
       if (spans_ != nullptr && !any_failed) {
@@ -1561,16 +1532,7 @@ Status Engine::HandleTaskFailure(ProcessInstance* inst, TaskNode* node,
 
   const bool can_retry = node->kind() == TaskKind::kActivity &&
                          node->attempts <= policy.max_retries;
-  if (failed_metric_ != nullptr) {
-    failed_metric_->Increment();
-    options_.observability->trace.Emit(
-        obs::EventType::kTaskFailed, inst->id(), node->path, "",
-        {{"reason", reason},
-         {"attempt", StrFormat("%d", node->attempts)},
-         {"action", can_retry               ? "retry"
-                    : policy.ignore_failure ? "ignored"
-                                            : "failed"}});
-  }
+  if (failed_metric_ != nullptr) failed_metric_->Increment();
   if (can_retry) {
     if (!policy.alternative_binding.empty()) {
       node->binding_used = policy.alternative_binding;
@@ -1861,7 +1823,7 @@ void Engine::SchedulePumpRetry() {
 }
 
 void Engine::PreExecuteReady() {
-  if (options_.executor == nullptr || storage_failing_) return;
+  if (options_.executor == nullptr) return;
   std::vector<std::function<void()>> tasks;
   // Mirror the scan's validation: only entries it would execute are
   // worth speculating on. Entries that fail validation here are left
@@ -1949,7 +1911,7 @@ void Engine::PreExecuteReady() {
 }
 
 bool Engine::PreExecuteOverflow() {
-  if (options_.executor == nullptr || storage_failing_) return false;
+  if (options_.executor == nullptr) return false;
   std::vector<std::function<void()>> tasks;
   for (ReadyEntry& entry : pump_overflow_) {
     if (entry.cached.has_value() || entry.pre_exec != nullptr) continue;
@@ -2013,8 +1975,8 @@ void Engine::PumpDispatch() {
   if (pump_runs_metric_ != nullptr) pump_runs_metric_->Increment();
   // Real-thread execution beneath virtual time: run all ready activity
   // kernels concurrently and join before the scan consumes anything, so
-  // scan order — and with it every commit, span, lineage record and
-  // trace event — is exactly the inline order.
+  // scan order — and with it every commit, span and lineage record — is
+  // exactly the inline order.
   PreExecuteReady();
   pumping_ = true;
   pump_frozen_.clear();
@@ -2083,18 +2045,13 @@ void Engine::PumpDispatch() {
       // which case the activity re-runs inline (it is pure, so an equal
       // input guarantees the inline result).
       std::shared_ptr<PreExecState> pre = std::move(entry.pre_exec);
-      bool use_pre = pre != nullptr && pre->output.has_value() &&
-                     fn.ok() && input.ok() && !storage_failing_ &&
-                     pre->input.params == input->params;
+      bool use_pre = pre != nullptr && pre->output.has_value() && fn.ok() &&
+                     input.ok() && pre->input.params == input->params;
       Result<ActivityOutput> output =
           use_pre ? std::move(*pre->output)
           : !fn.ok() ? Result<ActivityOutput>(fn.status())
-          : !input.ok()
-              ? Result<ActivityOutput>(input.status())
-              : (storage_failing_
-                     ? Result<ActivityOutput>(Status::IOError(
-                           "storage full: cannot write activity results"))
-                     : RunKernelScoped(options_.wall_profile, *fn, *input));
+          : !input.ok() ? Result<ActivityOutput>(input.status())
+                        : RunKernelScoped(options_.wall_profile, *fn, *input);
       if (!output.ok()) {
         EndAttemptSpan(entry.attempt_span, "failed");
         WriteBatch batch;
@@ -2230,17 +2187,7 @@ void Engine::PumpDispatch() {
     AppendHistory(entry.instance_id,
                   StrFormat("dispatched %s to %s", entry.path.c_str(),
                             target.c_str()));
-    if (dispatched_metric_ != nullptr) {
-      dispatched_metric_->Increment();
-      options_.observability->trace.Emit(
-          obs::EventType::kTaskDispatched, entry.instance_id, entry.path,
-          target,
-          {{"job", StrFormat("%llu",
-                             static_cast<unsigned long long>(job_id))},
-           {"cost_us",
-            StrFormat("%lld", static_cast<long long>(
-                                  entry.cached->cost.micros()))}});
-    }
+    if (dispatched_metric_ != nullptr) dispatched_metric_->Increment();
     return Verdict::kContinue;
   };
 
@@ -2341,14 +2288,7 @@ EventId Engine::ArmJobWatchdog(cluster::JobId job_id, Duration cost) {
     AppendHistory(pending.instance_id,
                   StrFormat("job for %s on %s timed out; re-scheduling",
                             pending.path.c_str(), pending.node.c_str()));
-    if (timed_out_metric_ != nullptr) {
-      timed_out_metric_->Increment();
-      options_.observability->trace.Emit(
-          obs::EventType::kJobTimedOut, pending.instance_id, pending.path,
-          pending.node,
-          {{"job", StrFormat("%llu",
-                             static_cast<unsigned long long>(job_id))}});
-    }
+    if (timed_out_metric_ != nullptr) timed_out_metric_->Increment();
     RequeueLostJob(std::move(pending), "timed_out");
   });
 }
@@ -2491,14 +2431,7 @@ void Engine::CheckMigrations() {
     AppendHistory(pending.instance_id,
                   StrFormat("migrating %s away from saturated %s",
                             pending.path.c_str(), pending.node.c_str()));
-    if (migrations_metric_ != nullptr) {
-      migrations_metric_->Increment();
-      options_.observability->trace.Emit(
-          obs::EventType::kMigrationKilled, pending.instance_id,
-          pending.path, pending.node,
-          {{"job", StrFormat("%llu",
-                             static_cast<unsigned long long>(job_id))}});
-    }
+    if (migrations_metric_ != nullptr) migrations_metric_->Increment();
     // Re-queue with the computed result cached: the work itself restarts
     // on the new node (kill-and-restart), but the deterministic outputs
     // need not be recomputed.
@@ -2530,7 +2463,7 @@ void Engine::OnJobFinished(cluster::JobId id, const std::string& node_name) {
   ApplyJobFinished(id, node_name);
 }
 
-void Engine::ApplyJobFinished(cluster::JobId id, const std::string& node_name) {
+void Engine::ApplyJobFinished(cluster::JobId id, const std::string& /*node*/) {
   if (!up_) return;
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return;  // stale report from before a crash
@@ -2547,11 +2480,6 @@ void Engine::ApplyJobFinished(cluster::JobId id, const std::string& node_name) {
   if (completed_metric_ != nullptr) {
     completed_metric_->Increment();
     task_cost_metric_->Observe(pending.cost.ToSeconds());
-    options_.observability->trace.Emit(
-        obs::EventType::kTaskCompleted, pending.instance_id, pending.path,
-        node_name,
-        {{"cost_us", StrFormat("%lld", static_cast<long long>(
-                                           pending.cost.micros()))}});
   }
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
@@ -2571,7 +2499,6 @@ void Engine::ApplyJobFinished(cluster::JobId id, const std::string& node_name) {
       return;
     }
     inst->set_state(InstanceState::kFailed);
-    EmitInstanceState(inst);
   }
   PumpDispatch();
 }
@@ -2891,11 +2818,7 @@ void Engine::HandleHeartbeat(const std::string& node) {
       // back, or a long partition healed). Rejoin: its old jobs were
       // already re-queued; pending kills fence off any zombies.
       lease.state = LeaseState::kUp;
-      if (reconciled_metric_ != nullptr) {
-        reconciled_metric_->Increment();
-        options_.observability->trace.Emit(obs::EventType::kNodeReconciled, "",
-                                           "", node, {{"from", "condemned"}});
-      }
+      if (reconciled_metric_ != nullptr) reconciled_metric_->Increment();
       OnNodeUp(node);
       FlushPendingKills(node);
       break;
@@ -2914,9 +2837,6 @@ void Engine::SuspectNode(const std::string& node) {
   if (suspected_metric_ != nullptr) {
     suspected_metric_->Increment();
     suspected_gauge_->Add(1);
-    options_.observability->trace.Emit(
-        obs::EventType::kNodeSuspected, "", "", node,
-        {{"misses", StrFormat("%d", options_.lease_misses_to_suspect)}});
   }
   if (spans_ != nullptr) {
     lease.suspicion_span = spans_->Begin(
@@ -2943,8 +2863,6 @@ void Engine::ReconcileNode(const std::string& node) {
   if (reconciled_metric_ != nullptr) {
     reconciled_metric_->Increment();
     suspected_gauge_->Add(-1);
-    options_.observability->trace.Emit(obs::EventType::kNodeReconciled, "", "",
-                                       node, {{"from", "suspected"}});
   }
   if (spans_ != nullptr) {
     spans_->End(lease.suspicion_span, "reconciled");
@@ -2963,11 +2881,6 @@ void Engine::CondemnNode(const std::string& node) {
   if (condemned_metric_ != nullptr) {
     condemned_metric_->Increment();
     suspected_gauge_->Add(-1);
-    options_.observability->trace.Emit(
-        obs::EventType::kNodeCondemned, "", "", node,
-        {{"grace_us",
-          StrFormat("%lld", static_cast<long long>(
-                                options_.lease_condemn_grace.micros()))}});
   }
   if (spans_ != nullptr) {
     spans_->End(lease.suspicion_span, "condemned");
@@ -3407,13 +3320,7 @@ Status Engine::RecoverInstance(const std::string& instance_id) {
                      std::string(InstanceStateName(raw->state())));
     spans_->End(recovery_span, "replayed");
   }
-  if (recovered_metric_ != nullptr) {
-    recovered_metric_->Increment(requeued);
-    options_.observability->trace.Emit(
-        obs::EventType::kRecoveryReplayed, instance_id, "", "",
-        {{"requeued", StrFormat("%zu", requeued)},
-         {"state", std::string(InstanceStateName(raw->state()))}});
-  }
+  if (recovered_metric_ != nullptr) recovered_metric_->Increment(requeued);
   return Status::OK();
 }
 

@@ -106,8 +106,8 @@ struct EngineOptions {
   int kill_retry_limit = 8;
   /// Deterministic seed for engine-internal randomness (random policy).
   uint64_t seed = 1;
-  /// Optional observability context. When set, the engine emits trace
-  /// events and metrics for its hot paths (dispatch, completion, failure,
+  /// Optional observability context. When set, the engine emits spans
+  /// and metrics for its hot paths (dispatch, completion, failure,
   /// watchdog, migration, recovery) and propagates the context to the
   /// cluster, the record store, and the per-node adaptive monitors, so one
   /// field instruments the whole stack. Must outlive the engine.
@@ -116,8 +116,8 @@ struct EngineOptions {
   /// runs the activity kernels of all ready entries concurrently on this
   /// pool and joins, then the scan consumes the results in its usual
   /// deterministic order — wall-clock time drops by roughly the core
-  /// count on real-dataset workloads while virtual time, spans, lineage
-  /// and traces stay byte-identical (see docs/KERNELS.md). Activity
+  /// count on real-dataset workloads while virtual time, spans and
+  /// lineage stay byte-identical (see docs/KERNELS.md). Activity
   /// implementations must be pure functions of their input (already
   /// required for crash re-execution). Must outlive the engine.
   exec::ThreadPool* executor = nullptr;
@@ -341,13 +341,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
     uint64_t busy_virtual_us = 0;
   };
   DispatchStats GetDispatchStats() const;
-
-  // --- Failure injection ------------------------------------------------------
-  /// While set, every activity execution fails with IOError. Legacy shim:
-  /// prefer FaultFs::SetDiskFull on the store's filesystem, which drives
-  /// the real commit path into degraded mode instead of failing
-  /// activities (the Fig. 5 "disk space shortage" is now modelled there).
-  void SetStorageFailure(bool failing) { storage_failing_ = failing; }
 
   // --- ClusterListener -------------------------------------------------------
   void OnJobFinished(cluster::JobId id, const std::string& node) override;
@@ -608,8 +601,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   void TearDownFenced();
 
   // -- Observability --
-  /// Emits kInstanceStateChanged for the instance's current state.
-  void EmitInstanceState(const ProcessInstance* inst);
   /// Refreshes the queue-depth / running-jobs gauges.
   void SyncObsGauges();
 
@@ -645,7 +636,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   Rng rng_;
 
   bool up_ = false;
-  bool storage_failing_ = false;
   bool degraded_ = false;
   bool fenced_pending_ = false;
   Duration degraded_backoff_;

@@ -11,9 +11,9 @@ namespace biopera::obs {
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters; non-ASCII bytes pass through as
-/// UTF-8). Shared by every JSON exporter — trace JSONL, span JSONL,
-/// Chrome trace, run report, lineage and run-diff — so all artifacts
-/// escape identically.
+/// UTF-8). Shared by every JSON exporter — span JSONL, Chrome trace,
+/// run report, lineage and run-diff — so all artifacts escape
+/// identically.
 std::string JsonEscape(std::string_view s);
 
 /// `s` escaped and wrapped in double quotes — a complete JSON string

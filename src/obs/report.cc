@@ -15,9 +15,28 @@ namespace {
 struct NodeUsage {
   Duration busy;
   uint64_t completed = 0;
-  uint64_t lost = 0;  // failed / timed out / migrated / killed / node_down
+  uint64_t lost = 0;  // failed / timed out / migrated / condemned / killed
   uint64_t open = 0;
 };
+
+/// Per-node utilization (Table 1 view) over the span timeline: busy time
+/// on each node and how its executions ended.
+std::map<std::string, NodeUsage> UsageByNode(const SpanSink& spans) {
+  std::map<std::string, NodeUsage> nodes;
+  for (const TimelineInterval& iv : BuildTimeline(spans)) {
+    if (iv.node.empty()) continue;
+    NodeUsage& usage = nodes[iv.node];
+    usage.busy += iv.end - iv.start;
+    if (iv.outcome == "completed") {
+      ++usage.completed;
+    } else if (iv.outcome == "open") {
+      ++usage.open;
+    } else {
+      ++usage.lost;
+    }
+  }
+  return nodes;
+}
 
 }  // namespace
 
@@ -69,22 +88,9 @@ std::string BuildRunReport(const ReportInput& input, const Observability& obs,
   out += "\n";
   out += path.ToText(top_k);
 
-  // Per-node utilization (Table 1 view), reconstructed from the trace:
-  // busy time on each node, its share of elapsed time (nodes with
-  // several CPUs can exceed 100%), and how executions ended there.
-  std::map<std::string, NodeUsage> nodes;
-  for (const TimelineInterval& iv : BuildTimeline(obs.trace)) {
-    if (iv.node.empty()) continue;
-    NodeUsage& usage = nodes[iv.node];
-    usage.busy += iv.end - iv.start;
-    if (iv.outcome == "completed") {
-      ++usage.completed;
-    } else if (iv.outcome == "open") {
-      ++usage.open;
-    } else {
-      ++usage.lost;
-    }
-  }
+  // Each node's share of elapsed time (nodes with several CPUs can
+  // exceed 100%).
+  std::map<std::string, NodeUsage> nodes = UsageByNode(obs.spans);
   if (!nodes.empty()) {
     out += "\nper-node utilization:\n";
     out += StrFormat("  %-12s %14s %7s %10s %6s %5s\n", "node", "busy",
@@ -101,11 +107,10 @@ std::string BuildRunReport(const ReportInput& input, const Observability& obs,
     }
   }
 
-  if (obs.trace.dropped() > 0 || obs.spans.dropped() > 0) {
+  if (obs.spans.truncated()) {
     out += StrFormat(
-        "\nwarning: history truncated (%llu trace events, %llu spans "
-        "dropped); early intervals may be missing\n",
-        static_cast<unsigned long long>(obs.trace.dropped()),
+        "\nwarning: span log truncated (%llu spans dropped at capacity); "
+        "later intervals are missing\n",
         static_cast<unsigned long long>(obs.spans.dropped()));
   }
   return out;
@@ -128,7 +133,7 @@ std::string BuildRunReportJson(const ReportInput& input,
       elapsed.ToSeconds() > 0 ? compute_seconds / elapsed.ToSeconds() : 0;
   const bool done = input.state == "Done" || input.state == "done";
 
-  std::string out = "{\"report_version\":1";
+  std::string out = "{\"report_version\":2";
   out += ",\"instance\":" + JsonQuote(input.instance);
   out += ",\"state\":" + JsonQuote(input.state);
   out += StrFormat(",\"activities_done\":%llu,\"activities_total\":%llu",
@@ -190,22 +195,9 @@ std::string BuildRunReportJson(const ReportInput& input,
   }
   out += "}";
 
-  std::map<std::string, NodeUsage> nodes;
-  for (const TimelineInterval& iv : BuildTimeline(obs.trace)) {
-    if (iv.node.empty()) continue;
-    NodeUsage& usage = nodes[iv.node];
-    usage.busy += iv.end - iv.start;
-    if (iv.outcome == "completed") {
-      ++usage.completed;
-    } else if (iv.outcome == "open") {
-      ++usage.open;
-    } else {
-      ++usage.lost;
-    }
-  }
   out += ",\"nodes\":[";
   bool first_node = true;
-  for (const auto& [node, usage] : nodes) {
+  for (const auto& [node, usage] : UsageByNode(obs.spans)) {
     if (!first_node) out += ",";
     first_node = false;
     double pct =
@@ -219,10 +211,8 @@ std::string BuildRunReportJson(const ReportInput& input,
                      static_cast<unsigned long long>(usage.open));
   }
   out += "]";
-  out += StrFormat(
-      ",\"trace_events_dropped\":%llu,\"spans_dropped\":%llu}",
-      static_cast<unsigned long long>(obs.trace.dropped()),
-      static_cast<unsigned long long>(obs.spans.dropped()));
+  out += StrFormat(",\"spans_dropped\":%llu}",
+                   static_cast<unsigned long long>(obs.spans.dropped()));
   return out;
 }
 

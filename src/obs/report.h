@@ -27,8 +27,8 @@ struct ReportInput {
 /// remaining-work estimate divided by the run's historical effective
 /// compute rate, the critical-path breakdown with its `top_k` longest
 /// segments, and a per-node utilization table in the spirit of the
-/// paper's Table 1. Ends with a truncation warning when the trace ring
-/// wrapped or the span sink dropped spans.
+/// paper's Table 1, read from the span timeline (obs/timeline.h). Ends
+/// with a truncation warning when the span sink dropped spans.
 std::string BuildRunReport(const ReportInput& input, const Observability& obs,
                            size_t top_k = 5);
 

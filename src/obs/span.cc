@@ -26,6 +26,7 @@ constexpr struct {
     {SpanKind::kSuspicion, "suspicion"},
     {SpanKind::kAdmission, "admission"},
     {SpanKind::kBarrier, "barrier"},
+    {SpanKind::kSloTransition, "slo_transition"},
 };
 
 }  // namespace
@@ -46,6 +47,8 @@ std::string ChromeTrackForSpan(const Span& span) {
       return "front door";
     case SpanKind::kBarrier:
       return "barriers";
+    case SpanKind::kSloTransition:
+      return "health";
     case SpanKind::kInstance:
     case SpanKind::kAttempt:
     case SpanKind::kRecovery:

@@ -15,7 +15,8 @@ namespace biopera::obs {
 /// What a span measures. Instance / attempt / job spans form the causal
 /// tree of one process run (attempt→instance, job→attempt, and a retry
 /// links back to the attempt it replaces); the remaining kinds are
-/// overlay windows and store activity used to classify waiting time.
+/// overlay windows, store activity and point events (zero-duration
+/// instants) used to classify waiting time and explain the run.
 enum class SpanKind {
   kInstance,       // whole process instance: start -> done
   kAttempt,        // one task attempt: ready-queue entry -> terminal outcome
@@ -23,12 +24,13 @@ enum class SpanKind {
   kRecovery,       // one recovery replay of an instance
   kCommitBatch,    // one flushed store commit group
   kCheckpoint,     // one store checkpoint
-  kServerDown,     // server crash -> next startup
+  kServerDown,     // server crash -> next startup (instant when fenced)
   kStoreDegraded,  // store degraded window (failed flush -> healthy retry)
   kNodeOutage,     // one node's down -> up window
   kSuspicion,      // lease detector: node suspected -> reconciled/condemned
   kAdmission,      // service front door: submission -> admitted/rejected
   kBarrier,        // one lockstep barrier of the sharded service
+  kSloTransition,  // instant: a fleet SLO rule changed health state
 };
 
 std::string_view SpanKindName(SpanKind kind);

@@ -1,95 +1,28 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/strings.h"
 #include "obs/json.h"
 
 namespace biopera::obs {
 
-std::vector<TimelineInterval> BuildTimeline(const TraceSink& trace,
+std::vector<TimelineInterval> BuildTimeline(const SpanSink& spans,
                                             const std::string& node) {
-  std::vector<TimelineInterval> intervals;
-  // A task occupies at most one node at a time, so (instance, task) keys
-  // the currently open interval.
-  std::map<std::pair<std::string, std::string>, size_t> open;
-  TimePoint last_time;
-
-  auto close = [&](size_t index, TimePoint when, std::string_view outcome) {
-    intervals[index].end = when;
-    intervals[index].outcome = outcome;
-  };
-
-  trace.ForEach([&](const TraceRecord& rec) {
-    last_time = rec.time;
-    switch (rec.type) {
-      case EventType::kTaskDispatched: {
-        auto key = std::make_pair(rec.instance, rec.task);
-        auto it = open.find(key);
-        // A re-dispatch without a terminal event (lost report replayed
-        // from recovery): close the stale bar at the new dispatch time.
-        if (it != open.end()) close(it->second, rec.time, "open");
-        TimelineInterval iv;
-        iv.node = rec.node;
-        iv.instance = rec.instance;
-        iv.task = rec.task;
-        iv.start = rec.time;
-        iv.end = rec.time;
-        iv.outcome = "open";
-        open[key] = intervals.size();
-        intervals.push_back(std::move(iv));
-        break;
-      }
-      case EventType::kTaskCompleted:
-      case EventType::kTaskFailed:
-      case EventType::kJobTimedOut:
-      case EventType::kMigrationKilled: {
-        auto it = open.find(std::make_pair(rec.instance, rec.task));
-        if (it == open.end()) break;  // dispatch fell off the ring
-        std::string_view outcome =
-            rec.type == EventType::kTaskCompleted    ? "completed"
-            : rec.type == EventType::kTaskFailed     ? "failed"
-            : rec.type == EventType::kJobTimedOut    ? "timed_out"
-                                                     : "migrated";
-        close(it->second, rec.time, outcome);
-        open.erase(it);
-        break;
-      }
-      case EventType::kNodeDown: {
-        // Jobs die with the node; their failure reports may race behind.
-        for (auto it = open.begin(); it != open.end();) {
-          if (intervals[it->second].node == rec.node) {
-            close(it->second, rec.time, "node_down");
-            it = open.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        break;
-      }
-      case EventType::kServerCrashed: {
-        // The server kills every outstanding job when it goes down.
-        for (const auto& [key, index] : open) {
-          close(index, rec.time, "killed");
-        }
-        open.clear();
-        break;
-      }
-      default:
-        break;
-    }
+  // The horizon is the latest timestamp the sink has seen, as in the
+  // critical-path analyzer.
+  TimePoint horizon = TimePoint::Zero();
+  spans.ForEach([&](const Span& span) {
+    horizon = std::max(horizon, span.open ? span.start : span.end);
   });
-  // Still-running tasks extend to the end of the observed window.
-  for (const auto& [key, index] : open) {
-    intervals[index].end = last_time;
-  }
-
-  if (!node.empty()) {
-    std::erase_if(intervals, [&](const TimelineInterval& iv) {
-      return iv.node != node;
-    });
-  }
+  std::vector<TimelineInterval> intervals;
+  spans.ForEach([&](const Span& span) {
+    if (span.kind != SpanKind::kJob) return;
+    if (!node.empty() && span.node != node) return;
+    intervals.push_back({span.node, span.instance, span.task, span.start,
+                         span.open ? horizon : span.end,
+                         span.open ? "open" : span.outcome});
+  });
   std::stable_sort(intervals.begin(), intervals.end(),
                    [](const TimelineInterval& a, const TimelineInterval& b) {
                      if (a.start != b.start) return a.start < b.start;
@@ -99,12 +32,12 @@ std::vector<TimelineInterval> BuildTimeline(const TraceSink& trace,
 }
 
 std::string TimelineCsv(const std::vector<TimelineInterval>& intervals,
-                        uint64_t dropped_events) {
+                        uint64_t dropped_spans) {
   std::string out = "node,instance,task,start_us,end_us,outcome\n";
-  if (dropped_events > 0) {
-    out += StrFormat("# truncated: %llu trace events dropped before this "
-                     "window\n",
-                     static_cast<unsigned long long>(dropped_events));
+  if (dropped_spans > 0) {
+    out += StrFormat("# truncated: %llu spans dropped at capacity; later "
+                     "intervals are missing\n",
+                     static_cast<unsigned long long>(dropped_spans));
   }
   for (const TimelineInterval& iv : intervals) {
     // Names come from user-controlled templates; CsvField keeps a
@@ -116,24 +49,6 @@ std::string TimelineCsv(const std::vector<TimelineInterval>& intervals,
                      iv.outcome.c_str());
   }
   return out;
-}
-
-StepSeries BusyCurve(const std::vector<TimelineInterval>& intervals,
-                     const std::string& node) {
-  std::vector<std::pair<double, int>> deltas;
-  for (const TimelineInterval& iv : intervals) {
-    if (!node.empty() && iv.node != node) continue;
-    deltas.emplace_back(iv.start.SinceEpoch().ToSeconds(), +1);
-    deltas.emplace_back(iv.end.SinceEpoch().ToSeconds(), -1);
-  }
-  std::sort(deltas.begin(), deltas.end());
-  StepSeries series;
-  int running = 0;
-  for (const auto& [t, delta] : deltas) {
-    running += delta;
-    series.Set(t, running);
-  }
-  return series;
 }
 
 }  // namespace biopera::obs

@@ -1,12 +1,12 @@
 #ifndef BIOPERA_OBS_TIMELINE_H_
 #define BIOPERA_OBS_TIMELINE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/time.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace biopera::obs {
 
@@ -18,30 +18,24 @@ struct TimelineInterval {
   std::string task;
   TimePoint start;
   TimePoint end;
-  /// "completed", "failed", "timed_out", "migrated", "node_down",
-  /// "killed" (server crash), or "open" (still running when the trace
-  /// was exported).
+  /// The job span's outcome: "completed", "failed", "timed_out",
+  /// "migrated", "condemned", "killed" (server crash, RESTART, ABORT,
+  /// INVALIDATE), or "open" (still running when the sink was read).
   std::string outcome;
 };
 
-/// Reconstructs execution intervals from the buffered trace alone, by
-/// pairing each task_dispatched event with the next terminal event of the
-/// same instance/task on the same node. `node` filters to one node
-/// ("" keeps all). Intervals are ordered by start time, then node.
-std::vector<TimelineInterval> BuildTimeline(const TraceSink& trace,
+/// Projects the sink's job spans into execution intervals, one per span.
+/// Open jobs extend to the latest timestamp the sink has seen. `node`
+/// filters to one node ("" keeps all). Intervals are ordered by start
+/// time, then node (dispatch order within a tie).
+std::vector<TimelineInterval> BuildTimeline(const SpanSink& spans,
                                             const std::string& node = "");
 
 /// CSV rendering: header + one row per interval. A nonzero
-/// `dropped_events` (the source sink's `dropped()`) adds a truncation
-/// comment after the header, marking that early intervals may be missing.
+/// `dropped_spans` (the source sink's `dropped()`) adds a truncation
+/// comment after the header, marking that later intervals are missing.
 std::string TimelineCsv(const std::vector<TimelineInterval>& intervals,
-                        uint64_t dropped_events = 0);
-
-/// Tasks concurrently running on `node` over time (seconds) — the shape
-/// of the paper's Figure 5/6 utilization curves, derived from the trace.
-/// Empty `node` aggregates the whole cluster.
-StepSeries BusyCurve(const std::vector<TimelineInterval>& intervals,
-                     const std::string& node = "");
+                        uint64_t dropped_spans = 0);
 
 }  // namespace biopera::obs
 

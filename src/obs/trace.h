@@ -1,134 +1,25 @@
 #ifndef BIOPERA_OBS_TRACE_H_
 #define BIOPERA_OBS_TRACE_H_
 
-#include <cstdint>
-#include <functional>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "common/result.h"
 #include "common/time.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace biopera::obs {
 
-/// Typed events on the experiment timeline. Everything the paper's status
-/// views (§3.4, Figures 3/5/6) display is reconstructible from these.
-enum class EventType {
-  kTaskDispatched,
-  kTaskCompleted,
-  kTaskFailed,
-  kJobTimedOut,
-  kMigrationKilled,
-  kNodeDown,
-  kNodeUp,
-  kCheckpointTaken,
-  kRecoveryReplayed,
-  kInstanceStateChanged,
-  kServerCrashed,
-  kServerStarted,
-  kStoreDegraded,
-  kStoreRecovered,
-  kStoreScrubbed,
-  kServerFenced,
-  kAnnotation,
-  kNodeSuspected,   // lease detector: heartbeats went missing
-  kNodeCondemned,   // suspicion grace expired; jobs re-scheduled
-  kNodeReconciled,  // a suspected/condemned node heartbeated again
-  kSloStateChanged,  // a declarative SLO rule crossed a health threshold
-};
-
-std::string_view EventTypeName(EventType type);
-Result<EventType> EventTypeFromName(std::string_view name);
-
-/// One structured trace event. The id fields are empty when not
-/// applicable; `attrs` carries event-specific detail in insertion order
-/// (kept as a vector so exports stay byte-deterministic).
-struct TraceRecord {
-  uint64_t seq = 0;
-  TimePoint time;
-  EventType type = EventType::kAnnotation;
-  std::string instance;
-  std::string task;
-  std::string node;
-  std::vector<std::pair<std::string, std::string>> attrs;
-
-  /// Single-line JSON object (one JSONL row).
-  std::string ToJson() const;
-};
-
-/// Bounded in-memory event buffer. Emission is O(1); when the ring is
-/// full the oldest event is overwritten and `dropped()` grows — a
-/// month-long run can trace forever at constant memory.
-class TraceSink {
- public:
-  explicit TraceSink(size_t capacity = 65536);
-  TraceSink(const TraceSink&) = delete;
-  TraceSink& operator=(const TraceSink&) = delete;
-
-  /// Events are stamped with `clock->Now()` (virtual time when the clock
-  /// is a Simulator); TimePoint::Zero() until a clock is registered.
-  void SetClock(const Clock* clock) { clock_ = clock; }
-  bool has_clock() const { return clock_ != nullptr; }
-
-  /// Mirrors `dropped()` into a registry counter
-  /// (`trace_events_dropped_total`), incremented as overwrites happen.
-  void SetDropCounter(Counter* counter) { drop_counter_ = counter; }
-
-  void Emit(EventType type, std::string instance = "", std::string task = "",
-            std::string node = "",
-            std::vector<std::pair<std::string, std::string>> attrs = {});
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-  /// Events emitted since construction (including overwritten ones).
-  uint64_t total_emitted() const { return next_seq_; }
-  /// Events lost to ring overwrites.
-  uint64_t dropped() const;
-
-  /// Visits buffered events oldest-first.
-  void ForEach(const std::function<void(const TraceRecord&)>& fn) const;
-  /// The most recent `n` events (oldest of those first), optionally
-  /// filtered by instance id ("" matches all).
-  std::vector<TraceRecord> Tail(size_t n,
-                                const std::string& instance = "") const;
-
-  /// One JSON object per line, oldest event first. When the ring has
-  /// wrapped, the first line is a truncation marker recording how many
-  /// events were overwritten — a wrapped ring never exports silently as
-  /// if it were complete.
-  std::string ExportJsonl() const;
-
-  void Clear();
-
- private:
-  const Clock* clock_ = nullptr;
-  size_t capacity_;
-  std::vector<TraceRecord> ring_;
-  uint64_t next_seq_ = 0;
-  Counter* drop_counter_ = nullptr;
-};
-
 /// The observability context one experiment shares across its engine,
-/// cluster model, store and monitors: a metric registry, a trace sink
-/// and a span sink, all stamped from the same (virtual) clock.
+/// cluster model, store and monitors: a metric registry and a span sink,
+/// stamped from the same (virtual) clock. The span log is the one event
+/// record; timelines, utilization and reports are views over it.
+///
+/// An aggregate, so a sized sink is spelled out —
+/// `Observability{.spans = SpanSink(capacity)}` — and a bare number can
+/// never silently become a capacity.
 struct Observability {
   Registry metrics;
-  TraceSink trace;
   SpanSink spans;
 
-  explicit Observability(size_t trace_capacity = 65536,
-                         size_t span_capacity = 1 << 20)
-      : trace(trace_capacity), spans(span_capacity) {
-    trace.SetDropCounter(metrics.GetCounter("trace_events_dropped_total"));
-  }
-
-  void SetClock(const Clock* clock) {
-    trace.SetClock(clock);
-    spans.SetClock(clock);
-  }
+  void SetClock(const Clock* clock) { spans.SetClock(clock); }
 };
 
 }  // namespace biopera::obs

@@ -10,7 +10,6 @@
 #include "common/strings.h"
 #include "exec/thread_pool.h"
 #include "obs/json.h"
-#include "obs/timeline.h"
 
 namespace biopera::service {
 
@@ -35,8 +34,8 @@ ShardedService::ShardedService(std::string root_dir,
       options_(std::move(options)) {
   if (options_.shards < 1) options_.shards = 1;
   fleet_clock_ = std::make_unique<FleetClock>(this);
-  fleet_obs_ = std::make_unique<obs::Observability>(
-      options_.fleet_trace_capacity, options_.fleet_span_capacity);
+  fleet_obs_.reset(new obs::Observability{
+      .spans = obs::SpanSink(options_.fleet_span_capacity)});
   fleet_obs_->SetClock(fleet_clock_.get());
   slo_rules_ =
       options_.slo_rules.empty() ? DefaultSloRules() : options_.slo_rules;
@@ -674,13 +673,15 @@ HealthReport ShardedService::EvaluateHealth() {
   for (const SloVerdict& verdict : report.verdicts) {
     HealthState& last = rule_state_[verdict.rule.name];  // defaults to kOk
     if (verdict.state == last) continue;
-    fleet_obs_->trace.Emit(
-        obs::EventType::kSloStateChanged, "", "", "",
+    fleet_obs_->spans.EmitInstant(
+        obs::SpanKind::kSloTransition, verdict.rule.name, /*parent=*/0,
+        /*instance=*/"", /*task=*/"", /*node=*/"",
         {{"rule", verdict.rule.name},
          {"sensor", verdict.rule.sensor},
          {"value", StrFormat("%.3f", verdict.value)},
          {"from", HealthStateName(last)},
-         {"to", HealthStateName(verdict.state)}});
+         {"to", HealthStateName(verdict.state)}},
+        HealthStateName(verdict.state));
     last = verdict.state;
   }
   overall_health_ = report.overall;
@@ -792,15 +793,6 @@ Result<obs::CriticalPathReport> ShardedService::FleetCriticalPath(
 
 std::string ShardedService::ExportShardSpans(int shard) const {
   return shards_[shard]->obs.spans.ExportJsonl();
-}
-
-std::string ShardedService::ExportShardTrace(int shard) const {
-  return shards_[shard]->obs.trace.ExportJsonl();
-}
-
-std::string ShardedService::ExportShardTimeline(int shard) const {
-  const obs::Observability& obs = shards_[shard]->obs;
-  return obs::TimelineCsv(obs::BuildTimeline(obs.trace), obs.trace.dropped());
 }
 
 }  // namespace biopera::service

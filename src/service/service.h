@@ -60,9 +60,8 @@ struct ServiceOptions {
   /// Builds shard `index`'s cluster (required: a shard without nodes can
   /// dispatch nothing). Must be deterministic per index.
   std::function<void(int index, cluster::ClusterSim*)> configure_cluster;
-  /// Fleet observability context capacities (the front door's own trace /
-  /// span sinks; per-shard sinks are sized via `shard`).
-  size_t fleet_trace_capacity = 65536;
+  /// Fleet observability span-sink capacity (the front door's own sink;
+  /// per-shard sinks are sized via `shard`).
   size_t fleet_span_capacity = 1 << 20;
   /// Declarative health rules evaluated against the fleet SLO sensors at
   /// every barrier; empty installs DefaultSloRules().
@@ -191,7 +190,7 @@ class ShardedService {
   // --- Fleet observability (docs/OBSERVABILITY.md) --------------------------
   /// The front door's own observability context: fleet metric registry
   /// (admission/SLO counters and histograms, barrier-stall histograms),
-  /// admission + barrier spans, SLO trace events. Stamped from the
+  /// admission + barrier spans, SLO transition instants. Stamped from the
   /// lockstep clock (max shard virtual now).
   obs::Observability& fleet_obs() { return *fleet_obs_; }
   const obs::Observability& fleet_obs() const { return *fleet_obs_; }
@@ -210,7 +209,7 @@ class ShardedService {
   /// rejection_ratio, admission_wait_p99_hours, shard_busy_skew. All
   /// virtual-time or count quantities — deterministic for same seeds.
   std::map<std::string, double> CollectSloSensors() const;
-  /// Evaluates the SLO rules, emits a kSloStateChanged trace event for
+  /// Evaluates the SLO rules, emits a kSloTransition instant span for
   /// every rule whose health state changed, and returns the report.
   /// Called automatically at every barrier; console HEALTH calls it too.
   HealthReport EvaluateHealth();
@@ -242,8 +241,6 @@ class ShardedService {
 
   // --- Per-shard export fan-in (byte-identity checks, artifacts) ------------
   std::string ExportShardSpans(int shard) const;
-  std::string ExportShardTrace(int shard) const;
-  std::string ExportShardTimeline(int shard) const;
 
  private:
   struct InstanceRec {
@@ -284,8 +281,8 @@ class ShardedService {
   std::string ManifestPath() const;
   std::string ShardDir(int index) const;
 
-  /// The lockstep clock as a Clock: stamps the front door's trace/span
-  /// sinks with max shard virtual now.
+  /// The lockstep clock as a Clock: stamps the front door's span sink
+  /// with max shard virtual now.
   class FleetClock : public Clock {
    public:
     explicit FleetClock(const ShardedService* service) : service_(service) {}

@@ -12,7 +12,7 @@ EngineShard::EngineShard(int idx, std::string shard_dir,
                          const Options& options)
     : index(idx),
       dir(std::move(shard_dir)),
-      obs(options.trace_capacity, options.span_capacity) {
+      obs{.spans = obs::SpanSink(options.span_capacity)} {
   auto opened = RecordStore::Open(dir);
   if (!opened.ok()) {
     BIOPERA_LOG(kError) << "shard " << index << ": store open failed: "

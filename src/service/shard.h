@@ -40,7 +40,6 @@ class EngineShard {
     /// Give the shard a comms::FaultChannel so chaos runs can inject
     /// message faults and per-link partitions independently per shard.
     bool fault_channel = false;
-    size_t trace_capacity = 65536;
     size_t span_capacity = 1 << 20;
   };
 

@@ -609,15 +609,6 @@ Status RecordStore::CheckpointImpl(bool force_full) {
          {"wal_trimmed",
           StrFormat("%llu", static_cast<unsigned long long>(wal_trimmed))}},
         "taken");
-    obs_->trace.Emit(
-        obs::EventType::kCheckpointTaken, "", "", "",
-        {{"bytes", StrFormat("%zu", image.size())},
-         {"kind", compact ? "full" : "delta"},
-         {"tables", StrFormat("%zu", table_count)},
-         {"wal_trimmed",
-          StrFormat("%llu", static_cast<unsigned long long>(wal_trimmed))},
-         {"commits",
-          StrFormat("%llu", static_cast<unsigned long long>(commits_))}});
   }
   return Status::OK();
 }
@@ -681,12 +672,6 @@ Result<RecordStore::ScrubReport> RecordStore::Scrub() {
   if (obs_ != nullptr) {
     scrub_runs_metric_->Increment();
     scrub_quarantined_metric_->Increment(report.quarantined.size());
-    obs_->trace.Emit(
-        obs::EventType::kStoreScrubbed, "", "", "",
-        {{"segments", StrFormat("%zu", report.segments_checked)},
-         {"quarantined", StrFormat("%zu", report.quarantined.size())},
-         {"torn_tail", torn ? "1" : "0"},
-         {"rebuilt", report.rebuilt ? "1" : "0"}});
   }
   return report;
 }

@@ -211,8 +211,8 @@ class RecordStore {
   void ClearFlushFailureHandler(void* owner);
 
   /// Attaches an observability context: commits, ops, WAL bytes and
-  /// flushes feed counters, checkpoints feed a size histogram and a trace
-  /// event. nullptr detaches.
+  /// flushes feed counters, checkpoints feed a size histogram and a
+  /// checkpoint span. nullptr detaches.
   void SetObservability(obs::Observability* obs);
 
   /// Attaches a wall-clock self-time profile (obs::WallProfile): WAL

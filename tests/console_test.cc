@@ -2,6 +2,9 @@
 // console.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "cluster/cluster.h"
 #include "core/console.h"
 #include "core/engine.h"
@@ -248,7 +251,7 @@ TEST(ArchiveTest, ConsoleCommand) {
   EXPECT_TRUE(console.Execute("STATUS " + id).status().IsNotFound());
 }
 
-TEST(ConsoleTest, MetricsTraceAndTimeline) {
+TEST(ConsoleTest, MetricsAndSpanTimeline) {
   obs::Observability obs;
   World w(&obs);
   ASSERT_OK(w.engine->RegisterTemplate(Pipeline()));
@@ -260,24 +263,28 @@ TEST(ConsoleTest, MetricsTraceAndTimeline) {
   EXPECT_NE(metrics.find("engine_tasks_dispatched_total"), std::string::npos);
   EXPECT_NE(metrics.find("engine_tasks_completed_total"), std::string::npos);
 
-  // The instance's most recent events as JSONL, newest tail first-in.
-  ASSERT_OK_AND_ASSIGN(std::string trace,
-                       console.Execute("TRACE " + id + " 5"));
-  EXPECT_NE(trace.find("\"type\":"), std::string::npos);
-  EXPECT_NE(trace.find(id), std::string::npos);
-
-  // `*` lifts the instance filter: server lifecycle events show up too.
-  ASSERT_OK_AND_ASSIGN(std::string all, console.Execute("TRACE * 100"));
-  EXPECT_NE(all.find("\"type\":\"server_started\""), std::string::npos);
-  EXPECT_TRUE(console.Execute("TRACE * zero").status().IsInvalidArgument());
-
+  // TIMELINE renders the job spans: one row per job span, after the
+  // header.
   ASSERT_OK_AND_ASSIGN(std::string timeline, console.Execute("TIMELINE *"));
-  EXPECT_NE(timeline.find("node,instance,task,start_us,end_us,outcome"),
-            std::string::npos);
+  EXPECT_EQ(timeline.find("node,instance,task,start_us,end_us,outcome\n"), 0u);
   EXPECT_NE(timeline.find(id), std::string::npos);
+  EXPECT_NE(timeline.find(",completed\n"), std::string::npos);
+  const size_t jobs = obs.spans.Tail(1000, "", "job").size();
+  EXPECT_GT(jobs, 0u);
+  EXPECT_EQ(static_cast<size_t>(
+                std::count(timeline.begin(), timeline.end(), '\n')),
+            jobs + 1);
+  // A node filter keeps only that node's rows.
+  ASSERT_OK_AND_ASSIGN(std::string node0, console.Execute("TIMELINE node0"));
+  std::istringstream rows(node0);
+  std::string line;
+  std::getline(rows, line);  // header
+  while (std::getline(rows, line)) EXPECT_EQ(line.rfind("node0,", 0), 0u);
   // Filtering by an unknown node yields no intervals, not an error.
   ASSERT_OK_AND_ASSIGN(std::string empty, console.Execute("TIMELINE ghost"));
   EXPECT_EQ(empty, "(no timeline intervals)\n");
+  // Events are listed by SPANS; there is no TRACE command.
+  EXPECT_TRUE(console.Execute("TRACE * 5").status().IsInvalidArgument());
 }
 
 TEST(ConsoleTest, MetricsPrefixFilter) {
@@ -293,7 +300,7 @@ TEST(ConsoleTest, MetricsPrefixFilter) {
                        console.Execute("METRICS engine_"));
   EXPECT_NE(engine_only.find("engine_tasks_dispatched_total"),
             std::string::npos);
-  EXPECT_EQ(engine_only.find("trace_events_dropped_total"), std::string::npos);
+  EXPECT_EQ(engine_only.find("store_commits_total"), std::string::npos);
 
   ASSERT_OK_AND_ASSIGN(std::string none, console.Execute("METRICS zzz"));
   EXPECT_EQ(none, "(no metrics matching zzz)\n");
@@ -379,8 +386,8 @@ TEST(ConsoleTest, ObservabilityCommandsDegradeWithoutContext) {
   ASSERT_OK(w.engine->RegisterTemplate(Pipeline()));
   ASSERT_OK_AND_ASSIGN(std::string id, w.engine->StartProcess("pipeline"));
   w.sim.Run();
-  for (std::string cmd : {std::string("METRICS"), std::string("TRACE *"),
-                          std::string("TIMELINE *"), std::string("SPANS *"),
+  for (std::string cmd : {std::string("METRICS"), std::string("TIMELINE *"),
+                          std::string("SPANS *"),
                           std::string("REPORT ") + id,
                           std::string("CRITPATH ") + id}) {
     ASSERT_OK_AND_ASSIGN(std::string out, console.Execute(cmd));

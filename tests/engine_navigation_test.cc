@@ -439,12 +439,19 @@ TEST(FailureTest, StorageFailureThenRestartRecovers) {
   World w;
   auto def = Chain("storage", 3);
   EXPECT_OK(w.engine->RegisterTemplate(def));
-  w.engine->SetStorageFailure(true);
+  // The activity's own output disk is full: every execution fails with
+  // IOError until space is freed, exhausting the retries.
+  ASSERT_OK_AND_ASSIGN(ActivityFn echo, w.registry.Find("echo"));
+  w.registry.Override("echo",
+                      [](const ActivityInput&) -> Result<ActivityOutput> {
+                        return Status::IOError(
+                            "storage full: cannot write activity results");
+                      });
   ASSERT_OK_AND_ASSIGN(std::string id, w.engine->StartProcess("storage"));
   w.sim.Run();
   ASSERT_OK_AND_ASSIGN(auto state, w.engine->GetInstanceState(id));
   EXPECT_EQ(state, InstanceState::kFailed);
-  w.engine->SetStorageFailure(false);
+  w.registry.Override("echo", echo);
   ASSERT_OK(w.engine->Restart(id));
   w.sim.Run();
   ASSERT_OK_AND_ASSIGN(state, w.engine->GetInstanceState(id));

@@ -1,7 +1,7 @@
 // ThreadPool unit tests plus the determinism contract of real-thread
 // activity execution: running the engine with a pool must change nothing
-// observable in virtual time — spans, lineage, traces and whiteboard
-// results stay byte-identical to the inline run.
+// observable in virtual time — spans, lineage and whiteboard results
+// stay byte-identical to the inline run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,7 +79,6 @@ TEST(ThreadPoolTest, HardwareThreadsHasFloorOfOne) {
 struct EngineExports {
   std::string spans_jsonl;
   std::string lineage_jsonl;
-  std::string trace_jsonl;
   std::string master_file;
   uint64_t preexec_batches = 0;
   uint64_t preexec_tasks = 0;
@@ -138,7 +137,6 @@ EngineExports RunRealAllVsAll(uint64_t seed, ThreadPool* pool,
   EngineExports out;
   out.spans_jsonl = obs.spans.ExportJsonl();
   out.lineage_jsonl = engine.ExportLineageJsonl(*id).value_or("");
-  out.trace_jsonl = obs.trace.ExportJsonl();
   out.master_file =
       engine.GetWhiteboardValue(*id, "master_file").value_or(Value()).AsString();
   obs::MetricsSnapshot snap = obs.metrics.Snapshot();
@@ -170,7 +168,6 @@ TEST(ThreadPoolEngineTest, PoolAndInlineRunsAreByteIdentical) {
   EXPECT_FALSE(pooled_run.spans_jsonl.empty());
   EXPECT_EQ(inline_run.spans_jsonl, pooled_run.spans_jsonl);
   EXPECT_EQ(inline_run.lineage_jsonl, pooled_run.lineage_jsonl);
-  EXPECT_EQ(inline_run.trace_jsonl, pooled_run.trace_jsonl);
   EXPECT_FALSE(pooled_run.master_file.empty());
   EXPECT_EQ(inline_run.master_file, pooled_run.master_file);
 }
@@ -213,8 +210,6 @@ TEST(ThreadPoolEngineTest, LookaheadDepthsAreByteIdentical) {
   EXPECT_EQ(inline_run.spans_jsonl, deep.spans_jsonl);
   EXPECT_EQ(inline_run.lineage_jsonl, frontier_only.lineage_jsonl);
   EXPECT_EQ(inline_run.lineage_jsonl, deep.lineage_jsonl);
-  EXPECT_EQ(inline_run.trace_jsonl, frontier_only.trace_jsonl);
-  EXPECT_EQ(inline_run.trace_jsonl, deep.trace_jsonl);
   EXPECT_EQ(inline_run.master_file, frontier_only.master_file);
   EXPECT_EQ(inline_run.master_file, deep.master_file);
 }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "ocr/expr.h"
 #include "tests/test_util.h"
@@ -42,6 +44,13 @@ struct EvalCase {
   const char* text;
   Value expected;
 };
+
+// Names each case by its expression text. Without this, gtest prints the
+// struct's raw bytes, which start with the address of `text`; ASLR moves that
+// address every run, so the test names would change every build.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.text));
+}
 
 class ExprEval : public ::testing::TestWithParam<EvalCase> {};
 

@@ -582,11 +582,23 @@ TEST(Slo, ServiceEmitsSloStateChangedEventsOnTransitions) {
   svc.RunUntilQuiescent(100000);
   health = svc.EvaluateHealth();
   EXPECT_EQ(health.overall, HealthState::kOk);  // backlog fully drained
-  std::string trace = svc.fleet_obs().trace.ExportJsonl();
-  EXPECT_NE(trace.find("slo_state_changed"), std::string::npos);
-  // The rule transitioned into crit and back out: both edges are events.
-  EXPECT_NE(trace.find("\"to\":\"crit\""), std::string::npos);
-  EXPECT_NE(trace.find("\"to\":\"ok\""), std::string::npos);
+  // The rule transitioned into crit and back out: both edges are
+  // instants on the fleet sink.
+  std::vector<obs::Span> edges =
+      svc.fleet_obs().spans.Tail(100, "", "slo_transition");
+  ASSERT_GE(edges.size(), 2u);
+  bool to_crit = false, to_ok = false;
+  for (const obs::Span& edge : edges) {
+    EXPECT_EQ(edge.name, "backlog");
+    EXPECT_EQ(edge.duration(), Duration::Zero());
+    to_crit |= edge.outcome == "crit";
+    to_ok |= edge.outcome == "ok";
+  }
+  EXPECT_TRUE(to_crit);
+  EXPECT_TRUE(to_ok);
+  EXPECT_EQ(edges.back().outcome, "ok");
+  EXPECT_NE(edges.front().ToJson().find("\"sensor\":\"backlog_depth\""),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // The unified JSON/CSV escaping layer (src/obs/json.h) is what keeps
-// every exporter — trace JSONL, span JSONL, Chrome trace, run report,
-// lineage, run-diff, timeline CSV — loss-free on hostile strings: task
+// every exporter — span JSONL, Chrome trace, run report, lineage,
+// run-diff, timeline CSV — loss-free on hostile strings: task
 // paths with quotes, Windows-path backslashes in bindings, control
 // characters smuggled into template names, non-ASCII sequence ids.
 #include <gtest/gtest.h>

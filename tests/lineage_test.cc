@@ -465,7 +465,9 @@ TEST(ConsoleLineageTest, LineageDiffSpansAndReportCommands) {
   // REPORT --json emits the machine-readable run report.
   ASSERT_OK_AND_ASSIGN(std::string report,
                        console.Execute("REPORT " + id + " --json"));
-  EXPECT_NE(report.find("\"report_version\":1"), std::string::npos);
+  EXPECT_NE(report.find("\"report_version\":2"), std::string::npos);
+  EXPECT_EQ(report.find("trace_events_dropped"), std::string::npos);
+  EXPECT_NE(report.find("\"spans_dropped\":0}"), std::string::npos);
   EXPECT_NE(report.find("\"instance\":\"" + id + "\""), std::string::npos);
   EXPECT_TRUE(
       console.Execute("REPORT " + id + " --xml").status().IsInvalidArgument());

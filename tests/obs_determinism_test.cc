@@ -1,10 +1,11 @@
 // The observability layer must be as reproducible as the simulation it
-// observes: two runs of the same seeded chaotic scenario have to export a
-// byte-identical JSONL trace and metrics snapshot. Anything nondeterministic
+// observes: two runs of the same seeded chaotic scenario have to export
+// byte-identical spans, timelines and metrics. Anything nondeterministic
 // leaking into the instrumentation (wall-clock stamps, map iteration order,
 // pointer values) fails this test.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -30,13 +31,16 @@ using core::InstanceState;
 using ocr::Value;
 
 struct RunExports {
-  std::string trace_jsonl;
+  std::string timeline_csv;
   std::string metrics_json;
   std::string store_state;  // serialized instance + history tables
   std::string spans_jsonl;
   std::string chrome_json;
   std::string report_text;
+  std::string report_json;
   std::string lineage_jsonl;
+  /// Σ job-span durations per node, read straight off the span log.
+  std::map<std::string, int64_t> job_us_by_node;
   /// Critical-path invariants of the chaotic instance.
   bool critpath_found = false;
   int64_t critpath_makespan_us = 0;
@@ -148,7 +152,7 @@ RunExports RunScriptedChaos(uint64_t seed, bool group_commit = true) {
       out.store_state += '\n';
     }
   }
-  out.trace_jsonl = obs.trace.ExportJsonl();
+  out.timeline_csv = obs::TimelineCsv(obs::BuildTimeline(obs.spans));
   out.spans_jsonl = obs.spans.ExportJsonl();
   out.chrome_json = obs.spans.ExportChromeTrace();
   out.lineage_jsonl = engine.ExportLineageJsonl(*id).value_or("");
@@ -162,6 +166,12 @@ RunExports RunScriptedChaos(uint64_t seed, bool group_commit = true) {
   }
   report_input.now = sim.Now();
   out.report_text = obs::BuildRunReport(report_input, obs);
+  out.report_json = obs::BuildRunReportJson(report_input, obs);
+  obs.spans.ForEach([&](const obs::Span& span) {
+    if (span.kind == obs::SpanKind::kJob) {
+      out.job_us_by_node[span.node] += span.duration().micros();
+    }
+  });
   obs::CriticalPathReport critpath =
       obs::AnalyzeCriticalPath(obs.spans, *id);
   out.critpath_found = critpath.found;
@@ -183,15 +193,14 @@ RunExports RunScriptedChaos(uint64_t seed, bool group_commit = true) {
 TEST(ObsDeterminismTest, SameSeedExportsAreByteIdentical) {
   RunExports first = RunScriptedChaos(7);
   RunExports second = RunScriptedChaos(7);
-  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl);
   EXPECT_EQ(first.metrics_json, second.metrics_json);
-  EXPECT_FALSE(first.trace_jsonl.empty());
   EXPECT_FALSE(first.metrics_json.empty());
-  // The span layer (raw log, Chrome trace, run report) is held to the
-  // same bar, through node crashes, task failures, a server crash, and
-  // WAL-replay recovery.
+  // The span layer (raw log, Chrome trace, timeline, run report) is held
+  // to the same bar, through node crashes, task failures, a server crash,
+  // and WAL-replay recovery.
   EXPECT_EQ(first.spans_jsonl, second.spans_jsonl);
   EXPECT_EQ(first.chrome_json, second.chrome_json);
+  EXPECT_EQ(first.timeline_csv, second.timeline_csv);
   EXPECT_EQ(first.report_text, second.report_text);
   EXPECT_FALSE(first.spans_jsonl.empty());
   EXPECT_FALSE(first.chrome_json.empty());
@@ -234,6 +243,21 @@ TEST(ObsDeterminismTest, ChaosCriticalPathAttributionIsExact) {
   EXPECT_NE(run.report_text.find("critical path of"), std::string::npos);
 }
 
+TEST(ObsDeterminismTest, ReportBusyTimeIsTheSumOfJobSpans) {
+  RunExports run = RunScriptedChaos(7);
+  // Every node ran work, some of it lost to the crashes; lost jobs count
+  // as busy time up to their end.
+  ASSERT_EQ(run.job_us_by_node.size(), 3u);
+  EXPECT_NE(run.timeline_csv.find(",failed\n"), std::string::npos);
+  for (const auto& [node, job_us] : run.job_us_by_node) {
+    const std::string key = "{\"node\":\"" + node + "\",\"busy_us\":";
+    size_t at = run.report_json.find(key);
+    ASSERT_NE(at, std::string::npos) << node;
+    EXPECT_EQ(std::stoll(run.report_json.substr(at + key.size())), job_us)
+        << node;
+  }
+}
+
 TEST(ObsDeterminismTest, EngineCountersReflectTheChaoticLifecycle) {
   RunExports run = RunScriptedChaos(7);
   // The whole workload was dispatched and finished...
@@ -248,36 +272,6 @@ TEST(ObsDeterminismTest, EngineCountersReflectTheChaoticLifecycle) {
   EXPECT_GE(run.dispatched, run.completed);
 }
 
-/// Strips checkpoint_taken events: checkpoint cadence is the one thing
-/// group commit legitimately shifts (the every-N-commits trigger fires at
-/// a flush barrier instead of mid-group), so those lines may differ while
-/// the execution itself must not. The per-event sequence numbers go too —
-/// dropping lines shifts them without changing the event stream.
-std::string WithoutCheckpointEvents(const std::string& jsonl) {
-  std::string out;
-  size_t pos = 0;
-  while (pos < jsonl.size()) {
-    size_t end = jsonl.find('\n', pos);
-    if (end == std::string::npos) end = jsonl.size();
-    std::string_view line(jsonl.data() + pos, end - pos);
-    pos = end + 1;
-    if (line.empty() ||
-        line.find("\"type\":\"checkpoint_taken\"") != std::string_view::npos) {
-      continue;
-    }
-    size_t seq = line.find("\"seq\":");
-    size_t comma = seq == std::string_view::npos ? seq : line.find(',', seq);
-    if (comma != std::string_view::npos) {
-      out.append(line.substr(0, seq));
-      out.append(line.substr(comma + 1));
-    } else {
-      out.append(line);
-    }
-    out.push_back('\n');
-  }
-  return out;
-}
-
 TEST(ObsDeterminismTest, GroupCommitDoesNotChangeExecution) {
   RunExports grouped = RunScriptedChaos(7, /*group_commit=*/true);
   RunExports ungrouped = RunScriptedChaos(7, /*group_commit=*/false);
@@ -286,8 +280,11 @@ TEST(ObsDeterminismTest, GroupCommitDoesNotChangeExecution) {
   // off, through node crashes, a server crash, and WAL-replay recovery.
   EXPECT_EQ(grouped.store_state, ungrouped.store_state);
   EXPECT_FALSE(grouped.store_state.empty());
-  EXPECT_EQ(WithoutCheckpointEvents(grouped.trace_jsonl),
-            WithoutCheckpointEvents(ungrouped.trace_jsonl));
+  // Every job runs on the same node over the same interval to the same
+  // outcome. (The span log itself differs: commit batches and checkpoint
+  // cadence are what group commit legitimately changes.)
+  EXPECT_EQ(grouped.timeline_csv, ungrouped.timeline_csv);
+  EXPECT_NE(grouped.timeline_csv.find(",failed\n"), std::string::npos);
   EXPECT_EQ(grouped.dispatched, ungrouped.dispatched);
   EXPECT_EQ(grouped.completed, ungrouped.completed);
   EXPECT_EQ(grouped.failed, ungrouped.failed);
@@ -307,25 +304,20 @@ TEST(ObsDeterminismTest, StoreMetricsAreExported) {
 
 TEST(ObsDeterminismTest, TraceContainsTheScriptedEvents) {
   RunExports run = RunScriptedChaos(7);
-  EXPECT_NE(run.trace_jsonl.find("\"type\":\"task_dispatched\""),
-            std::string::npos);
-  EXPECT_NE(run.trace_jsonl.find("\"type\":\"node_down\""),
-            std::string::npos);
-  EXPECT_NE(run.trace_jsonl.find("\"type\":\"server_crashed\""),
-            std::string::npos);
-  EXPECT_NE(run.trace_jsonl.find("\"type\":\"recovery_replayed\""),
-            std::string::npos);
-  EXPECT_NE(run.trace_jsonl.find("\"type\":\"checkpoint_taken\""),
-            std::string::npos);
+  for (const char* kind :
+       {"job", "node_outage", "server_down", "recovery", "checkpoint"}) {
+    EXPECT_NE(run.spans_jsonl.find("\"kind\":\"" + std::string(kind) + "\""),
+              std::string::npos)
+        << "no " << kind << " span";
+  }
 }
 
 /// High-fanout regime of the indexed dispatcher: many more ready entries
 /// than CPUs, mixed priorities, node churn mid-run, and a random
 /// placement policy (RNG consumption is part of the scheduling order).
-/// Two same-seed runs must export byte-identical traces and timelines —
+/// Two same-seed runs must export byte-identical spans and timelines —
 /// the parked/woken bookkeeping may not reorder a single dispatch.
 struct FanoutExports {
-  std::string trace_jsonl;
   std::string timeline_csv;
   std::string spans_jsonl;
   std::string chrome_json;
@@ -389,8 +381,7 @@ FanoutExports RunHighFanout(uint64_t seed) {
   sim.Run();
 
   FanoutExports out;
-  out.trace_jsonl = obs.trace.ExportJsonl();
-  out.timeline_csv = obs::TimelineCsv(obs::BuildTimeline(obs.trace, ""));
+  out.timeline_csv = obs::TimelineCsv(obs::BuildTimeline(obs.spans));
   out.spans_jsonl = obs.spans.ExportJsonl();
   out.chrome_json = obs.spans.ExportChromeTrace();
   return out;
@@ -399,18 +390,18 @@ FanoutExports RunHighFanout(uint64_t seed) {
 TEST(ObsDeterminismTest, HighFanoutSameSeedTimelinesAreByteIdentical) {
   FanoutExports first = RunHighFanout(41);
   FanoutExports second = RunHighFanout(41);
-  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl);
   EXPECT_EQ(first.timeline_csv, second.timeline_csv);
   EXPECT_EQ(first.spans_jsonl, second.spans_jsonl);
   EXPECT_EQ(first.chrome_json, second.chrome_json);
-  EXPECT_FALSE(first.trace_jsonl.empty());
   EXPECT_FALSE(first.timeline_csv.empty());
   EXPECT_FALSE(first.spans_jsonl.empty());
-  // The crash and repair both made it into the trace, so the parked
-  // queues really were woken by capacity events mid-run.
-  EXPECT_NE(first.trace_jsonl.find("\"type\":\"node_down\""),
+  // The crash and repair both made it into the span log (an outage window
+  // closed by the repair), so the parked queues really were woken by
+  // capacity events mid-run.
+  EXPECT_NE(first.spans_jsonl.find("\"kind\":\"node_outage\""),
             std::string::npos);
-  EXPECT_NE(first.trace_jsonl.find("\"type\":\"node_up\""), std::string::npos);
+  EXPECT_NE(first.spans_jsonl.find("\"outcome\":\"repaired\""),
+            std::string::npos);
 }
 
 }  // namespace

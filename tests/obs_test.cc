@@ -1,12 +1,20 @@
-// Unit tests for the observability layer: metrics registry, trace sink,
-// timeline reconstruction, and the logging capture hook.
+// Unit tests for the observability layer: metrics registry, the
+// observability context, the span-fed timeline, and the logging capture
+// hook.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <type_traits>
+
+#include "cluster/cluster.h"
 #include "common/logging.h"
+#include "core/engine.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "ocr/builder.h"
 #include "sim/simulator.h"
+#include "store/record_store.h"
 #include "tests/test_util.h"
 
 namespace biopera::obs {
@@ -149,211 +157,156 @@ TEST(RegistryTest, SnapshotIsSortedAndDeterministic) {
   EXPECT_NE(snap.ToJson().find("\"z_total\":7"), std::string::npos);
 }
 
-// --- Trace sink ------------------------------------------------------------
+// --- Observability context ----------------------------------------------
 
-TEST(TraceSinkTest, EventTypeNamesRoundTrip) {
-  for (EventType type :
-       {EventType::kTaskDispatched, EventType::kTaskCompleted,
-        EventType::kTaskFailed, EventType::kJobTimedOut,
-        EventType::kMigrationKilled, EventType::kNodeDown, EventType::kNodeUp,
-        EventType::kCheckpointTaken, EventType::kRecoveryReplayed,
-        EventType::kInstanceStateChanged, EventType::kServerCrashed,
-        EventType::kServerStarted, EventType::kStoreDegraded,
-        EventType::kStoreRecovered, EventType::kStoreScrubbed,
-        EventType::kServerFenced, EventType::kAnnotation}) {
-    ASSERT_OK_AND_ASSIGN(EventType back,
-                         EventTypeFromName(EventTypeName(type)));
-    EXPECT_EQ(back, type);
-  }
-  EXPECT_TRUE(EventTypeFromName("no_such_event").status().IsInvalidArgument());
-}
+// A bare number must never silently become a sink capacity: the context is
+// an aggregate, so a sized sink is spelled out.
+static_assert(!std::is_constructible_v<Observability, int>);
+static_assert(!std::is_constructible_v<Observability, size_t>);
 
-TEST(TraceSinkTest, StampsVirtualTime) {
+TEST(ObservabilityTest, SizedSpanSinkIsSpelledOut) {
+  Observability sized{.spans = SpanSink(2)};
+  EXPECT_EQ(sized.spans.capacity(), 2u);
+  EXPECT_EQ(Observability().spans.capacity(), size_t{1} << 20);
   Simulator sim;
-  TraceSink sink(16);
-  sink.SetClock(&sim);
-  sim.RunFor(Duration::Seconds(42));
-  sink.Emit(EventType::kAnnotation, "inst-1", "", "", {{"label", "mark"}});
-  ASSERT_EQ(sink.size(), 1u);
-  std::vector<TraceRecord> tail = sink.Tail(1);
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].time, TimePoint::FromMicros(42000000));
-  EXPECT_EQ(tail[0].type, EventType::kAnnotation);
-  EXPECT_EQ(tail[0].instance, "inst-1");
-  std::string json = tail[0].ToJson();
-  EXPECT_NE(json.find("\"t_us\":42000000"), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"annotation\""), std::string::npos);
-  EXPECT_NE(json.find("\"label\":\"mark\""), std::string::npos);
-}
-
-TEST(TraceSinkTest, RingOverwritesOldest) {
-  TraceSink sink(4);
-  for (int i = 0; i < 10; ++i) {
-    sink.Emit(EventType::kAnnotation, "inst", "",
-              "", {{"i", std::to_string(i)}});
-  }
-  EXPECT_EQ(sink.size(), 4u);
-  EXPECT_EQ(sink.total_emitted(), 10u);
-  EXPECT_EQ(sink.dropped(), 6u);
-  // Oldest-first iteration over the surviving window [6, 10).
-  uint64_t expect_seq = 6;
-  sink.ForEach([&](const TraceRecord& rec) {
-    EXPECT_EQ(rec.seq, expect_seq);
-    ++expect_seq;
-  });
-  EXPECT_EQ(expect_seq, 10u);
-
-  sink.Clear();
-  EXPECT_EQ(sink.size(), 0u);
-}
-
-TEST(TraceSinkTest, TailFiltersByInstance) {
-  TraceSink sink(64);
-  for (int i = 0; i < 6; ++i) {
-    sink.Emit(EventType::kAnnotation, i % 2 == 0 ? "even" : "odd");
-  }
-  std::vector<TraceRecord> all = sink.Tail(3);
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all.front().seq, 3u);
-  EXPECT_EQ(all.back().seq, 5u);
-  std::vector<TraceRecord> odd = sink.Tail(10, "odd");
-  ASSERT_EQ(odd.size(), 3u);
-  for (const TraceRecord& rec : odd) EXPECT_EQ(rec.instance, "odd");
-}
-
-TEST(TraceSinkTest, ExportJsonlOneObjectPerLine) {
-  TraceSink sink(8);
-  sink.Emit(EventType::kNodeDown, "", "", "n0");
-  sink.Emit(EventType::kNodeUp, "", "", "n0");
-  std::string jsonl = sink.ExportJsonl();
-  size_t lines = 0;
-  for (char c : jsonl) lines += c == '\n';
-  EXPECT_EQ(lines, 2u);
-  EXPECT_NE(jsonl.find("\"type\":\"node_down\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"node\":\"n0\""), std::string::npos);
-}
-
-TEST(TraceSinkTest, ExportJsonlMarksTruncation) {
-  TraceSink sink(4);
-  sink.Emit(EventType::kAnnotation, "inst");
-  EXPECT_EQ(sink.ExportJsonl().find("truncated"), std::string::npos);
-
-  for (int i = 0; i < 9; ++i) sink.Emit(EventType::kAnnotation, "inst");
-  ASSERT_EQ(sink.dropped(), 6u);
-  std::string jsonl = sink.ExportJsonl();
-  // The first line records the wrap so consumers know the window is
-  // incomplete and where the surviving sequence numbers start.
-  EXPECT_EQ(
-      jsonl.find("{\"truncated\":true,\"events_dropped\":6,\"first_seq\":6}"),
-      0u);
-}
-
-TEST(ObservabilityTest, RingWrapFeedsDroppedCounter) {
-  Observability obs(/*trace_capacity=*/4);
-  for (int i = 0; i < 10; ++i) obs.trace.Emit(EventType::kAnnotation, "inst");
-  EXPECT_EQ(obs.trace.dropped(), 6u);
-  // The ctor wires the ring's overwrites into the metrics registry, so
-  // exports and scrapes agree on how much history was lost.
-  EXPECT_EQ(obs.metrics.GetCounter("trace_events_dropped_total")->value(), 6u);
-  EXPECT_NE(obs.metrics.Snapshot().ToText("trace_events_dropped").find("6"),
-            std::string::npos);
+  sized.SetClock(&sim);
+  EXPECT_TRUE(sized.spans.has_clock());
 }
 
 // --- Timeline --------------------------------------------------------------
 
+/// Opens a job span the way the engine's dispatcher does.
+uint64_t BeginJob(SpanSink* sink, const std::string& task,
+                  const std::string& node) {
+  return sink->Begin(SpanKind::kJob, task, /*parent=*/0, /*link=*/0, "i1",
+                     task, node);
+}
+
 TEST(TimelineTest, PairsDispatchWithTerminalEvents) {
   Simulator sim;
-  TraceSink sink(64);
+  SpanSink sink;
   sink.SetClock(&sim);
-  sink.Emit(EventType::kTaskDispatched, "i1", "a", "n0");
-  sink.Emit(EventType::kTaskDispatched, "i1", "b", "n1");
-  sink.Emit(EventType::kTaskDispatched, "i1", "c", "n1");
+  uint64_t a = BeginJob(&sink, "a", "n0");
+  uint64_t b = BeginJob(&sink, "b", "n1");
+  uint64_t c = BeginJob(&sink, "c", "n1");
+  BeginJob(&sink, "d", "n0");  // never reports: still open
   sim.RunFor(Duration::Seconds(10));
-  sink.Emit(EventType::kTaskCompleted, "i1", "a", "n0");
-  sink.Emit(EventType::kTaskFailed, "i1", "b", "");
-  // c never reports: left "open" at the last event time.
+  sink.End(a, "completed");
+  sink.End(b, "failed");
+  sim.RunFor(Duration::Seconds(5));
+  sink.End(c, "killed");
+  // Other kinds are not execution intervals.
+  sink.EmitInstant(SpanKind::kCheckpoint, "checkpoint delta");
 
   std::vector<TimelineInterval> intervals = BuildTimeline(sink);
-  ASSERT_EQ(intervals.size(), 3u);
-  const TimelineInterval* a = nullptr;
-  const TimelineInterval* b = nullptr;
-  const TimelineInterval* c = nullptr;
-  for (const TimelineInterval& iv : intervals) {
-    if (iv.task == "a") a = &iv;
-    if (iv.task == "b") b = &iv;
-    if (iv.task == "c") c = &iv;
-  }
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(a->outcome, "completed");
-  EXPECT_EQ(a->node, "n0");
-  EXPECT_EQ(a->end - a->start, Duration::Seconds(10));
-  EXPECT_EQ(b->outcome, "failed");
-  EXPECT_EQ(c->outcome, "open");
+  ASSERT_EQ(intervals.size(), 4u);
+  std::map<std::string, const TimelineInterval*> by_task;
+  for (const TimelineInterval& iv : intervals) by_task[iv.task] = &iv;
+  ASSERT_EQ(by_task.size(), 4u);
+  EXPECT_EQ(by_task["a"]->outcome, "completed");
+  EXPECT_EQ(by_task["a"]->node, "n0");
+  EXPECT_EQ(by_task["a"]->instance, "i1");
+  EXPECT_EQ(by_task["a"]->end - by_task["a"]->start, Duration::Seconds(10));
+  EXPECT_EQ(by_task["b"]->outcome, "failed");
+  EXPECT_EQ(by_task["c"]->outcome, "killed");
+  EXPECT_EQ(by_task["c"]->end - by_task["c"]->start, Duration::Seconds(15));
+  // An open job extends to the latest timestamp the sink has seen.
+  EXPECT_EQ(by_task["d"]->outcome, "open");
+  EXPECT_EQ(by_task["d"]->end, TimePoint::FromMicros(15000000));
 
   // Node filter.
-  EXPECT_EQ(BuildTimeline(sink, "n0").size(), 1u);
+  std::vector<TimelineInterval> n0 = BuildTimeline(sink, "n0");
+  ASSERT_EQ(n0.size(), 2u);
+  for (const TimelineInterval& iv : n0) EXPECT_EQ(iv.node, "n0");
   EXPECT_EQ(BuildTimeline(sink, "n1").size(), 2u);
+  EXPECT_TRUE(BuildTimeline(sink, "ghost").empty());
 }
 
 TEST(TimelineTest, NodeDownClosesItsTasks) {
+  // A job lost to a node crash ends at the crash with the engine's
+  // outcome: without a lease detector the engine hears of the crash at
+  // once and fails the job, and the retry runs on the surviving node.
+  testing::TempDir dir;
+  auto store = RecordStore::Open(dir.path()).value();
   Simulator sim;
-  TraceSink sink(64);
-  sink.SetClock(&sim);
-  sink.Emit(EventType::kTaskDispatched, "i1", "a", "n0");
-  sink.Emit(EventType::kTaskDispatched, "i1", "b", "n1");
-  sim.RunFor(Duration::Seconds(5));
-  sink.Emit(EventType::kNodeDown, "", "", "n0");
+  cluster::ClusterSim cluster(&sim);
+  ASSERT_OK(cluster.AddNode({.name = "n0", .num_cpus = 1}));
+  ASSERT_OK(cluster.AddNode({.name = "n1", .num_cpus = 1}));
+  core::ActivityRegistry registry;
+  ASSERT_OK(registry.Register(
+      "work", [](const core::ActivityInput&) -> Result<core::ActivityOutput> {
+        core::ActivityOutput out;
+        out.cost = Duration::Minutes(10);
+        return out;
+      }));
+  Observability obs;
+  core::EngineOptions options;
+  options.observability = &obs;
+  core::Engine engine(&sim, &cluster, store.get(), &registry, options);
+  ASSERT_OK(engine.Startup());
+  ASSERT_OK(engine.RegisterTemplate(
+      ocr::ProcessBuilder("one")
+          .Task(ocr::TaskBuilder::Activity("a", "work"))
+          .Build()
+          .value()));
+  ASSERT_OK_AND_ASSIGN(std::string id, engine.StartProcess("one"));
+  sim.RunFor(Duration::Minutes(4));
+  std::vector<TimelineInterval> running = BuildTimeline(obs.spans);
+  ASSERT_EQ(running.size(), 1u);
+  EXPECT_EQ(running[0].outcome, "open");
+  const std::string lost_node = running[0].node;
+  ASSERT_OK(cluster.CrashNode(lost_node));
+  const TimePoint crash = sim.Now();
+  sim.Run();
+  EXPECT_EQ(engine.GetInstanceState(id).value(), core::InstanceState::kDone);
 
-  std::vector<TimelineInterval> intervals = BuildTimeline(sink);
+  std::vector<TimelineInterval> intervals = BuildTimeline(obs.spans);
   ASSERT_EQ(intervals.size(), 2u);
-  for (const TimelineInterval& iv : intervals) {
-    EXPECT_EQ(iv.outcome, iv.node == "n0" ? "node_down" : "open");
-  }
+  EXPECT_EQ(intervals[0].node, lost_node);
+  EXPECT_EQ(intervals[0].end, crash);
+  EXPECT_EQ(intervals[0].outcome, "failed");
+  EXPECT_NE(intervals[1].node, lost_node);
+  EXPECT_EQ(intervals[1].outcome, "completed");
 }
 
-TEST(TimelineTest, CsvAndBusyCurve) {
+TEST(TimelineTest, CsvOrdersRowsByStartThenNode) {
   Simulator sim;
-  TraceSink sink(64);
+  SpanSink sink;
   sink.SetClock(&sim);
-  sink.Emit(EventType::kTaskDispatched, "i1", "a", "n0");
+  uint64_t first = BeginJob(&sink, "w", "n1");
   sim.RunFor(Duration::Seconds(4));
-  sink.Emit(EventType::kTaskDispatched, "i1", "b", "n0");
+  uint64_t x = BeginJob(&sink, "x", "n1");
+  uint64_t y = BeginJob(&sink, "y", "n0");
+  uint64_t z = BeginJob(&sink, "z", "n0");  // same (start, node) as y
   sim.RunFor(Duration::Seconds(4));
-  sink.Emit(EventType::kTaskCompleted, "i1", "a", "n0");
-  sim.RunFor(Duration::Seconds(4));
-  sink.Emit(EventType::kTaskCompleted, "i1", "b", "n0");
+  for (uint64_t id : {first, x, y, z}) sink.End(id, "completed");
 
-  std::vector<TimelineInterval> intervals = BuildTimeline(sink);
-  std::string csv = TimelineCsv(intervals);
-  EXPECT_NE(csv.find("node,instance,task,start_us,end_us,outcome"),
-            std::string::npos);
-  EXPECT_NE(csv.find("n0,i1,a,0,8000000,completed"), std::string::npos);
-
-  StepSeries busy = BusyCurve(intervals, "n0");
-  EXPECT_DOUBLE_EQ(busy.At(2), 1.0);   // only a
-  EXPECT_DOUBLE_EQ(busy.At(6), 2.0);   // a and b overlap
-  EXPECT_DOUBLE_EQ(busy.At(10), 1.0);  // only b
-  EXPECT_DOUBLE_EQ(busy.At(13), 0.0);  // drained
+  // Start time first (w on n1 leads), then node, then dispatch order.
+  EXPECT_EQ(TimelineCsv(BuildTimeline(sink)),
+            "node,instance,task,start_us,end_us,outcome\n"
+            "n1,i1,w,0,8000000,completed\n"
+            "n0,i1,y,4000000,8000000,completed\n"
+            "n0,i1,z,4000000,8000000,completed\n"
+            "n1,i1,x,4000000,8000000,completed\n");
 }
 
 TEST(TimelineTest, CsvMarksTruncation) {
-  TraceSink sink(64);
-  sink.Emit(EventType::kTaskDispatched, "i1", "a", "n0");
-  sink.Emit(EventType::kTaskCompleted, "i1", "a", "n0");
-  std::vector<TimelineInterval> intervals = BuildTimeline(sink);
-
-  std::string intact = TimelineCsv(intervals, /*dropped_events=*/0);
+  SpanSink sink(/*capacity=*/1);
+  sink.End(BeginJob(&sink, "a", "n0"), "completed");
+  std::string intact = TimelineCsv(BuildTimeline(sink), sink.dropped());
   EXPECT_EQ(intact.find("truncated"), std::string::npos);
 
-  std::string truncated = TimelineCsv(intervals, /*dropped_events=*/6);
-  EXPECT_NE(truncated.find(
-                "# truncated: 6 trace events dropped before this window"),
+  BeginJob(&sink, "b", "n0");  // dropped: the sink is full
+  BeginJob(&sink, "c", "n1");
+  ASSERT_EQ(sink.dropped(), 2u);
+  std::string truncated = TimelineCsv(BuildTimeline(sink), sink.dropped());
+  EXPECT_NE(truncated.find("# truncated: 2 spans dropped at capacity; later "
+                           "intervals are missing"),
             std::string::npos);
   // The marker is a CSV comment right after the header, so naive readers
   // still parse the data rows.
   EXPECT_LT(truncated.find("node,instance,task"), truncated.find("# truncated"));
+  EXPECT_NE(truncated.find("n0,i1,a,0,0,completed"), std::string::npos);
 }
 
 // --- Logging hook ----------------------------------------------------------

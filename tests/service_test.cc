@@ -1,7 +1,7 @@
 // The sharded multi-engine service: placement, admission control,
 // lockstep barriers, rebalancing across shard-count changes, per-shard
 // writer-epoch fencing, and the determinism contract — same-seed runs
-// export byte-identical spans, traces, timelines and lineage per shard,
+// export byte-identical spans and lineage per shard,
 // with or without a thread pool pumping the barriers.
 #include <gtest/gtest.h>
 
@@ -90,8 +90,6 @@ Submission MakeJob(int i) {
 
 struct ShardExports {
   std::vector<std::string> spans;
-  std::vector<std::string> traces;
-  std::vector<std::string> timelines;
   std::vector<std::string> lineage;  // per shard: all instances, id order
 };
 
@@ -99,8 +97,6 @@ ShardExports CollectExports(const ShardedService& svc) {
   ShardExports out;
   for (int s = 0; s < svc.hosted_shards(); ++s) {
     out.spans.push_back(svc.ExportShardSpans(s));
-    out.traces.push_back(svc.ExportShardTrace(s));
-    out.timelines.push_back(svc.ExportShardTimeline(s));
     const core::Engine* engine = svc.shard(s)->engine.get();
     auto instances = engine->ListInstances();
     std::sort(instances.begin(), instances.end(),
@@ -140,8 +136,6 @@ TEST(ShardedServiceTest, SameSeedRunsAreByteIdenticalPerShard) {
   ShardExports b = RunOnce(b_dir.path(), 17, nullptr);
   ASSERT_EQ(a.spans.size(), 3u);
   EXPECT_EQ(a.spans, b.spans);
-  EXPECT_EQ(a.traces, b.traces);
-  EXPECT_EQ(a.timelines, b.timelines);
   EXPECT_EQ(a.lineage, b.lineage);
   for (const auto& s : a.spans) EXPECT_FALSE(s.empty());
   for (const auto& l : a.lineage) EXPECT_FALSE(l.empty());
@@ -151,8 +145,6 @@ TEST(ShardedServiceTest, SameSeedRunsAreByteIdenticalPerShard) {
   exec::ThreadPool pool(4);
   ShardExports pooled = RunOnce(c_dir.path(), 17, &pool);
   EXPECT_EQ(a.spans, pooled.spans);
-  EXPECT_EQ(a.traces, pooled.traces);
-  EXPECT_EQ(a.timelines, pooled.timelines);
   EXPECT_EQ(a.lineage, pooled.lineage);
 }
 

@@ -249,11 +249,20 @@ TEST(FencingTest, SplitBrainOldPrimaryStepsDown) {
   EXPECT_FALSE(old_primary.IsUp());
   EXPECT_TRUE(new_primary.IsUp());
 
-  bool fenced_event = false;
-  obs.trace.ForEach([&](const obs::TraceRecord& rec) {
-    if (rec.type == obs::EventType::kServerFenced) fenced_event = true;
+  // The step-down shows as a zero-length server-down instant naming the
+  // stale epoch.
+  std::vector<obs::Span> fenced;
+  obs.spans.ForEach([&](const obs::Span& span) {
+    if (span.kind == obs::SpanKind::kServerDown && span.outcome == "fenced") {
+      fenced.push_back(span);
+    }
   });
-  EXPECT_TRUE(fenced_event);
+  ASSERT_EQ(fenced.size(), 1u);
+  EXPECT_FALSE(fenced[0].open);
+  EXPECT_EQ(fenced[0].duration(), Duration::Zero());
+  ASSERT_EQ(fenced[0].attrs.size(), 1u);
+  EXPECT_EQ(fenced[0].attrs[0].first, "stale_epoch");
+  EXPECT_EQ(fenced[0].attrs[0].second, std::to_string(old_epoch));
 }
 
 // --- Engine degraded mode ---------------------------------------------------
@@ -281,15 +290,16 @@ TEST(DegradedModeTest, EngineSurvivesDiskFullWindowWithoutLosingWork) {
   obs::Observability obs;
   EngineOptions options;
   options.observability = &obs;
-  Engine engine(&sim, &cluster, store.get(), &registry, options);
-  ASSERT_OK(engine.Startup());
-  ASSERT_OK(engine.RegisterTemplate(workloads::BuildAllVsAllProcess()));
-  ASSERT_OK(engine.RegisterTemplate(workloads::BuildAlignPartitionProcess()));
+  auto engine = std::make_unique<Engine>(&sim, &cluster, store.get(),
+                                         &registry, options);
+  ASSERT_OK(engine->Startup());
+  ASSERT_OK(engine->RegisterTemplate(workloads::BuildAllVsAllProcess()));
+  ASSERT_OK(engine->RegisterTemplate(workloads::BuildAlignPartitionProcess()));
   Value::Map args;
   args["db_name"] = Value("degraded");
   args["num_teus"] = Value(6);
   ASSERT_OK_AND_ASSIGN(std::string id,
-                       engine.StartProcess("all_vs_all", args));
+                       engine->StartProcess("all_vs_all", args));
 
   // Script a disk-full window the way scenarios script node outages. The
   // fault-free run finishes in well under a simulated minute, so a window
@@ -303,8 +313,8 @@ TEST(DegradedModeTest, EngineSurvivesDiskFullWindowWithoutLosingWork) {
 
   // Mid-window the engine must be degraded, with the gauge raised.
   sim.RunFor(Duration::Seconds(40));
-  EXPECT_TRUE(engine.IsDegraded());
-  EXPECT_TRUE(engine.IsUp());
+  EXPECT_TRUE(engine->IsDegraded());
+  EXPECT_TRUE(engine->IsUp());
   EXPECT_EQ(obs.metrics.GetGauge("engine_store_degraded")->value(), 1.0);
   EXPECT_GE(obs.metrics.GetCounter("engine_store_degraded_total")->value(),
             1u);
@@ -312,43 +322,45 @@ TEST(DegradedModeTest, EngineSurvivesDiskFullWindowWithoutLosingWork) {
   // Ride out the window and finish.
   for (int waits = 0; waits < 300; ++waits) {
     sim.RunFor(Duration::Minutes(5));
-    auto state = engine.GetInstanceState(id);
+    auto state = engine->GetInstanceState(id);
     if (state.ok() && *state == InstanceState::kDone) break;
   }
-  ASSERT_OK_AND_ASSIGN(auto state, engine.GetInstanceState(id));
+  ASSERT_OK_AND_ASSIGN(auto state, engine->GetInstanceState(id));
   ASSERT_EQ(state, InstanceState::kDone);
-  EXPECT_FALSE(engine.IsDegraded());
+  EXPECT_FALSE(engine->IsDegraded());
   EXPECT_EQ(obs.metrics.GetGauge("engine_store_degraded")->value(), 0.0);
 
   // Zero lost transitions: the result matches the failure-free truth.
   ASSERT_OK_AND_ASSIGN(Value total,
-                       engine.GetWhiteboardValue(id, "total_matches"));
+                       engine->GetWhiteboardValue(id, "total_matches"));
   EXPECT_EQ(static_cast<uint64_t>(total.AsInt()), expected);
 
-  // The trace shows the degraded interval, and no task was dispatched
-  // inside it: degraded mode really does pause the navigator.
-  TimePoint degraded_at = TimePoint::Zero(), recovered_at = TimePoint::Zero();
-  obs.trace.ForEach([&](const obs::TraceRecord& rec) {
-    if (rec.type == obs::EventType::kStoreDegraded &&
-        degraded_at == TimePoint::Zero()) {
-      degraded_at = rec.time;
-    }
-    if (rec.type == obs::EventType::kStoreRecovered) recovered_at = rec.time;
+  // The span log shows the degraded window, and no job started inside
+  // it: degraded mode really does pause the navigator.
+  std::vector<std::pair<TimePoint, TimePoint>> windows;
+  obs.spans.ForEach([&](const obs::Span& span) {
+    if (span.kind != obs::SpanKind::kStoreDegraded) return;
+    EXPECT_FALSE(span.open);
+    EXPECT_EQ(span.outcome, "recovered");
+    EXPECT_GT(span.end, span.start);
+    windows.emplace_back(span.start, span.end);
   });
-  ASSERT_NE(degraded_at, TimePoint::Zero());
-  ASSERT_NE(recovered_at, TimePoint::Zero());
-  EXPECT_GT(recovered_at, degraded_at);
+  ASSERT_FALSE(windows.empty());
   size_t dispatched_while_degraded = 0;
-  obs.trace.ForEach([&](const obs::TraceRecord& rec) {
-    if (rec.type == obs::EventType::kTaskDispatched &&
-        rec.time > degraded_at && rec.time < recovered_at) {
-      ++dispatched_while_degraded;
+  obs.spans.ForEach([&](const obs::Span& span) {
+    if (span.kind != obs::SpanKind::kJob) return;
+    for (const auto& [degraded_at, recovered_at] : windows) {
+      if (span.start > degraded_at && span.start < recovered_at) {
+        ++dispatched_while_degraded;
+      }
     }
   });
   EXPECT_EQ(dispatched_while_degraded, 0u);
 
-  // And the store's durable state is complete after the fact.
+  // And the store's durable state is complete after the fact. The engine
+  // goes first: its destructor still talks to the store.
   sim.RunFor(Duration::Hours(1));
+  engine.reset();
   store.reset();
   auto reopened = RecordStore::Open(dir.path()).value();
   EXPECT_FALSE(reopened->Scan("instance", "").empty());
