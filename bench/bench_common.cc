@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/strings.h"
+#include "ocr/builder.h"
 
 namespace biopera::bench {
 
@@ -45,6 +46,33 @@ void AddIkLinuxCluster(cluster::ClusterSim* cluster, int cpus) {
     node.speed = kIkLinuxSpeed;
     node.os = "linux";
     cluster->AddNode(node);
+  }
+}
+
+ocr::ProcessDef TwoStageJobProcess(const std::string& name) {
+  auto def = ocr::ProcessBuilder(name)
+                 .Task(ocr::TaskBuilder::Activity("prepare", "bench.prepare"))
+                 .Task(ocr::TaskBuilder::Activity("run", "bench.run"))
+                 .Connect("prepare", "run")
+                 .Build();
+  if (!def.ok()) std::abort();
+  return std::move(*def);
+}
+
+void RegisterTwoStageJobActivities(core::ActivityRegistry* registry) {
+  auto activity = [](Duration cost) {
+    return [cost](const core::ActivityInput&) -> Result<core::ActivityOutput> {
+      core::ActivityOutput out;
+      out.cost = cost;
+      return out;
+    };
+  };
+  if (!registry->Register("bench.prepare", activity(Duration::Minutes(30)))
+           .ok()) {
+    std::abort();
+  }
+  if (!registry->Register("bench.run", activity(Duration::Hours(1))).ok()) {
+    std::abort();
   }
 }
 

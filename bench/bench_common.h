@@ -41,6 +41,16 @@ void AddLinneusCluster(cluster::ClusterSim* cluster);
 /// (Fig. 6's upgrade to 16).
 void AddIkLinuxCluster(cluster::ClusterSim* cluster, int cpus = 1);
 
+/// A two-stage instance registered as `name`: prepare (30 virtual
+/// minutes) then run (1 virtual hour) — enough structure that the pump
+/// navigates between stages, cheap enough that 10k instances stay
+/// tractable. The job shape of the sharded-service and restart benches.
+ocr::ProcessDef TwoStageJobProcess(const std::string& name);
+
+/// Registers the activities TwoStageJobProcess binds: `bench.prepare`
+/// and `bench.run`, which only charge their virtual cost.
+void RegisterTwoStageJobActivities(core::ActivityRegistry* registry);
+
 /// One self-cleaning world: simulator + cluster + store + registry +
 /// engine, with the store in a fresh temp directory. Unless the caller
 /// supplies its own context in `options`, the world's `obs` instruments

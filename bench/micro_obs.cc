@@ -40,7 +40,6 @@
 #include "obs/barrier_profile.h"
 #include "obs/quantile.h"
 #include "obs/trace.h"
-#include "ocr/builder.h"
 #include "sim/simulator.h"
 #include "store/record_store.h"
 
@@ -64,33 +63,6 @@ std::string MakeRunDir(const std::string& tag) {
   auto dir = base / (tag + "." + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir.string();
-}
-
-ocr::ProcessDef JobProcess() {
-  auto def = ocr::ProcessBuilder("obs_job")
-                 .Task(ocr::TaskBuilder::Activity("prepare", "bench.prepare"))
-                 .Task(ocr::TaskBuilder::Activity("run", "bench.run"))
-                 .Connect("prepare", "run")
-                 .Build();
-  if (!def.ok()) std::abort();
-  return std::move(*def);
-}
-
-void RegisterJobActivities(core::ActivityRegistry* registry) {
-  auto activity = [](Duration cost) {
-    return [cost](const core::ActivityInput&) -> Result<core::ActivityOutput> {
-      core::ActivityOutput out;
-      out.cost = cost;
-      return out;
-    };
-  };
-  if (!registry->Register("bench.prepare", activity(Duration::Minutes(30)))
-           .ok()) {
-    std::abort();
-  }
-  if (!registry->Register("bench.run", activity(Duration::Hours(1))).ok()) {
-    std::abort();
-  }
 }
 
 enum class Mode { kDetached, kAttached, kAttachedProfile };
@@ -134,7 +106,7 @@ WorkloadResult RunWorkloadOnce(Mode mode, int rep) {
     if (!st.ok()) std::abort();
   }
   core::ActivityRegistry registry;
-  RegisterJobActivities(&registry);
+  RegisterTwoStageJobActivities(&registry);
 
   obs::Observability obs;
   obs.SetClock(&sim);
@@ -152,7 +124,9 @@ WorkloadResult RunWorkloadOnce(Mode mode, int rep) {
 
   core::Engine engine(&sim, &cluster, store.get(), &registry, options);
   if (!engine.Startup().ok()) std::abort();
-  if (!engine.RegisterTemplate(JobProcess()).ok()) std::abort();
+  if (!engine.RegisterTemplate(TwoStageJobProcess("obs_job")).ok()) {
+    std::abort();
+  }
 
   double start = NowSeconds();
   for (int i = 0; i < kInstances; ++i) {

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 
+#include "bench/bench_common.h"
 #include "bench/bench_main.h"
 #include "cluster/cluster.h"
 #include "core/engine.h"
@@ -86,6 +87,67 @@ void BM_ServerCrashRecovery(benchmark::State& state) {
                                   : 0;
 }
 BENCHMARK(BM_ServerCrashRecovery)->Arg(32)->Arg(128)->Arg(512)
+    ->Unit(benchmark::kMillisecond);
+
+/// A store holding `num_instances` completed two-stage instances on 4
+/// nodes x 4 CPUs: the job shape and the per-shard cluster of a
+/// sharded-service fleet, whose restart rebuilds every instance the shard
+/// ever hosted.
+struct ManyInstancesFixture {
+  explicit ManyInstancesFixture(int num_instances) {
+    dir = (std::filesystem::temp_directory_path() /
+           ("biopera_recbench_many_" + std::to_string(::getpid()) + "_" +
+            std::to_string(num_instances)))
+              .string();
+    std::filesystem::remove_all(dir);
+    auto opened = RecordStore::Open(dir);
+    store = std::move(*opened);
+    cluster = std::make_unique<cluster::ClusterSim>(&sim);
+    for (int i = 0; i < 4; ++i) {
+      cluster->AddNode({.name = "node" + std::to_string(i), .num_cpus = 4});
+    }
+    bench::RegisterTwoStageJobActivities(&registry);
+    core::EngineOptions options;
+    options.adaptive_monitoring = false;
+    engine = std::make_unique<core::Engine>(&sim, cluster.get(), store.get(),
+                                            &registry, options);
+    engine->Startup();
+    engine->RegisterTemplate(bench::TwoStageJobProcess("job"));
+    for (int i = 0; i < num_instances; ++i) engine->StartProcess("job");
+    sim.RunFor(Duration::Days(60));
+  }
+  ~ManyInstancesFixture() {
+    engine.reset();
+    store.reset();
+    std::filesystem::remove_all(dir);
+  }
+
+  std::string dir;
+  Simulator sim;
+  std::unique_ptr<RecordStore> store;
+  std::unique_ptr<cluster::ClusterSim> cluster;
+  core::ActivityRegistry registry;
+  std::unique_ptr<core::Engine> engine;
+};
+
+void BM_ServerCrashRecoveryManyInstances(benchmark::State& state) {
+  const auto num_instances = static_cast<size_t>(state.range(0));
+  ManyInstancesFixture fixture(static_cast<int>(num_instances));
+  size_t completed = 0;
+  for (const core::InstanceSummary& s : fixture.engine->ListInstances()) {
+    if (s.state == core::InstanceState::kDone) ++completed;
+  }
+  if (completed != num_instances) {
+    state.SkipWithError("instances did not complete before the crash");
+    return;
+  }
+  for (auto _ : state) {
+    fixture.engine->Crash();
+    benchmark::DoNotOptimize(fixture.engine->Startup());
+  }
+  state.counters["instances"] = static_cast<double>(completed);
+}
+BENCHMARK(BM_ServerCrashRecoveryManyInstances)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ColdStoreOpen(benchmark::State& state) {

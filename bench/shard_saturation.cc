@@ -40,7 +40,6 @@
 #include "common/table.h"
 #include "core/engine.h"
 #include "obs/barrier_profile.h"
-#include "ocr/builder.h"
 #include "service/service.h"
 
 namespace biopera::bench {
@@ -65,36 +64,6 @@ std::string MakeRunDir(const std::string& tag) {
   auto dir = base / (tag + "." + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   return dir.string();
-}
-
-/// A two-stage instance: prepare (30 virtual minutes) then run (1 virtual
-/// hour) — enough structure that the pump navigates between stages, cheap
-/// enough that 10k instances stay tractable.
-ocr::ProcessDef JobProcess() {
-  auto def = ocr::ProcessBuilder("shard_job")
-                 .Task(ocr::TaskBuilder::Activity("prepare", "bench.prepare"))
-                 .Task(ocr::TaskBuilder::Activity("run", "bench.run"))
-                 .Connect("prepare", "run")
-                 .Build();
-  if (!def.ok()) std::abort();
-  return std::move(*def);
-}
-
-void RegisterJobActivities(core::ActivityRegistry* registry) {
-  auto activity = [](Duration cost) {
-    return [cost](const core::ActivityInput&) -> Result<core::ActivityOutput> {
-      core::ActivityOutput out;
-      out.cost = cost;
-      return out;
-    };
-  };
-  if (!registry->Register("bench.prepare", activity(Duration::Minutes(30)))
-           .ok()) {
-    std::abort();
-  }
-  if (!registry->Register("bench.run", activity(Duration::Hours(1))).ok()) {
-    std::abort();
-  }
 }
 
 struct RunResult {
@@ -134,7 +103,7 @@ struct FleetArtifacts {
 RunResult RunLevel(int shards, int live, uint64_t seed, bool export_spans,
                    FleetArtifacts* artifacts = nullptr) {
   core::ActivityRegistry registry;
-  RegisterJobActivities(&registry);
+  RegisterTwoStageJobActivities(&registry);
 
   ServiceOptions options;
   options.shards = shards;
@@ -158,7 +127,7 @@ RunResult RunLevel(int shards, int live, uint64_t seed, bool export_spans,
                            static_cast<unsigned long long>(seed)));
   ShardedService svc(dir, &registry, options);
   if (!svc.Startup().ok()) std::abort();
-  if (!svc.RegisterTemplate(JobProcess()).ok()) std::abort();
+  if (!svc.RegisterTemplate(TwoStageJobProcess("shard_job")).ok()) std::abort();
 
   double start = NowSeconds();
   for (int i = 0; i < live; ++i) {

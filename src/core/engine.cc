@@ -450,11 +450,12 @@ Status Engine::Startup() {
     if (ParseInt64(*seq, &v)) next_instance_seq_ = static_cast<uint64_t>(v);
   }
 
-  // Recover every persisted instance.
-  for (const std::string& id : spaces_.ListInstances()) {
-    Status st = RecoverInstance(id);
+  // Recover every persisted instance, from one ordered pass over the
+  // instance space.
+  for (Spaces::InstanceRecords& group : spaces_.ScanInstances()) {
+    Status st = RecoverInstance(group.id, std::move(group.rows));
     if (!st.ok()) {
-      BIOPERA_LOG(kError) << "recovery of " << id << " failed: "
+      BIOPERA_LOG(kError) << "recovery of " << group.id << " failed: "
                           << st.ToString();
       return st;
     }
@@ -3155,16 +3156,22 @@ Result<obs::RunLineage> Engine::BuildRunLineage(const std::string& instance_id,
 // Recovery
 // ---------------------------------------------------------------------------
 
-Status Engine::RecoverInstance(const std::string& instance_id) {
+Status Engine::RecoverInstance(
+    const std::string& instance_id,
+    std::vector<std::pair<std::string, std::string>> rows) {
   // Load all records of this instance into a key -> parsed-map index.
   std::map<std::string, Value::Map> records;
-  for (auto& [key, text] : spaces_.ScanInstance(instance_id)) {
+  for (const auto& [key, text] : rows) {
     BIOPERA_ASSIGN_OR_RETURN(Value v, DecodeValueRecord(text));
     if (!v.is_map()) {
       return Status::Corruption("bad record " + key + " in " + instance_id);
     }
+    // Copy the key rather than move it: the scanned key still holds its
+    // unstripped buffer, which the index would pin through the rebuild.
     records[key] = std::move(v.AsMap());
   }
+  // Release the raw rows before the rebuild grows the tree.
+  std::vector<std::pair<std::string, std::string>>().swap(rows);
   auto header_it = records.find("header");
   if (header_it == records.end()) {
     return Status::Corruption("instance " + instance_id + " has no header");

@@ -578,8 +578,11 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   /// enabled, nullptr (a no-op CommitScope) otherwise.
   RecordStore* GroupTarget();
   void AppendHistory(const std::string& instance_id, const std::string& event);
-  /// Rebuilds one instance from its records; re-queues interrupted work.
-  Status RecoverInstance(const std::string& instance_id);
+  /// Rebuilds one instance from its records (key order, "<id>/" prefix
+  /// stripped, as Spaces::ScanInstances groups them); re-queues
+  /// interrupted work.
+  Status RecoverInstance(const std::string& instance_id,
+                         std::vector<std::pair<std::string, std::string>> rows);
 
   Result<const ocr::ProcessDef*> ResolveTemplate(const std::string& name);
 

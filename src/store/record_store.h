@@ -151,7 +151,9 @@ class RecordStore {
   bool Contains(std::string_view table, std::string_view key) const;
 
   /// All (key, value) pairs in `table` whose key starts with `prefix`,
-  /// in key order.
+  /// in key order. Costs O(table) whatever the prefix: it walks the whole
+  /// hash image and sorts the matches. A caller that wants many prefixes
+  /// should scan once and split the ordered result (Spaces::ScanInstances).
   std::vector<std::pair<std::string, std::string>> Scan(
       std::string_view table, std::string_view prefix = "") const;
 
@@ -235,8 +237,10 @@ class RecordStore {
   };
   /// The in-memory image of one table is a hash map: the commit path pays
   /// O(1) per record instead of a pointer-chasing tree walk. Ordered views
-  /// (Scan, checkpoint serialization) sort on demand — they are off the
-  /// hot path, and sorting keeps their output deterministic.
+  /// (Scan, checkpoint serialization) walk the whole table and sort on
+  /// demand, which keeps their output deterministic. A prefix scan is
+  /// therefore O(table), not O(matches), and a loop of per-id scans is
+  /// quadratic; that is why restart reads the instance space in one scan.
   using Table = std::unordered_map<std::string, std::string, StringHash,
                                    std::equal_to<>>;
 

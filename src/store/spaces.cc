@@ -1,5 +1,7 @@
 #include "store/spaces.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 
 namespace biopera {
@@ -58,22 +60,28 @@ Result<std::string> Spaces::GetInstanceRecord(std::string_view instance_id,
   return store_->Get(kInstanceTable, InstanceKey(instance_id, key));
 }
 
-std::vector<std::pair<std::string, std::string>> Spaces::ScanInstance(
-    std::string_view instance_id) const {
-  std::string prefix(instance_id);
-  prefix.push_back('/');
-  auto rows = store_->Scan(kInstanceTable, prefix);
-  // Strip the "<id>/" prefix from keys for the caller.
-  for (auto& [k, v] : rows) k = k.substr(prefix.size());
-  return rows;
-}
-
-std::vector<std::string> Spaces::ListInstances() const {
-  std::vector<std::string> out;
-  for (auto& [k, v] : store_->Scan(kInstanceTable)) {
-    size_t slash = k.find('/');
-    std::string id = k.substr(0, slash);
-    if (out.empty() || out.back() != id) out.push_back(id);
+std::vector<Spaces::InstanceRecords> Spaces::ScanInstances() const {
+  auto id_of = [](std::string_view key) {
+    return key.substr(0, key.find('/'));
+  };
+  std::vector<std::pair<std::string, std::string>> rows =
+      store_->Scan(kInstanceTable);
+  std::vector<InstanceRecords> out;
+  for (auto begin = rows.begin(); begin != rows.end();) {
+    // Keys are "<id>/<record>", so an id's rows are contiguous in key
+    // order. Each group is allocated once, at its exact size: growing it
+    // row by row left enough heap slack to raise peak RSS.
+    InstanceRecords& group = out.emplace_back();
+    group.id = id_of(begin->first);
+    auto end = std::find_if(begin, rows.end(), [&](const auto& row) {
+      return id_of(row.first) != group.id;
+    });
+    group.rows.reserve(end - begin);
+    for (; begin != end; ++begin) {
+      begin->first.erase(0, group.id.size() + 1);  // strip "<id>/"
+      group.rows.emplace_back(std::move(begin->first),
+                              std::move(begin->second));
+    }
   }
   return out;
 }
@@ -129,8 +137,8 @@ Status Spaces::AppendHistory(std::string_view instance_id,
                              std::string_view event) {
   if (!history_seq_loaded_) {
     // Resume the sequence after the existing records (recovery path).
-    auto rows = store_->Scan(kHistoryTable);
-    next_history_seq_ = rows.size();
+    // History rows are never deleted, so their count is the next key.
+    next_history_seq_ = store_->TableSize(kHistoryTable);
     history_seq_loaded_ = true;
   }
   std::string key =

@@ -41,9 +41,17 @@ class Spaces {
                                  std::string_view key);
   Result<std::string> GetInstanceRecord(std::string_view instance_id,
                                         std::string_view key) const;
-  std::vector<std::pair<std::string, std::string>> ScanInstance(
-      std::string_view instance_id) const;
-  std::vector<std::string> ListInstances() const;
+  /// One instance's records in key order, "<id>/" prefix stripped.
+  struct InstanceRecords {
+    std::string id;
+    std::vector<std::pair<std::string, std::string>> rows;
+  };
+  /// Every instance's records from one ordered pass over the instance
+  /// space, grouped by id in key order. An id's keys share the prefix
+  /// "<id>/", so its rows are contiguous in that order. This is what
+  /// restart reads; it costs one Scan of the whole table, not one per
+  /// instance.
+  std::vector<InstanceRecords> ScanInstances() const;
   Status DeleteInstance(std::string_view instance_id);
 
   // --- Provenance space ---------------------------------------------------

@@ -71,8 +71,10 @@ struct World {
 };
 
 /// A process exercising every construct: branch, block, parallel with
-/// subprocess bodies, join. Deterministic final value.
-void RegisterComplexTemplates(Engine* engine) {
+/// subprocess bodies, join. Deterministic final value. The top-level
+/// template is registered as `main_name`.
+void RegisterComplexTemplates(Engine* engine,
+                              const std::string& main_name = "rec_main") {
   auto sub = ProcessBuilder("rec_sub")
                  .Data("seed", Value(0))
                  .Data("y")
@@ -88,7 +90,7 @@ void RegisterComplexTemplates(Engine* engine) {
   ASSERT_OK(engine->RegisterTemplate(*sub));
 
   auto def =
-      ProcessBuilder("rec_main")
+      ProcessBuilder(main_name)
           .Data("x", Value(0))
           .Data("items",
                 Value(Value::List{Value(1), Value(2), Value(3), Value(4)}))
@@ -302,20 +304,53 @@ TEST(RecoveryTest, CompletedInstancesQueryableAfterRecovery) {
 }
 
 TEST(RecoveryTest, MultipleConcurrentInstancesAllRecover) {
+  // Fifty instances of two templates whose names share a prefix, so their
+  // records sit side by side in the instance space. Started ten seconds
+  // apart on six CPUs, the early ones are done at the crash and the later
+  // ones are queued or mid-run.
   testing::TempDir dir;
   World w(dir.path());
   ASSERT_OK(w.engine->Startup());
   RegisterComplexTemplates(w.engine.get());
+  RegisterComplexTemplates(w.engine.get(), "rec_main2");
   std::vector<std::string> ids;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_OK_AND_ASSIGN(std::string id, w.engine->StartProcess("rec_main"));
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_OK_AND_ASSIGN(std::string id,
+                         w.engine->StartProcess(i % 2 == 0 ? "rec_main"
+                                                           : "rec_main2"));
     ids.push_back(id);
     w.sim.RunFor(Duration::Seconds(10));
   }
+  std::map<std::string, InstanceSummary> done;
+  for (const std::string& id : ids) {
+    ASSERT_OK_AND_ASSIGN(InstanceSummary summary, w.engine->Summary(id));
+    if (summary.state == InstanceState::kDone) done[id] = summary;
+  }
+  ASSERT_FALSE(done.empty());
+  ASSERT_LT(done.size(), ids.size());
+
   w.engine->Crash();
   ASSERT_OK(w.engine->Startup());
+  for (const auto& [id, before] : done) {
+    ASSERT_OK_AND_ASSIGN(InstanceSummary after, w.engine->Summary(id));
+    EXPECT_EQ(after.template_name, before.template_name) << id;
+    EXPECT_EQ(after.state, InstanceState::kDone) << id;
+    EXPECT_EQ(after.stats.cpu_seconds, before.stats.cpu_seconds) << id;
+    EXPECT_EQ(after.stats.activities_completed,
+              before.stats.activities_completed)
+        << id;
+    EXPECT_EQ(after.stats.activities_failed, before.stats.activities_failed)
+        << id;
+    EXPECT_EQ(after.stats.started, before.stats.started) << id;
+    EXPECT_EQ(after.stats.finished, before.stats.finished) << id;
+    EXPECT_EQ(after.tasks_total, before.tasks_total) << id;
+    EXPECT_EQ(after.tasks_done, before.tasks_done) << id;
+    EXPECT_EQ(after.tasks_failed, before.tasks_failed) << id;
+  }
   w.sim.Run();
   for (const std::string& id : ids) {
+    ASSERT_OK_AND_ASSIGN(auto state, w.engine->GetInstanceState(id));
+    EXPECT_EQ(state, InstanceState::kDone) << id;
     ASSERT_OK_AND_ASSIGN(Value total,
                          w.engine->GetWhiteboardValue(id, "total"));
     EXPECT_EQ(total, Value(kExpectedTotal)) << id;

@@ -427,18 +427,52 @@ TEST(SpacesTest, InstanceSpaceScansAndDeletes) {
   testing::TempDir dir;
   ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
   Spaces spaces(store.get());
-  ASSERT_OK(spaces.PutInstanceRecord("inst-1", "header", "h1"));
-  ASSERT_OK(spaces.PutInstanceRecord("inst-1", "task/a", "t"));
-  ASSERT_OK(spaces.PutInstanceRecord("inst-2", "header", "h2"));
-  auto rows = spaces.ScanInstance("inst-1");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].first, "header");  // prefix stripped
-  EXPECT_EQ(rows[1].first, "task/a");
-  EXPECT_EQ(spaces.ListInstances(),
-            (std::vector<std::string>{"inst-1", "inst-2"}));
-  ASSERT_OK(spaces.DeleteInstance("inst-1"));
-  EXPECT_TRUE(spaces.ScanInstance("inst-1").empty());
-  EXPECT_EQ(spaces.ListInstances(), (std::vector<std::string>{"inst-2"}));
+  // Ids whose rows sort next to each other: '-' < '/' < '0', so the rows
+  // of "a/" lie between those of "a-b/" and "a0/", and "job-1/" sorts
+  // right before "job-10/". A row leaking into a neighbouring group, or a
+  // group split in two, fails the comparison below.
+  ASSERT_OK(spaces.PutInstanceRecord("job-10", "header", "j10"));
+  ASSERT_OK(spaces.PutInstanceRecord("a0", "header", "a0"));
+  ASSERT_OK(spaces.PutInstanceRecord("a", "wb", "a-wb"));
+  ASSERT_OK(spaces.PutInstanceRecord("job-1", "task/x", "j1-x"));
+  ASSERT_OK(spaces.PutInstanceRecord("a-b", "header", "ab"));
+  ASSERT_OK(spaces.PutInstanceRecord("a", "header", "a-h"));
+  ASSERT_OK(spaces.PutInstanceRecord("job-1", "header", "j1-h"));
+  ASSERT_OK(spaces.PutInstanceRecord("a", "task/p.q", "a-t"));
+  ASSERT_OK(spaces.PutInstanceRecord("job-10", "task/x", "j10-x"));
+
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  auto groups = [&spaces] {
+    std::vector<std::pair<std::string, Rows>> out;
+    for (Spaces::InstanceRecords& group : spaces.ScanInstances()) {
+      out.emplace_back(std::move(group.id), std::move(group.rows));
+    }
+    return out;
+  };
+  // Ids in key order; within a group, keys in order with "<id>/" stripped.
+  EXPECT_EQ(groups(), (std::vector<std::pair<std::string, Rows>>{
+                          {"a-b", {{"header", "ab"}}},
+                          {"a",
+                           {{"header", "a-h"},
+                            {"task/p.q", "a-t"},
+                            {"wb", "a-wb"}}},
+                          {"a0", {{"header", "a0"}}},
+                          {"job-1", {{"header", "j1-h"}, {"task/x", "j1-x"}}},
+                          {"job-10",
+                           {{"header", "j10"}, {"task/x", "j10-x"}}},
+                      }));
+
+  // DeleteInstance removes the whole group and nothing of its neighbours.
+  ASSERT_OK(spaces.DeleteInstance("a"));
+  ASSERT_OK(spaces.DeleteInstance("job-1"));
+  EXPECT_EQ(groups(), (std::vector<std::pair<std::string, Rows>>{
+                          {"a-b", {{"header", "ab"}}},
+                          {"a0", {{"header", "a0"}}},
+                          {"job-10",
+                           {{"header", "j10"}, {"task/x", "j10-x"}}},
+                      }));
+  EXPECT_FALSE(spaces.GetInstanceRecord("a", "header").ok());
+  EXPECT_FALSE(spaces.GetInstanceRecord("job-1", "task/x").ok());
 }
 
 TEST(SpacesTest, HistoryIsOrderedAndPerInstance) {
