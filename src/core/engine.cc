@@ -267,6 +267,13 @@ TaskNode* AddChildNode(ProcessInstance* inst, TaskNode* parent,
   return raw;
 }
 
+/// The binding an activity node runs: the alternative after failures
+/// switched it, else its definition's (empty for a node without one).
+const std::string& BindingOf(const TaskNode& node) {
+  return node.binding_used.empty() && node.def != nullptr ? node.def->binding
+                                                          : node.binding_used;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -318,8 +325,6 @@ Engine::Engine(Simulator* sim, cluster::ClusterSim* cluster,
         obs->metrics.GetCounter("engine_preexec_batches_total");
     preexec_tasks_metric_ =
         obs->metrics.GetCounter("engine_preexec_activities_total");
-    preexec_lookahead_metric_ =
-        obs->metrics.GetCounter("engine_preexec_lookahead_total");
     completed_metric_ = obs->metrics.GetCounter("engine_tasks_completed_total");
     failed_metric_ = obs->metrics.GetCounter("engine_tasks_failed_total");
     timed_out_metric_ = obs->metrics.GetCounter("engine_jobs_timed_out_total");
@@ -530,7 +535,6 @@ void Engine::Crash() {
   woken_classes_.clear();
   pump_overflow_.clear();
   pump_frozen_.clear();
-  lookahead_spec_.clear();
   for (const auto& [job_id, pending] : jobs_) {
     if (pending.watchdog != kInvalidEventId) sim_->Cancel(pending.watchdog);
   }
@@ -663,7 +667,6 @@ void Engine::TearDownFenced() {
   woken_classes_.clear();
   pump_overflow_.clear();
   pump_frozen_.clear();
-  lookahead_spec_.clear();
   for (const auto& [job_id, pending] : jobs_) {
     if (pending.watchdog != kInvalidEventId) sim_->Cancel(pending.watchdog);
   }
@@ -1579,9 +1582,7 @@ Status Engine::HandleTaskFailure(ProcessInstance* inst, TaskNode* node,
   return MaybeCompleteScope(inst, parent, batch);
 }
 
-Result<ActivityInput> Engine::BuildInput(ProcessInstance* inst,
-                                         TaskNode* node) {
-  (void)inst;
+Result<ActivityInput> Engine::BuildInput(TaskNode* node) {
   ActivityInput input;
   ScopeEvalContext ctx(node->parent, node);
   for (const ocr::Mapping& m : node->def->inputs) {
@@ -1612,15 +1613,6 @@ void Engine::EnqueueReady(ProcessInstance* inst, TaskNode* node) {
   entry.node_hint = node;
   entry.structure_gen = inst->structure_generation();
   if (node->def != nullptr) entry.resource_class = node->def->resource_class;
-  // A lookahead speculation for this task may already be computed; the
-  // scan's input-equality gate decides whether it is still valid.
-  if (!lookahead_spec_.empty()) {
-    auto spec = lookahead_spec_.find({entry.instance_id, entry.path});
-    if (spec != lookahead_spec_.end()) {
-      entry.pre_exec = std::move(spec->second);
-      lookahead_spec_.erase(spec);
-    }
-  }
   BeginAttemptSpan(&entry, inst, node);
   PushEntry(std::move(entry));
 }
@@ -1829,74 +1821,24 @@ void Engine::PreExecuteReady() {
   // Mirror the scan's validation: only entries it would execute are
   // worth speculating on. Entries that fail validation here are left
   // for the scan, which reports failures in deterministic order.
-  auto speculate = [&](ReadyEntry& entry) {
-    if (entry.cached.has_value() || entry.pre_exec != nullptr) return;
+  for (auto& [key, entry] : ready_) {
+    if (entry.cached.has_value() || entry.pre_exec != nullptr) continue;
     ProcessInstance* inst = FindInstance(entry.instance_id);
     if (inst == nullptr || inst->state() != InstanceState::kRunning) {
-      return;
+      continue;
     }
     TaskNode* node = inst->FindByPath(entry.path);
-    if (node == nullptr || node->state != TaskState::kReady) return;
-    std::string binding =
-        node->binding_used.empty() ? node->def->binding : node->binding_used;
-    Result<ActivityFn> fn = registry_->Find(binding);
-    if (!fn.ok()) return;
-    Result<ActivityInput> input = BuildInput(inst, node);
-    if (!input.ok()) return;
+    if (node == nullptr || node->state != TaskState::kReady) continue;
+    Result<ActivityFn> fn = registry_->Find(BindingOf(*node));
+    if (!fn.ok()) continue;
+    Result<ActivityInput> input = BuildInput(node);
+    if (!input.ok()) continue;
     auto state = std::make_shared<PreExecState>();
     state->input = std::move(*input);
     entry.pre_exec = state;
     tasks.push_back([state, fn = std::move(*fn)] {
       state->output = fn(state->input);
     });
-  };
-  for (auto& [key, entry] : ready_) speculate(entry);
-  if (options_.preexec_lookahead > 0) {
-    // Look ahead past this pump: inactive activity nodes are the ready
-    // frontier of *future* pumps — navigation marks them ready as their
-    // predecessors complete. Their inputs are assembled as they read
-    // right now; if navigation changes an input before the node is
-    // scanned (a data dependency on a still-pending output), the scan's
-    // equality gate discards the speculation and re-runs inline, so
-    // lookahead depth never affects results — only how much of the
-    // frontier's pure compute overlaps with simulated time. The walk is
-    // budgeted to bound wasted work on low-hit-rate graphs.
-    size_t budget = static_cast<size_t>(options_.preexec_lookahead) * 16;
-    // Drop speculations nothing will consume: their instance finished
-    // (or was archived) before the node ever became ready.
-    for (auto it = lookahead_spec_.begin(); it != lookahead_spec_.end();) {
-      ProcessInstance* inst = FindInstance(it->first.first);
-      if (inst == nullptr || inst->state() != InstanceState::kRunning) {
-        it = lookahead_spec_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto& [id, inst] : instances_) {
-      if (budget == 0) break;
-      if (inst->state() != InstanceState::kRunning) continue;
-      inst->ForEachNode([&](TaskNode* node) {
-        if (budget == 0) return;
-        if (node->def == nullptr || node->def->binding.empty()) return;
-        if (node->state != TaskState::kInactive) return;
-        std::pair<std::string, std::string> key{inst->id(), node->path};
-        if (lookahead_spec_.contains(key)) return;
-        Result<ActivityFn> fn = registry_->Find(node->def->binding);
-        if (!fn.ok()) return;
-        Result<ActivityInput> input = BuildInput(inst.get(), node);
-        if (!input.ok()) return;
-        auto state = std::make_shared<PreExecState>();
-        state->input = std::move(*input);
-        lookahead_spec_.emplace(std::move(key), state);
-        tasks.push_back([state, fn = std::move(*fn)] {
-          state->output = fn(state->input);
-        });
-        if (preexec_lookahead_metric_ != nullptr) {
-          preexec_lookahead_metric_->Increment();
-        }
-        --budget;
-      });
-    }
   }
   if (tasks.empty()) return;
   if (preexec_batches_metric_ != nullptr) {
@@ -1909,44 +1851,6 @@ void Engine::PreExecuteReady() {
                                          obs::WallProfile::kKernel);
     options_.executor->RunBatch(std::move(tasks));
   }
-}
-
-bool Engine::PreExecuteOverflow() {
-  if (options_.executor == nullptr) return false;
-  std::vector<std::function<void()>> tasks;
-  for (ReadyEntry& entry : pump_overflow_) {
-    if (entry.cached.has_value() || entry.pre_exec != nullptr) continue;
-    ProcessInstance* inst = FindInstance(entry.instance_id);
-    if (inst == nullptr || inst->state() != InstanceState::kRunning) {
-      continue;
-    }
-    TaskNode* node = inst->FindByPath(entry.path);
-    if (node == nullptr || node->state != TaskState::kReady) continue;
-    std::string binding =
-        node->binding_used.empty() ? node->def->binding : node->binding_used;
-    Result<ActivityFn> fn = registry_->Find(binding);
-    if (!fn.ok()) continue;
-    Result<ActivityInput> input = BuildInput(inst, node);
-    if (!input.ok()) continue;
-    auto state = std::make_shared<PreExecState>();
-    state->input = std::move(*input);
-    entry.pre_exec = state;
-    tasks.push_back([state, fn = std::move(*fn)] {
-      state->output = fn(state->input);
-    });
-  }
-  if (tasks.empty()) return false;
-  if (preexec_batches_metric_ != nullptr) {
-    preexec_batches_metric_->Increment();
-    preexec_tasks_metric_->Increment(tasks.size());
-  }
-  {
-    // Pool-batched kernel execution is `kernel` wall time, not `pump`.
-    obs::WallProfile::Scope kernel_scope(options_.wall_profile,
-                                         obs::WallProfile::kKernel);
-    options_.executor->RunBatch(std::move(tasks));
-  }
-  return true;
 }
 
 namespace {
@@ -2036,10 +1940,8 @@ void Engine::PumpDispatch() {
     // Execute the activity implementation (idempotent; may be a cached
     // result from a previous declined placement).
     if (!entry.cached.has_value()) {
-      std::string binding =
-          node->binding_used.empty() ? node->def->binding : node->binding_used;
-      Result<ActivityFn> fn = registry_->Find(binding);
-      Result<ActivityInput> input = BuildInput(inst, node);
+      Result<ActivityFn> fn = registry_->Find(BindingOf(*node));
+      Result<ActivityInput> input = BuildInput(node);
       // A speculative pool execution is consumed only when the freshly
       // assembled input equals the one it ran with; earlier entries in
       // this scan may have navigated state that changes the input, in
@@ -2233,22 +2135,12 @@ void Engine::PumpDispatch() {
   }
   // Round 2: entries enqueued while the pump ran (navigation inside
   // completion and failure handling), in enqueue order — exactly where
-  // the old deque's mid-pump appends were scanned. With an executor,
-  // each overflow wave — the next ready frontier — is first pre-executed
-  // as one pool batch (up to preexec_lookahead waves per pump), so
-  // speculation extends beyond the frontier PreExecuteReady covered; the
-  // drain itself keeps the exact inline order, and the input-equality
-  // gate in scan_entry keeps the results byte-identical.
-  int lookahead = options_.preexec_lookahead;
+  // the old deque's mid-pump appends were scanned. They run inline: the
+  // pool speculates only on the ready set at the top of the pump.
   while (verdict == Verdict::kContinue && !pump_overflow_.empty()) {
-    if (lookahead > 0 && PreExecuteOverflow()) --lookahead;
-    size_t wave = pump_overflow_.size();
-    while (verdict == Verdict::kContinue && wave-- > 0 &&
-           !pump_overflow_.empty()) {
-      ReadyEntry entry = std::move(pump_overflow_.front());
-      pump_overflow_.pop_front();
-      verdict = scan_entry(std::move(entry));
-    }
+    ReadyEntry entry = std::move(pump_overflow_.front());
+    pump_overflow_.pop_front();
+    verdict = scan_entry(std::move(entry));
   }
   pumping_ = false;
   // A mid-scan stop (fenced/degraded) leaves overflow entries; return
@@ -2983,9 +2875,7 @@ void Engine::RecordLineageDispatch(const ReadyEntry& entry,
   Value::Map rec;
   rec["t_dispatch_us"] = Value(sim_->Now().micros());
   rec["node"] = Value(target);
-  const std::string& binding =
-      node->binding_used.empty() && node->def != nullptr ? node->def->binding
-                                                         : node->binding_used;
+  const std::string& binding = BindingOf(*node);
   if (!binding.empty()) rec["binding"] = Value(binding);
   Value::Map in;
   for (const auto& [key, desc] : entry.input_desc) in[key] = Value(desc);

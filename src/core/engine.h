@@ -115,23 +115,14 @@ struct EngineOptions {
   /// Optional real-thread executor. When set, each dispatch pump first
   /// runs the activity kernels of all ready entries concurrently on this
   /// pool and joins, then the scan consumes the results in its usual
-  /// deterministic order — wall-clock time drops by roughly the core
-  /// count on real-dataset workloads while virtual time, spans and
-  /// lineage stay byte-identical (see docs/KERNELS.md). Activity
+  /// deterministic order, so virtual time, spans and lineage stay
+  /// byte-identical (see docs/KERNELS.md). The wall-clock gain is bounded
+  /// by how many activities are ready at once, not by the core count:
+  /// perfbench `align` reads `exec.parallelism` 2.0 on its 2-worker pool,
+  /// because only the 16-way fixed-PAM fan-out is ready together. Activity
   /// implementations must be pure functions of their input (already
   /// required for crash re-execution). Must outlive the engine.
   exec::ThreadPool* executor = nullptr;
-  /// Speculation depth beyond the current pump's scan set. With an
-  /// executor and lookahead > 0, the pre-execute batch also covers
-  /// capacity-parked entries — the next ready frontier, dispatched by
-  /// *future* pumps once their resource class frees — and up to this
-  /// many mid-pump overflow waves (entries navigation enqueues while the
-  /// scan runs) are batched before the scan's tail drains them. 0
-  /// restores single-frontier speculation. Any value yields
-  /// byte-identical runs: a speculative result is only consumed when the
-  /// freshly built input equals the captured one (see the exec_test
-  /// pool-vs-inline identity check).
-  int preexec_lookahead = 4;
   /// Optional wall-clock self-time profile (obs::WallProfile): the engine
   /// scopes its dispatch pumps as `pump` and its kernel executions
   /// (inline and thread-pool batches) as `kernel`; the store adds `store`
@@ -482,7 +473,7 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   void DiscardSubtree(ProcessInstance* inst, TaskNode* node,
                       WriteBatch* batch);
   /// Assembles the ActivityInput of a task from its input mappings.
-  Result<ActivityInput> BuildInput(ProcessInstance* inst, TaskNode* node);
+  Result<ActivityInput> BuildInput(TaskNode* node);
 
   // -- Dispatching --
   void EnqueueReady(ProcessInstance* inst, TaskNode* node);
@@ -496,10 +487,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   /// input assembly, validation, ordering, failure handling and all
   /// observability stay on the engine thread.
   void PreExecuteReady();
-  /// Same speculation over the current pump-overflow wave (the next ready
-  /// frontier); returns true when a batch actually ran. Bounded per pump
-  /// by options.preexec_lookahead.
-  bool PreExecuteOverflow();
   void PumpDispatch();
   void SchedulePumpRetry();
   /// Arms the lost-report watchdog; returns its event id (kInvalidEventId
@@ -677,13 +664,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   /// pump ends (or capacity frees mid-pump).
   bool pumping_ = false;
   std::deque<ReadyEntry> pump_overflow_;
-  /// Lookahead speculations for tasks that are not ready yet (inactive
-  /// nodes whose input could be assembled early), keyed by (instance id,
-  /// path). EnqueueReady attaches a hit to the new entry; the scan's
-  /// input-equality gate validates it like any other speculation.
-  std::map<std::pair<std::string, std::string>,
-           std::shared_ptr<PreExecState>>
-      lookahead_spec_;
   std::set<std::string, std::less<>> pump_frozen_;
 
   // -- Control plane state --
@@ -751,7 +731,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   obs::Counter* pump_scanned_metric_ = nullptr;
   obs::Counter* preexec_batches_metric_ = nullptr;
   obs::Counter* preexec_tasks_metric_ = nullptr;
-  obs::Counter* preexec_lookahead_metric_ = nullptr;
   obs::Counter* completed_metric_ = nullptr;
   obs::Counter* failed_metric_ = nullptr;
   obs::Counter* timed_out_metric_ = nullptr;

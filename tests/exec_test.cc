@@ -1,7 +1,8 @@
 // ThreadPool unit tests plus the determinism contract of real-thread
 // activity execution: running the engine with a pool must change nothing
 // observable in virtual time — spans, lineage and whiteboard results
-// stay byte-identical to the inline run.
+// stay byte-identical to the inline run — and must run each activity
+// kernel once per dispatch, as the inline run does.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -82,15 +83,16 @@ struct EngineExports {
   std::string master_file;
   uint64_t preexec_batches = 0;
   uint64_t preexec_tasks = 0;
-  uint64_t preexec_lookahead = 0;
+  /// Activity kernel invocations, speculative and inline alike.
+  uint64_t kernel_calls = 0;
+  uint64_t dispatched = 0;
 };
 
 /// One small real-mode all-vs-all (actual Smith-Waterman kernels, not the
 /// cost model), optionally pre-executing dispatched activities on a pool.
-/// `lookahead` sets EngineOptions::preexec_lookahead (-1 keeps default);
 /// `num_teus` widens the fan-out past cluster capacity so entries park.
 EngineExports RunRealAllVsAll(uint64_t seed, ThreadPool* pool,
-                              int lookahead = -1, int num_teus = 4) {
+                              int num_teus = 4) {
   Rng rng(seed);
   darwin::GeneratorOptions gen;
   gen.num_sequences = 16;
@@ -114,12 +116,24 @@ EngineExports RunRealAllVsAll(uint64_t seed, ThreadPool* pool,
   }
   core::ActivityRegistry registry;
   EXPECT_TRUE(workloads::RegisterAllVsAllActivities(&registry, ctx).ok());
+  // Count every kernel call, whether a pool worker or the scan makes it.
+  std::atomic<uint64_t> kernel_calls{0};
+  for (const char* binding :
+       {"avsa.user_input", "avsa.queue_gen", "avsa.preprocess",
+        "darwin.fixed_pam", "darwin.refine", "avsa.merge_entry",
+        "avsa.merge_pam"}) {
+    core::ActivityFn inner = registry.Find(binding).value();
+    registry.Override(binding, [inner, &kernel_calls](
+                                   const core::ActivityInput& input) {
+      kernel_calls.fetch_add(1);
+      return inner(input);
+    });
+  }
 
   obs::Observability obs;
   EngineOptions options;
   options.observability = &obs;
   options.executor = pool;
-  if (lookahead >= 0) options.preexec_lookahead = lookahead;
   Engine engine(&sim, &cluster, store.get(), &registry, options);
   EXPECT_TRUE(engine.Startup().ok());
   EXPECT_TRUE(engine.RegisterTemplate(workloads::BuildAllVsAllProcess()).ok());
@@ -142,27 +156,27 @@ EngineExports RunRealAllVsAll(uint64_t seed, ThreadPool* pool,
   obs::MetricsSnapshot snap = obs.metrics.Snapshot();
   const auto* batches = snap.Find("engine_preexec_batches_total");
   const auto* tasks = snap.Find("engine_preexec_activities_total");
-  const auto* lookahead_specs = snap.Find("engine_preexec_lookahead_total");
   out.preexec_batches =
       batches == nullptr ? 0 : static_cast<uint64_t>(batches->value);
   out.preexec_tasks =
       tasks == nullptr ? 0 : static_cast<uint64_t>(tasks->value);
-  out.preexec_lookahead =
-      lookahead_specs == nullptr
-          ? 0
-          : static_cast<uint64_t>(lookahead_specs->value);
+  out.kernel_calls = kernel_calls.load();
+  out.dispatched = engine.GetDispatchStats().dispatched;
   return out;
 }
 
-TEST(ThreadPoolEngineTest, PoolAndInlineRunsAreByteIdentical) {
-  ThreadPool pool(4);
-  EngineExports inline_run = RunRealAllVsAll(11, nullptr);
-  EngineExports pooled_run = RunRealAllVsAll(11, &pool);
-
+/// The pooled run matches the inline run byte for byte, and every kernel
+/// runs exactly once per dispatch: the scan uses each speculative result,
+/// so nothing is computed twice.
+void ExpectPooledMatchesInline(const EngineExports& inline_run,
+                               const EngineExports& pooled_run) {
   // The pool actually pre-executed work...
   EXPECT_EQ(inline_run.preexec_batches, 0u);
   EXPECT_GT(pooled_run.preexec_batches, 0u);
   EXPECT_GT(pooled_run.preexec_tasks, 0u);
+  EXPECT_GT(pooled_run.dispatched, 0u);
+  EXPECT_EQ(inline_run.kernel_calls, inline_run.dispatched);
+  EXPECT_EQ(pooled_run.kernel_calls, pooled_run.dispatched);
 
   // ...without perturbing anything in virtual time.
   EXPECT_FALSE(pooled_run.spans_jsonl.empty());
@@ -170,6 +184,12 @@ TEST(ThreadPoolEngineTest, PoolAndInlineRunsAreByteIdentical) {
   EXPECT_EQ(inline_run.lineage_jsonl, pooled_run.lineage_jsonl);
   EXPECT_FALSE(pooled_run.master_file.empty());
   EXPECT_EQ(inline_run.master_file, pooled_run.master_file);
+}
+
+TEST(ThreadPoolEngineTest, PoolAndInlineRunsAreByteIdentical) {
+  ThreadPool pool(4);
+  ExpectPooledMatchesInline(RunRealAllVsAll(11, nullptr),
+                            RunRealAllVsAll(11, &pool));
 }
 
 TEST(ThreadPoolEngineTest, PooledRunsAreMutuallyDeterministic) {
@@ -181,37 +201,15 @@ TEST(ThreadPoolEngineTest, PooledRunsAreMutuallyDeterministic) {
   EXPECT_EQ(a.master_file, b.master_file);
 }
 
-// Multi-frontier speculation: with preexec_lookahead > 0, inactive
-// activity nodes — the ready frontier of *future* pumps — are also
-// pre-executed as pool batches, and overflow waves that form mid-pump
-// get their own batches. The byte-identity contract must hold at every
-// depth — against the inline run AND against single-frontier
-// speculation.
-TEST(ThreadPoolEngineTest, LookaheadDepthsAreByteIdentical) {
+// 12 TEUs against 4 cpus: most of the fixed-PAM fan-out parks for
+// capacity holding its speculated result, and each refinement becomes
+// ready alone when its fixed-PAM job ends. Every speculative result must
+// still be used exactly once, and the run must match the inline one byte
+// for byte.
+TEST(ThreadPoolEngineTest, CapacityParkedFanOutIsByteIdentical) {
   ThreadPool pool(4);
-  // 12 TEUs against 4 cpus: most of the fan-out parks for capacity, so
-  // plenty of inactive downstream nodes exist while pumps run.
-  EngineExports inline_run = RunRealAllVsAll(31, nullptr, -1, 12);
-  EngineExports frontier_only = RunRealAllVsAll(31, &pool, 0, 12);
-  EngineExports deep = RunRealAllVsAll(31, &pool, 8, 12);
-
-  EXPECT_GT(frontier_only.preexec_batches, 0u);
-  // Depth 0 never reaches past the current ready set; depth 8 must
-  // speculate ahead of it.
-  EXPECT_EQ(frontier_only.preexec_lookahead, 0u);
-  EXPECT_GT(deep.preexec_lookahead, 0u);
-  // Speculation count is conserved: lookahead moves pre-execution
-  // earlier (overlapping more compute with the pump) but every activity
-  // is still speculated at most once.
-  EXPECT_EQ(deep.preexec_tasks, frontier_only.preexec_tasks);
-
-  EXPECT_FALSE(inline_run.spans_jsonl.empty());
-  EXPECT_EQ(inline_run.spans_jsonl, frontier_only.spans_jsonl);
-  EXPECT_EQ(inline_run.spans_jsonl, deep.spans_jsonl);
-  EXPECT_EQ(inline_run.lineage_jsonl, frontier_only.lineage_jsonl);
-  EXPECT_EQ(inline_run.lineage_jsonl, deep.lineage_jsonl);
-  EXPECT_EQ(inline_run.master_file, frontier_only.master_file);
-  EXPECT_EQ(inline_run.master_file, deep.master_file);
+  ExpectPooledMatchesInline(RunRealAllVsAll(31, nullptr, /*num_teus=*/12),
+                            RunRealAllVsAll(31, &pool, /*num_teus=*/12));
 }
 
 }  // namespace
