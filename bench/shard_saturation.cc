@@ -5,11 +5,12 @@
 // lab's aggregate capacity the way adding machine rooms did for BioOpera:
 // throughput is measured in *virtual* time (tasks dispatched per virtual
 // hour at quiescence) because that is the quantity the paper's weeks-long
-// runs care about. Wall-clock cost of the lockstep barriers (total, and
-// per barrier) is reported alongside so the scheduling overhead of the
-// front door stays visible — on a single-core host the shards pump
-// sequentially inside each barrier, so wall time is NOT expected to drop
-// with shard count; aggregate virtual throughput is.
+// runs care about. Wall-clock cost is reported alongside — the run's wall
+// seconds, tasks per wall-second, and the lockstep barriers' cost per
+// barrier — so the cost of reproducing a level stays visible next to
+// the virtual result. On a single-core host the shards pump sequentially
+// inside each barrier, so wall time is NOT expected to drop with shard
+// count; aggregate virtual throughput is.
 //
 // The curve: live-instance levels 1000 -> 10000 at 1, 2, 4 and 8 shards,
 // plus a same-seed determinism self-check (two identical 2-shard runs
@@ -73,6 +74,7 @@ struct RunResult {
   uint64_t barriers = 0;
   double barrier_wall_ms_avg = 0;
   double wall_seconds = 0;
+  double tasks_per_wall_second = 0;
   uint64_t pump_runs = 0;
   // Barrier-stall attribution, summed over shards and barriers (ms of
   // wall time; pump+kernel+store+idle+wait covers every shard's barrier
@@ -108,8 +110,9 @@ RunResult RunLevel(int shards, int live, uint64_t seed, bool export_spans,
   ServiceOptions options;
   options.shards = shards;
   options.seed = seed;
-  // One virtual hour per barrier: liveness polls are O(live) per barrier,
-  // so the quantum must be coarse at 10k live instances.
+  // One virtual hour per barrier. Any quantum yields the same per-shard
+  // execution; keeping this one fixed keeps barrier counts and table rows
+  // comparable across commits.
   options.barrier_quantum = Duration::Hours(1);
   options.shard.engine.adaptive_monitoring = false;
   options.configure_cluster = [](int index, cluster::ClusterSim* cluster) {
@@ -157,6 +160,7 @@ RunResult RunLevel(int shards, int live, uint64_t seed, bool export_spans,
           ? 0
           : stats.barrier_wall_ns / 1e6 / static_cast<double>(stats.barriers);
   out.wall_seconds = wall;
+  out.tasks_per_wall_second = wall == 0 ? 0 : stats.dispatched / wall;
   out.pump_runs = stats.pump_runs;
   const obs::BarrierProfiler* profiler = svc.barrier_profiler();
   std::string tiling_error;
@@ -234,7 +238,8 @@ int Main(int argc, char** argv) {
 
   BenchJson json("shard_saturation");
   TextTable table({"shards", "live", "virt hours", "tasks/vh", "barriers",
-                   "barrier ms", "skew", "wait ms", "wall s"});
+                   "barrier ms", "skew", "wait ms", "wall s",
+                   "tasks/wall-s"});
   // tasks/virtual-hour at the top level, per shard count, for the speedup
   // summary rows.
   std::vector<double> top_throughput(kShardCounts.size(), 0);
@@ -253,7 +258,8 @@ int Main(int argc, char** argv) {
                     StrFormat("%.2f", r.barrier_wall_ms_avg),
                     StrFormat("%.2f", r.step_skew),
                     StrFormat("%.1f", r.stall_wait_ms),
-                    StrFormat("%.2f", r.wall_seconds)});
+                    StrFormat("%.2f", r.wall_seconds),
+                    StrFormat("%.0f", r.tasks_per_wall_second)});
       json.Add(StrFormat("shards_%d_live_%d", shards, live),
                {{"shards", static_cast<double>(shards)},
                 {"live_instances", static_cast<double>(live)},
@@ -270,7 +276,8 @@ int Main(int argc, char** argv) {
                 {"stall_wait_ms", r.stall_wait_ms},
                 {"step_skew", r.step_skew},
                 {"stall_tiling_ok", r.tiling_ok ? 1.0 : 0.0},
-                {"wall_seconds", r.wall_seconds}});
+                {"wall_seconds", r.wall_seconds},
+                {"tasks_per_wall_s", r.tasks_per_wall_second}});
       if (live == kLevels.back()) top_throughput[si] = r.tasks_per_virtual_hour;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -526,7 +527,12 @@ void Engine::Crash() {
   }
   leases_.clear();
   if (suspected_gauge_ != nullptr) suspected_gauge_->Set(0);
+  DropVolatileState();
+}
+
+void Engine::DropVolatileState() {
   monitors_.clear();
+  for (const auto& [id, inst] : instances_) state_changes_.push_back(id);
   instances_.clear();
   ++instance_generation_;
   ready_.clear();
@@ -651,38 +657,9 @@ void Engine::TearDownFenced() {
         "fenced");
   }
   up_ = false;
-  degraded_ = false;
-  if (degraded_event_ != kInvalidEventId) {
-    sim_->Cancel(degraded_event_);
-    degraded_event_ = kInvalidEventId;
-  }
   // Unlike Crash(), do NOT kill cluster jobs: the engine that fenced us
   // owns them now (it registered as the cluster listener when it booted).
-  monitors_.clear();
-  instances_.clear();
-  ++instance_generation_;
-  ready_.clear();
-  parked_by_class_.clear();
-  parked_by_instance_.clear();
-  woken_classes_.clear();
-  pump_overflow_.clear();
-  pump_frozen_.clear();
-  for (const auto& [job_id, pending] : jobs_) {
-    if (pending.watchdog != kInvalidEventId) sim_->Cancel(pending.watchdog);
-  }
-  jobs_.clear();
-  NoteJobsMaybeDrained();
-  jobs_by_instance_.clear();
-  jobs_by_node_.clear();
-  awareness_ = monitor::AwarenessModel();
-  policy_.reset();
-  if (pump_event_ != kInvalidEventId) {
-    sim_->Cancel(pump_event_);
-    pump_event_ = kInvalidEventId;
-  }
-  pump_scheduled_ = false;
-  spaces_.store()->ClearFlushFailureHandler(this);
-  SyncObsGauges();
+  DropVolatileState();
 }
 
 Result<std::string> Engine::ScrubStore() {
@@ -781,7 +758,7 @@ Status Engine::Suspend(const std::string& instance_id) {
   if (inst->state() != InstanceState::kRunning) {
     return Status::FailedPrecondition("instance not running");
   }
-  inst->set_state(InstanceState::kSuspended);
+  SetInstanceState(inst, InstanceState::kSuspended);
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
   PersistHeader(inst, &batch);
@@ -796,7 +773,7 @@ Status Engine::Resume(const std::string& instance_id) {
   if (inst->state() != InstanceState::kSuspended) {
     return Status::FailedPrecondition("instance not suspended");
   }
-  inst->set_state(InstanceState::kRunning);
+  SetInstanceState(inst, InstanceState::kRunning);
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
   PersistHeader(inst, &batch);
@@ -822,7 +799,7 @@ Status Engine::Abort(const std::string& instance_id) {
     TakeJob(job_id, /*failed=*/false, "killed");
   }
   DropParkedForInstance(instance_id);
-  inst->set_state(InstanceState::kAborted);
+  SetInstanceState(inst, InstanceState::kAborted);
   if (spans_ != nullptr) {
     spans_->End(inst->span_id(), "aborted");
     inst->set_span_id(0);
@@ -839,7 +816,7 @@ Status Engine::Abort(const std::string& instance_id) {
 Status Engine::Restart(const std::string& instance_id) {
   ProcessInstance* inst = FindInstance(instance_id);
   if (inst == nullptr) return Status::NotFound("no instance " + instance_id);
-  inst->set_state(InstanceState::kRunning);
+  SetInstanceState(inst, InstanceState::kRunning);
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
   // Re-queue permanently failed and stuck work; completed activities keep
@@ -989,7 +966,7 @@ Status Engine::Invalidate(const std::string& instance_id,
     PersistTask(inst, node, &batch);
   }
   if (inst->state() != InstanceState::kSuspended) {
-    inst->set_state(InstanceState::kRunning);
+    SetInstanceState(inst, InstanceState::kRunning);
   }
   inst->stats().finished = TimePoint();
   PersistHeader(inst, &batch);
@@ -1016,6 +993,7 @@ Status Engine::Archive(const std::string& instance_id) {
   AppendHistory(instance_id, "archived");
   instances_.erase(instance_id);
   ++instance_generation_;
+  state_changes_.push_back(instance_id);
   DropParkedForInstance(instance_id);
   return Status::OK();
 }
@@ -1162,6 +1140,15 @@ Result<InstanceState> Engine::GetInstanceState(
   const ProcessInstance* inst = FindInstance(instance_id);
   if (inst == nullptr) return Status::NotFound("no instance " + instance_id);
   return inst->state();
+}
+
+std::vector<std::string> Engine::TakeStateChanges() {
+  return std::exchange(state_changes_, {});
+}
+
+void Engine::SetInstanceState(ProcessInstance* inst, InstanceState state) {
+  inst->set_state(state);
+  state_changes_.push_back(inst->id());
 }
 
 Result<Value> Engine::GetWhiteboardValue(const std::string& instance_id,
@@ -1451,8 +1438,8 @@ Status Engine::MaybeCompleteScope(ProcessInstance* inst, TaskNode* scope,
   if (scope->is_root()) {
     if (inst->state() == InstanceState::kRunning ||
         inst->state() == InstanceState::kSuspended) {
-      inst->set_state(any_failed ? InstanceState::kFailed
-                                 : InstanceState::kDone);
+      SetInstanceState(inst, any_failed ? InstanceState::kFailed
+                                        : InstanceState::kDone);
       inst->stats().finished = sim_->Now();
       PersistHeader(inst, batch);
       AppendHistory(inst->id(), any_failed ? "failed" : "completed");
@@ -2391,7 +2378,7 @@ void Engine::ApplyJobFinished(cluster::JobId id, const std::string& /*node*/) {
       EnterDegraded(st);
       return;
     }
-    inst->set_state(InstanceState::kFailed);
+    SetInstanceState(inst, InstanceState::kFailed);
   }
   PumpDispatch();
 }
@@ -3072,7 +3059,7 @@ Status Engine::RecoverInstance(
   auto inst = std::make_unique<ProcessInstance>(instance_id, def);
   BIOPERA_ASSIGN_OR_RETURN(
       InstanceState state, InstanceStateFromName(RecString(header, "state")));
-  inst->set_state(state);
+  SetInstanceState(inst.get(), state);
   inst->set_priority(static_cast<int>(RecInt(header, "priority", 0)));
   inst->stats().cpu_seconds = RecDouble(header, "cpu_seconds", 0);
   inst->stats().activities_completed =

@@ -235,6 +235,12 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   Result<InstanceSummary> Summary(const std::string& instance_id) const;
   std::vector<InstanceSummary> ListInstances() const;
   Result<InstanceState> GetInstanceState(const std::string& instance_id) const;
+  /// Ids of the instances whose state this engine wrote (start of a
+  /// recovery included) or dropped from memory (Archive, Crash, fenced
+  /// step-down) since the last call, in order, possibly repeated; the
+  /// list is cleared. The sharded service reads it once per barrier to
+  /// keep its live counts without polling every instance.
+  std::vector<std::string> TakeStateChanges();
   /// Whiteboard value of a (running or finished) instance.
   Result<ocr::Value> GetWhiteboardValue(const std::string& instance_id,
                                         const std::string& var) const;
@@ -589,6 +595,14 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   /// Fenced step-down: drop in-memory state and stop, but do NOT kill
   /// cluster jobs — they now belong to the engine that took over.
   void TearDownFenced();
+  /// The in-memory teardown Crash() and TearDownFenced() share: drops
+  /// every instance (reporting its id as a state change), queue, job
+  /// index, monitor and the policy, cancels the pump and degraded-retry
+  /// events, leaves degraded mode and releases the flush handler.
+  void DropVolatileState();
+  /// Every instance state write goes through here, so the id lands in
+  /// the list TakeStateChanges() drains.
+  void SetInstanceState(ProcessInstance* inst, InstanceState state);
 
   // -- Observability --
   /// Refreshes the queue-depth / running-jobs gauges.
@@ -644,6 +658,9 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   /// Bumped whenever instances_ loses an element (Archive, Crash, fenced
   /// step-down); validates ReadyEntry::inst_hint.
   uint64_t instance_generation_ = 0;
+  /// Instance ids whose state was written or dropped since the last
+  /// TakeStateChanges().
+  std::vector<std::string> state_changes_;
 
   /// Entries the next pump scans, in dispatch order. Fresh enqueues land
   /// here; entries that decline placement or hit a suspended instance

@@ -110,6 +110,7 @@ Status ShardedService::Startup() {
       hosted, &fleet_obs_->metrics, options_.barrier_profile_records);
   step_sensors_.resize(hosted);
   placement_metrics_.resize(hosted);
+  local_to_global_.resize(hosted);
   for (int i = 0; i < hosted; ++i) {
     placement_metrics_[i] = fleet_obs_->metrics.GetCounter(
         "service_placements_total", {{"shard", StrFormat("%d", i)}});
@@ -146,14 +147,11 @@ Status ShardedService::LoadManifest() {
     }
     tenants_[rec.tenant];        // materialize the row
     TenantMetricsFor(rec.tenant);  // ...and its metric keys
+    // Not live until the shard's recovery report for it is applied (the
+    // RefreshLiveness that Startup runs next).
+    rec.terminal = true;
+    local_to_global_[rec.shard][rec.instance_id] = rec.global_id;
     instances_[rec.global_id] = std::move(rec);
-  }
-  for (auto& [global_id, rec] : instances_) {
-    auto state = shards_[rec.shard]->engine->GetInstanceState(rec.instance_id);
-    rec.terminal = !state.ok() ||  // archived or lost: nothing to track
-                   (*state != core::InstanceState::kRunning &&
-                    *state != core::InstanceState::kSuspended);
-    if (!rec.terminal) live_ids_.insert(global_id);
   }
   return Status::OK();
 }
@@ -179,7 +177,7 @@ Status ShardedService::RegisterTemplate(const ocr::ProcessDef& def) {
 
 bool ShardedService::WithinQuota(const std::string& tenant) const {
   if (options_.max_live_instances != 0 &&
-      live_ids_.size() >= options_.max_live_instances) {
+      live_ >= options_.max_live_instances) {
     return false;
   }
   if (options_.max_live_per_tenant != 0) {
@@ -214,7 +212,7 @@ ShardedService::TenantMetrics& ShardedService::TenantMetricsFor(
 
 void ShardedService::UpdateGauges() {
   backlog_gauge_->Set(static_cast<double>(backlog_depth_));
-  live_gauge_->Set(static_cast<double>(live_ids_.size()));
+  live_gauge_->Set(static_cast<double>(live_));
   for (const auto& [tenant, tstats] : tenants_) {
     TenantMetrics& tm = TenantMetricsFor(tenant);
     tm.backlog->Set(static_cast<double>(tstats.backlog));
@@ -251,7 +249,8 @@ Result<Ticket> ShardedService::Admit(const Submission& submission,
                           << persisted.ToString();
   }
   instances_[global_id] = rec;
-  live_ids_.insert(global_id);
+  local_to_global_[target][instance_id] = global_id;
+  ++live_;
   TenantStats& tstats = tenants_[submission.tenant];
   ++tstats.admitted;
   ++tstats.live;
@@ -366,19 +365,27 @@ void ShardedService::DrainBacklog() {
 }
 
 void ShardedService::RefreshLiveness() {
-  for (auto it = live_ids_.begin(); it != live_ids_.end();) {
-    InstanceRec& rec = instances_[*it];
-    auto state = shards_[rec.shard]->engine->GetInstanceState(rec.instance_id);
-    bool terminal = !state.ok() ||
-                    (*state != core::InstanceState::kRunning &&
-                     *state != core::InstanceState::kSuspended);
-    if (terminal) {
-      rec.terminal = true;
+  for (size_t shard = 0; shard < shards_.size(); ++shard) {
+    core::Engine& engine = *shards_[shard]->engine;
+    const auto& admitted = local_to_global_[shard];
+    for (const std::string& local_id : engine.TakeStateChanges()) {
+      auto placed = admitted.find(local_id);
+      if (placed == admitted.end()) continue;  // not started by this service
+      InstanceRec& rec = instances_.at(placed->second);
+      auto state = engine.GetInstanceState(local_id);
+      const bool live = state.ok() &&  // archived or dropped: not live
+                        (*state == core::InstanceState::kRunning ||
+                         *state == core::InstanceState::kSuspended);
+      if (live != rec.terminal) continue;  // liveness did not flip
+      rec.terminal = !live;
       TenantStats& tstats = tenants_[rec.tenant];
-      if (tstats.live > 0) --tstats.live;
-      it = live_ids_.erase(it);
-    } else {
-      ++it;
+      if (live) {
+        ++live_;
+        ++tstats.live;
+      } else {
+        --live_;
+        --tstats.live;
+      }
     }
   }
 }
@@ -540,12 +547,12 @@ Result<ocr::Value> ShardedService::GetWhiteboardValue(
       ticket.instance_id, var);
 }
 
-size_t ShardedService::LiveInstances() const { return live_ids_.size(); }
+size_t ShardedService::LiveInstances() const { return live_; }
 
 ServiceStats ShardedService::GetStats() const {
   ServiceStats stats = stats_;
   stats.backlog_depth = backlog_depth_;
-  stats.live = live_ids_.size();
+  stats.live = live_;
   for (const auto& shard : shards_) {
     core::Engine::DispatchStats ds = shard->engine->GetDispatchStats();
     stats.pump_runs += ds.pump_runs;
@@ -697,7 +704,7 @@ std::string ShardedService::BuildFleetReport() const {
       static_cast<unsigned long long>(stats_.submitted),
       static_cast<unsigned long long>(stats_.admitted),
       static_cast<unsigned long long>(stats_.rejected), backlog_depth_,
-      live_ids_.size(), static_cast<unsigned long long>(stats_.barriers));
+      live_, static_cast<unsigned long long>(stats_.barriers));
   if (!tenants_.empty()) {
     out << "--- tenants (admission wait in virtual hours) ---\n";
     out << "tenant  live  backlog  admitted  rejected  wait_p50  wait_p99\n";

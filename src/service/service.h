@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,9 +145,11 @@ class ShardedService {
 
   /// One lockstep barrier: drains admissions, advances every hosted
   /// shard to the common target time (concurrently when a pool is set),
-  /// then refreshes liveness and drains again. Returns false when fully
-  /// quiescent (no regular events anywhere and an un-admittable or empty
-  /// backlog).
+  /// then applies the instance state changes the shards reported during
+  /// the advance (RefreshLiveness) and drains again. The front-door work
+  /// after the join scales with the instances that changed state, not
+  /// with the instances held. Returns false when fully quiescent (no
+  /// regular events anywhere and an un-admittable or empty backlog).
   bool StepBarrier();
   /// Barriers until quiescent. `max_barriers` bounds runaway loops
   /// (0 = unbounded).
@@ -172,6 +173,12 @@ class ShardedService {
   EngineShard* shard(int i) { return shards_[i].get(); }
   const EngineShard* shard(int i) const { return shards_[i].get(); }
 
+  /// Admitted instances that are running or suspended, as of the last
+  /// barrier (or Startup). Exact after every barrier: it equals a count
+  /// of GetState() over every admitted id, including instances that an
+  /// ABORT/RESTART, a shard crash and recovery, or a reopen moved in or
+  /// out of the live set. A state change made between barriers (console
+  /// command, direct engine call) counts at the next one.
   size_t LiveInstances() const;
   ServiceStats GetStats() const;
 
@@ -248,7 +255,7 @@ class ShardedService {
     std::string tenant;
     std::string instance_id;
     int shard = -1;
-    bool terminal = false;
+    bool terminal = false;      // not running or suspended (not live)
     TimePoint submitted;        // front-door Submit() virtual time
     bool submit_known = false;  // false for manifest-recovered instances
   };
@@ -272,7 +279,12 @@ class ShardedService {
   /// Admits backlogged submissions round-robin across tenants while the
   /// quotas allow.
   void DrainBacklog();
-  /// Polls non-terminal instances and updates live counts.
+  /// Drains every shard's state-change list (Engine::TakeStateChanges)
+  /// and re-reads the state of each reported instance this service
+  /// admitted: running or suspended is live; any other state, or an
+  /// instance the engine no longer holds, is not. Counts change only
+  /// when an instance's liveness flips. Called after the barrier join,
+  /// so no shard is running while the lists are drained.
   void RefreshLiveness();
   void AdvanceAll(TimePoint target);
 
@@ -299,7 +311,10 @@ class ShardedService {
   std::vector<std::unique_ptr<EngineShard>> shards_;
 
   std::map<std::string, InstanceRec> instances_;  // by global id
-  std::set<std::string> live_ids_;                // non-terminal global ids
+  /// Per hosted shard: engine-local instance id -> global id, for every
+  /// instance this service admitted or found in the manifest.
+  std::vector<std::map<std::string, std::string>> local_to_global_;
+  size_t live_ = 0;  // instances_ entries with terminal == false
   std::map<std::string, TenantStats> tenants_;
   /// One backlogged submission: handle, payload, and the front-door
   /// context (submit time, open admission span) the admission metrics

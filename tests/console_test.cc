@@ -1,9 +1,11 @@
-// Tests for Engine::Invalidate (recompute-on-change) and the admin
-// console.
+// Tests for Engine::Invalidate (recompute-on-change), archiving, the
+// engine's instance state-change reports, and the admin console.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "core/console.h"
@@ -239,6 +241,32 @@ TEST(ArchiveTest, RemovesTerminalInstancesOnly) {
   ASSERT_OK(w.engine->Startup());
   EXPECT_TRUE(w.engine->Summary(id).status().IsNotFound());
   EXPECT_TRUE(w.engine->Archive("ghost").IsNotFound());
+}
+
+TEST(StateChangesTest, ReportsStateWritesAndDroppedInstances) {
+  World w;
+  ASSERT_OK(w.engine->RegisterTemplate(Pipeline()));
+  ASSERT_OK_AND_ASSIGN(std::string a, w.engine->StartProcess("pipeline"));
+  ASSERT_OK_AND_ASSIGN(std::string b, w.engine->StartProcess("pipeline"));
+  using Ids = std::vector<std::string>;
+  ASSERT_OK(w.engine->Suspend(a));
+  ASSERT_OK(w.engine->Resume(a));
+  EXPECT_EQ(w.engine->TakeStateChanges(), (Ids{a, a}));
+  EXPECT_TRUE(w.engine->TakeStateChanges().empty());  // drained
+
+  w.sim.Run();  // both complete
+  Ids completed = w.engine->TakeStateChanges();
+  std::sort(completed.begin(), completed.end());
+  EXPECT_EQ(completed, (Ids{a, b}));
+
+  ASSERT_OK(w.engine->Archive(a));
+  EXPECT_EQ(w.engine->TakeStateChanges(), (Ids{a}));
+  // A crash reports every instance it drops, recovery every one it
+  // rebuilds; the archived instance is in neither.
+  w.engine->Crash();
+  EXPECT_EQ(w.engine->TakeStateChanges(), (Ids{b}));
+  ASSERT_OK(w.engine->Startup());
+  EXPECT_EQ(w.engine->TakeStateChanges(), (Ids{b}));
 }
 
 TEST(ArchiveTest, ConsoleCommand) {

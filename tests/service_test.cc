@@ -1,6 +1,6 @@
 // The sharded multi-engine service: placement, admission control,
 // lockstep barriers, rebalancing across shard-count changes, per-shard
-// writer-epoch fencing, and the determinism contract — same-seed runs
+// writer-epoch fencing, exact live counts, and the determinism contract — same-seed runs
 // export byte-identical spans and lineage per shard,
 // with or without a thread pool pumping the barriers.
 #include <gtest/gtest.h>
@@ -60,6 +60,25 @@ void RegisterJobActivities(core::ActivityRegistry* registry) {
             ocr::Value(in.Get("payload").AsInt() * 2);
         out.cost = Duration::Hours(1);
         return out;
+      }));
+}
+
+/// One activity that fails permanently (no retries), so the instance
+/// ends kFailed.
+ocr::ProcessDef FailingProcess() {
+  auto def = ocr::ProcessBuilder("svc_doomed")
+                 .Task(ocr::TaskBuilder::Activity("boom", "svc.boom")
+                           .Retry(0, Duration::Minutes(1)))
+                 .Build();
+  if (!def.ok()) std::abort();
+  return std::move(*def);
+}
+
+void RegisterFailingActivity(core::ActivityRegistry* registry) {
+  ASSERT_OK(registry->Register(
+      "svc.boom",
+      [](const core::ActivityInput&) -> Result<core::ActivityOutput> {
+        return Status::Internal("boom");
       }));
 }
 
@@ -413,6 +432,148 @@ TEST(ShardedServiceTest, ConsoleRoutesAndAggregates) {
                          svc.GetWhiteboardValue(t.global_id, "result"));
     EXPECT_GE(result.AsInt(), 0);
   }
+}
+
+/// Brute-force liveness: every admitted id whose state is running or
+/// suspended (an id the owning engine no longer holds is not live).
+void ExpectLiveCountsExact(const ShardedService& svc,
+                           const std::map<std::string, std::string>& tenant_of,
+                           const std::string& when) {
+  SCOPED_TRACE(when);
+  size_t live = 0;
+  std::map<std::string, size_t> per_tenant;
+  for (const auto& [global_id, tenant] : tenant_of) {
+    per_tenant[tenant];
+    auto state = svc.GetState(global_id);
+    if (state.ok() && (*state == InstanceState::kRunning ||
+                       *state == InstanceState::kSuspended)) {
+      ++live;
+      ++per_tenant[tenant];
+    }
+  }
+  EXPECT_EQ(svc.GetStats().live, live);
+  EXPECT_EQ(svc.LiveInstances(), live);
+  auto tenants = svc.GetTenantStats();
+  for (const auto& [tenant, count] : per_tenant) {
+    EXPECT_EQ(tenants[tenant].live, count) << "tenant " << tenant;
+  }
+}
+
+TEST(ShardedServiceTest, LiveCountsStayExactThroughControlFailureAndCrash) {
+  testing::TempDir dir;
+  core::ActivityRegistry registry;
+  RegisterJobActivities(&registry);
+  RegisterFailingActivity(&registry);
+  ShardedService svc(dir.path(), &registry, BaseOptions(2, 29));
+  ASSERT_OK(svc.Startup());
+  ASSERT_OK(svc.RegisterTemplate(JobProcess()));
+  ASSERT_OK(svc.RegisterTemplate(FailingProcess()));
+
+  // Six jobs (two per tenant) plus one doomed instance.
+  std::map<std::string, std::string> tenant_of;
+  std::vector<Ticket> jobs;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_OK_AND_ASSIGN(Ticket t, svc.Submit(MakeJob(i)));
+    tenant_of[t.global_id] = MakeJob(i).tenant;
+    jobs.push_back(t);
+  }
+  Submission doomed;
+  doomed.tenant = "t0";
+  doomed.template_name = "svc_doomed";
+  ASSERT_OK_AND_ASSIGN(Ticket failing, svc.Submit(doomed));
+  tenant_of[failing.global_id] = doomed.tenant;
+
+  TimePoint now = TimePoint::Zero();
+  auto advance = [&](const std::string& when) {
+    now = now + Duration::Minutes(5);
+    svc.AdvanceUntil(now);
+    ExpectLiveCountsExact(svc, tenant_of, when);
+  };
+  advance("first advance");
+
+  // Console control by global id: ABORT drops an instance out of the
+  // live set, RESTART brings it back; SUSPEND/RESUME keep it live.
+  service::ServiceConsole console(&svc);
+  const std::string victim = jobs[0].global_id;
+  ASSERT_OK(console.Execute("ABORT " + victim).status());
+  advance("after ABORT");
+  ASSERT_OK_AND_ASSIGN(InstanceState aborted, svc.GetState(victim));
+  EXPECT_EQ(aborted, InstanceState::kAborted);
+  ASSERT_OK(console.Execute("RESTART " + victim).status());
+  advance("after RESTART");
+  ASSERT_OK_AND_ASSIGN(InstanceState restarted, svc.GetState(victim));
+  EXPECT_EQ(restarted, InstanceState::kRunning);
+  ASSERT_OK(console.Execute("SUSPEND " + jobs[1].global_id).status());
+  advance("after SUSPEND");
+  ASSERT_OK(console.Execute("RESUME " + jobs[1].global_id).status());
+  advance("after RESUME");
+  ASSERT_OK_AND_ASSIGN(InstanceState failed, svc.GetState(failing.global_id));
+  EXPECT_EQ(failed, InstanceState::kFailed);
+
+  // A shard crash held across one advance drops its instances from the
+  // live set; recovery brings every one of them back.
+  svc.shard(0)->engine->Crash();
+  advance("shard 0 down");
+  ASSERT_OK(svc.shard(0)->engine->Startup());
+  advance("shard 0 recovered");
+  EXPECT_EQ(svc.GetStats().live, 6u);
+
+  while (svc.StepBarrier()) {
+    ExpectLiveCountsExact(svc, tenant_of, "barrier");
+  }
+  ExpectLiveCountsExact(svc, tenant_of, "quiescent");
+  EXPECT_EQ(svc.GetStats().live, 0u);
+  for (const Ticket& t : jobs) {
+    ASSERT_OK_AND_ASSIGN(InstanceState state, svc.GetState(t.global_id));
+    EXPECT_EQ(state, InstanceState::kDone) << t.global_id;
+  }
+}
+
+TEST(ShardedServiceTest, ReopenCountsRecoveredInstancesPerTenant) {
+  testing::TempDir dir;
+  core::ActivityRegistry registry;
+  RegisterJobActivities(&registry);
+  ServiceOptions options = BaseOptions(2, 31);
+  options.max_live_per_tenant = 2;
+  options.max_backlog = 10;
+
+  std::map<std::string, std::string> tenant_of;
+  {
+    ShardedService svc(dir.path(), &registry, options);
+    ASSERT_OK(svc.Startup());
+    ASSERT_OK(svc.RegisterTemplate(JobProcess()));
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_OK_AND_ASSIGN(Ticket t, svc.Submit(MakeJob(i)));
+      EXPECT_FALSE(t.backlogged);
+      tenant_of[t.global_id] = MakeJob(i).tenant;
+    }
+    svc.AdvanceUntil(TimePoint::Zero() + Duration::Minutes(10));
+    ExpectLiveCountsExact(svc, tenant_of, "first generation");
+  }
+
+  // The second generation recovers the six running instances from the
+  // shard stores and counts them against each tenant's quota.
+  ShardedService svc(dir.path(), &registry, options);
+  ASSERT_OK(svc.Startup());
+  ASSERT_OK(svc.RegisterTemplate(JobProcess()));
+  ExpectLiveCountsExact(svc, tenant_of, "reopened");
+  EXPECT_EQ(svc.GetStats().live, 6u);
+  for (const auto& [tenant, stats] : svc.GetTenantStats()) {
+    EXPECT_EQ(stats.live, 2u) << "tenant " << tenant;
+  }
+  // Tenant t0 is at its cap: new work waits in the backlog.
+  ASSERT_OK_AND_ASSIGN(Ticket queued, svc.Submit(MakeJob(6)));
+  EXPECT_TRUE(queued.backlogged);
+
+  svc.RunUntilQuiescent(100000);
+  tenant_of[queued.global_id] = MakeJob(6).tenant;
+  ExpectLiveCountsExact(svc, tenant_of, "quiescent");
+  EXPECT_EQ(svc.GetStats().live, 0u);
+  for (const auto& [tenant, stats] : svc.GetTenantStats()) {
+    EXPECT_EQ(stats.live, 0u) << "tenant " << tenant;
+  }
+  ASSERT_OK_AND_ASSIGN(InstanceState state, svc.GetState(queued.global_id));
+  EXPECT_EQ(state, InstanceState::kDone);
 }
 
 TEST(ShardedServiceTest, RoundRobinPlacementAlternates) {

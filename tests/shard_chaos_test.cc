@@ -188,6 +188,9 @@ void RunStorm(const std::string& dir, uint64_t seed, StormRun* run) {
     if (all_done) break;
   }
 
+  // Restarts went to the shard engines directly; their state reports
+  // still reach the front door's live count.
+  EXPECT_EQ(svc.GetStats().live, 0u);
   for (const std::string& id : out.global_ids) {
     auto state = svc.GetState(id);
     ASSERT_TRUE(state.ok());

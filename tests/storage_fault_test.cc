@@ -265,6 +265,57 @@ TEST(FencingTest, SplitBrainOldPrimaryStepsDown) {
   EXPECT_EQ(fenced[0].attrs[0].second, std::to_string(old_epoch));
 }
 
+TEST(FencingTest, FencedWhileDegradedStepsDownWithTheGaugeCleared) {
+  testing::TempDir dir;
+  Simulator sim;
+  FaultFs fault_fs(Fs::Default());
+  auto store = RecordStore::Open(dir.path(), &fault_fs).value();
+  cluster::ClusterSim cluster(&sim);
+  ASSERT_OK(cluster.AddNode({.name = "node0", .num_cpus = 2}));
+  core::ActivityRegistry registry;
+  ASSERT_OK(registry.Register(
+      "noop", [](const core::ActivityInput&) -> Result<core::ActivityOutput> {
+        core::ActivityOutput out;
+        out.cost = Duration::Seconds(5);
+        return out;
+      }));
+
+  obs::Observability old_obs;
+  EngineOptions options;
+  options.observability = &old_obs;
+  Engine old_primary(&sim, &cluster, store.get(), &registry, options);
+  ASSERT_OK(old_primary.Startup());
+  ASSERT_OK(old_primary.RegisterTemplate(
+      ocr::ProcessBuilder("p")
+          .Task(ocr::TaskBuilder::Activity("a", "noop"))
+          .Build()
+          .value()));
+  ASSERT_OK_AND_ASSIGN(std::string id, old_primary.StartProcess("p"));
+
+  // The disk fills while the job runs: its completion cannot be made
+  // durable and the server goes degraded.
+  fault_fs.SetDiskFull(true);
+  sim.RunFor(Duration::Seconds(6));
+  ASSERT_TRUE(old_primary.IsDegraded());
+  EXPECT_EQ(old_obs.metrics.GetGauge("engine_store_degraded")->value(), 1.0);
+  old_primary.TakeStateChanges();
+
+  // The disk heals, but a second server takes the store over before the
+  // degraded one retries: the retry is fenced and the old server steps
+  // down, leaving neither degraded mode nor its gauge behind.
+  fault_fs.SetDiskFull(false);
+  obs::Observability new_obs;
+  options.observability = &new_obs;
+  Engine new_primary(&sim, &cluster, store.get(), &registry, options);
+  ASSERT_OK(new_primary.Startup());
+  sim.RunFor(Duration::Seconds(5));
+  EXPECT_FALSE(old_primary.IsUp());
+  EXPECT_FALSE(old_primary.IsDegraded());
+  EXPECT_EQ(old_obs.metrics.GetGauge("engine_store_degraded")->value(), 0.0);
+  // The step-down reports the instance it dropped from memory.
+  EXPECT_EQ(old_primary.TakeStateChanges(), std::vector<std::string>{id});
+}
+
 // --- Engine degraded mode ---------------------------------------------------
 
 TEST(DegradedModeTest, EngineSurvivesDiskFullWindowWithoutLosingWork) {
