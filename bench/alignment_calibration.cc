@@ -1,11 +1,11 @@
 // Alignment-kernel throughput and cost-model calibration.
 //
 // Measures DP cells/second of every Smith-Waterman kernel the host
-// supports (double-precision scalar baseline, quantized scalar, SSE2,
-// AVX2) on length-360 random pairs — the dataset's mean length — plus the
-// banded screen, then derives a modern-hardware `sw_cell_seconds` from
-// the fastest kernel (CalibratedCostOptions) with the kernel variant
-// recorded as provenance. Finally it runs the small real-dataset
+// supports (double-precision scalar baseline, SSE2, AVX2) on length-360
+// random pairs — the dataset's mean length — then derives a
+// modern-hardware `sw_cell_seconds` from the fastest kernel
+// (CalibratedCostOptions) with the kernel variant recorded as
+// provenance. Finally it runs the small real-dataset
 // all-vs-all once inline and once on a real-thread pool, checking the
 // span/lineage exports stay byte-identical while recording both
 // wall-clock times.
@@ -22,8 +22,6 @@
 #include "common/table.h"
 #include "darwin/align.h"
 #include "darwin/align_simd.h"
-#include "darwin/banded.h"
-#include "darwin/banded_simd.h"
 #include "darwin/cost_model.h"
 #include "darwin/generator.h"
 #include "darwin/pam.h"
@@ -179,49 +177,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Banded screen throughput (cells actually computed: ~len * band).
-  const size_t band = darwin::SuggestBand(kLength, kLength, 250);
-  const double banded_cells =
-      static_cast<double>(kLength) * std::min(2 * band + 1, kLength) *
-      kTargets;
-  Throughput banded = Measure(banded_cells, [&] {
-    for (const Sequence* t : targets) {
-      darwin::BandedSmithWatermanScore(query, *t, matrix, band);
-    }
-  });
-  table.AddRow({StrFormat("banded(b=%zu)", band),
-                StrFormat("%.3g", banded.cells_per_second),
-                StrFormat("%.1fx",
-                          banded.cells_per_second / scalar.cells_per_second)});
-  json.Add("kernel_banded", {{"cells_per_s", banded.cells_per_second},
-                             {"band", static_cast<double>(band)},
-                             {"length", static_cast<double>(kLength)}});
-
-  // Banded SIMD: the quantized int16 banded kernel, scalar and AVX2 row
-  // pass, against the double banded baseline above.
-  for (SwKernel kernel : {SwKernel::kScalar, SwKernel::kAvx2}) {
-    std::string name(darwin::SwKernelName(kernel));
-    std::string row = StrFormat("banded-simd-%s(b=%zu)", name.c_str(), band);
-    if (!darwin::SwKernelSupported(kernel)) {
-      table.AddRow({row, "unsupported", "-"});
-      continue;
-    }
-    Throughput banded_simd = Measure(banded_cells, [&] {
-      for (const Sequence* t : targets) {
-        darwin::BandedSimdScore(query, *t, qmatrix, band, {}, kernel);
-      }
-    });
-    table.AddRow(
-        {row, StrFormat("%.3g", banded_simd.cells_per_second),
-         StrFormat("%.1fx",
-                   banded_simd.cells_per_second / scalar.cells_per_second)});
-    json.Add(StrFormat("kernel_banded_simd_%s", name.c_str()),
-             {{"cells_per_s", banded_simd.cells_per_second},
-              {"band", static_cast<double>(band)},
-              {"length", static_cast<double>(kLength)},
-              {"speedup_vs_banded",
-               banded_simd.cells_per_second / banded.cells_per_second}});
-  }
   std::printf("%s\n", table.ToString().c_str());
 
   // Cost-model calibration from the fastest kernel, with provenance.

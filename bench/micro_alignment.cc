@@ -8,8 +8,6 @@
 #include "common/rng.h"
 #include "darwin/align.h"
 #include "darwin/align_simd.h"
-#include "darwin/banded.h"
-#include "darwin/banded_simd.h"
 #include "darwin/generator.h"
 #include "darwin/pam.h"
 
@@ -73,56 +71,6 @@ BENCHMARK(BM_SimdScorePairs)
     ->Arg(static_cast<int>(SwKernel::kScalar))
     ->Arg(static_cast<int>(SwKernel::kSse2))
     ->Arg(static_cast<int>(SwKernel::kAvx2));
-
-void BM_BandedSmithWaterman(benchmark::State& state) {
-  const size_t len = 360;
-  const size_t band = static_cast<size_t>(state.range(0));
-  Sequence a = MakeRandom(len, 21);
-  Sequence b = MakeRandom(len, 22);
-  const ScoringMatrix& matrix = SharedPamFamily().Scoring(250);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BandedSmithWatermanScore(a, b, matrix, band));
-  }
-  // Cells actually computed per pass: len rows of (at most) 2*band+1.
-  state.counters["band"] = static_cast<double>(band);
-  state.counters["cells/s"] = benchmark::Counter(
-      static_cast<double>(len) *
-          static_cast<double>(std::min(2 * band + 1, len)) *
-          state.iterations(),
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BandedSmithWaterman)->Arg(16)->Arg(64)->Arg(512);
-
-// Quantized banded kernel (scalar int16 and AVX2 row pass) next to the
-// double banded baseline above; arg encodes band * 10 + kernel enum.
-void BM_BandedSimd(benchmark::State& state) {
-  const size_t band = static_cast<size_t>(state.range(0)) / 10;
-  const auto kernel = static_cast<SwKernel>(state.range(0) % 10);
-  if (!SwKernelSupported(kernel)) {
-    state.SkipWithError("kernel unsupported on this host");
-    return;
-  }
-  const size_t len = 360;
-  Sequence a = MakeRandom(len, 21);
-  Sequence b = MakeRandom(len, 22);
-  const QuantizedMatrix& qmatrix = SharedPamFamily().QuantizedScoring(250);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BandedSimdScore(a, b, qmatrix, band, {}, kernel));
-  }
-  state.counters["band"] = static_cast<double>(band);
-  state.counters["cells/s"] = benchmark::Counter(
-      static_cast<double>(len) *
-          static_cast<double>(std::min(2 * band + 1, len)) *
-          state.iterations(),
-      benchmark::Counter::kIsRate);
-  state.SetLabel(std::string(SwKernelName(kernel)));
-}
-BENCHMARK(BM_BandedSimd)
-    ->Arg(16 * 10 + static_cast<int>(SwKernel::kScalar))
-    ->Arg(16 * 10 + static_cast<int>(SwKernel::kAvx2))
-    ->Arg(64 * 10 + static_cast<int>(SwKernel::kScalar))
-    ->Arg(64 * 10 + static_cast<int>(SwKernel::kAvx2));
 
 void BM_SmithWatermanTraceback(benchmark::State& state) {
   const size_t len = static_cast<size_t>(state.range(0));

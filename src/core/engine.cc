@@ -125,8 +125,7 @@ class ScopeEvalContext : public ocr::EvalContext {
 
 // ---------------------------------------------------------------------------
 // Persistence record codecs: Value::Map <-> marker-framed binary records
-// (store/codec.h). Decoding falls back to the legacy Value::FromText form,
-// so stores written before the binary codec still open.
+// (store/codec.h).
 // ---------------------------------------------------------------------------
 
 std::string TaskRecordKey(const std::string& path) { return "task/" + path; }

@@ -209,17 +209,15 @@ std::string EncodeValueRecord(const ocr::Value& v) {
 }
 
 Result<ocr::Value> DecodeValueRecord(std::string_view record) {
-  if (!record.empty() && record.front() == kBinaryValueMarker) {
-    record.remove_prefix(1);
-    ocr::Value v;
-    if (!DecodeValue(&record, &v) || !record.empty()) {
-      return Status::Corruption("malformed binary value record");
-    }
-    return v;
+  if (record.empty() || record.front() != kBinaryValueMarker) {
+    return Status::Corruption("value record lacks the binary marker");
   }
-  // Legacy stores hold text records; the text grammar never begins with
-  // a 0x01 byte, so the marker is unambiguous.
-  return ocr::Value::FromText(record);
+  record.remove_prefix(1);
+  ocr::Value v;
+  if (!DecodeValue(&record, &v) || !record.empty()) {
+    return Status::Corruption("malformed binary value record");
+  }
+  return v;
 }
 
 }  // namespace biopera

@@ -47,16 +47,16 @@ bool DecodeValue(std::string_view* input, ocr::Value* out);
 
 inline constexpr int kMaxValueDepth = 64;
 
-/// Engine persistence records are marker-framed so binary and legacy text
-/// records coexist in one store: a record starting with kBinaryValueMarker
-/// holds a binary value; anything else is parsed as Value::FromText (whose
-/// grammar can never start with a 0x01 byte).
+/// Engine persistence records (instance and provenance rows) are one
+/// kBinaryValueMarker byte followed by the binary encoding. Config and
+/// template rows stay text and never pass through this framing.
 inline constexpr char kBinaryValueMarker = '\x01';
 
 /// Marker byte + binary encoding.
 std::string EncodeValueRecord(const ocr::Value& v);
 
-/// Inverse of EncodeValueRecord with the versioned text fallback.
+/// Inverse of EncodeValueRecord. A record without the marker, or whose
+/// binary body is malformed or has trailing bytes, is Corruption.
 Result<ocr::Value> DecodeValueRecord(std::string_view record);
 
 }  // namespace biopera

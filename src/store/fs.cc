@@ -174,7 +174,7 @@ std::string ClassifyPath(const std::string& path) {
   }
   if (name.substr(0, 3) == "wal") return "wal";
   if (name == "MANIFEST") return "manifest";
-  if (name.substr(0, 4) == "seg_" || name == "snapshot.dat") return "seg";
+  if (name.substr(0, 4) == "seg_") return "seg";
   return "file";
 }
 

@@ -63,7 +63,7 @@ std::string ParentDir(const std::string& path);
 /// from the file's basename (ignoring a ".tmp" suffix):
 ///
 ///   wal       wal.log                       (the write-ahead log)
-///   seg       seg_*.dat, snapshot.dat       (checkpoint segments)
+///   seg       seg_*.dat                     (checkpoint segments)
 ///   manifest  MANIFEST                      (the segment manifest)
 ///   dir       directory syncs               (only op: dir.sync)
 ///   file      anything else

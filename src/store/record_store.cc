@@ -17,7 +17,6 @@ constexpr char kOpPut = 1;
 constexpr char kOpDelete = 2;
 // Per-record WAL framing overhead: crc32 + length (store/wal.cc).
 constexpr uint64_t kWalRecordHeaderBytes = 8;
-constexpr char kLegacySnapshotFile[] = "snapshot.dat";
 // Config-table key holding the current writer epoch (fencing token).
 constexpr char kWriterEpochKey[] = "server/writer_epoch";
 }  // namespace
@@ -122,22 +121,20 @@ Result<std::unique_ptr<RecordStore>> RecordStore::Open(const std::string& dir,
   BIOPERA_RETURN_IF_ERROR(fs->CreateDirs(dir));
   auto store = std::unique_ptr<RecordStore>(new RecordStore(dir, fs));
 
-  // 1. Load the snapshot chain: manifest segments if present, otherwise
-  // a legacy single-snapshot directory (which joins the manifest as its
-  // base segment at the next checkpoint).
+  // 1. Load the snapshot chain from the manifest. A directory without
+  // one is a fresh store, unless it holds the single snapshot.dat of the
+  // pre-manifest layout: opening that as WAL-only would silently drop
+  // every record in the snapshot.
   Result<std::string> manifest = ReadSnapshot(store->ManifestPath(), fs);
   if (manifest.ok()) {
     BIOPERA_RETURN_IF_ERROR(store->LoadManifest(*manifest));
   } else if (!manifest.status().IsNotFound()) {
     return manifest.status();
-  } else {
-    Result<std::string> snap = ReadSnapshot(store->SnapshotPath(), fs);
-    if (snap.ok()) {
-      BIOPERA_RETURN_IF_ERROR(store->LoadImageSegment(*snap));
-      store->manifest_.push_back(kLegacySnapshotFile);
-    } else if (!snap.status().IsNotFound()) {
-      return snap.status();
-    }
+  } else if (fs->Exists(dir + "/snapshot.dat")) {
+    return Status::FailedPrecondition(
+        "record store " + dir +
+        ": pre-manifest layout (snapshot.dat without MANIFEST) is not "
+        "supported");
   }
 
   // 2. Replay the WAL over the snapshot image: one pass, applied in
@@ -179,9 +176,6 @@ Status RecordStore::Apply(const WriteBatch& batch, uint64_t epoch) {
         StrFormat("store fenced: writer epoch %llu is stale (current %llu)",
                   static_cast<unsigned long long>(epoch),
                   static_cast<unsigned long long>(fence_epoch_)));
-  }
-  if (fail_writes_) {
-    return Status::IOError("record store: injected write failure");
   }
   if (batch.empty()) return Status::OK();
   if (scope_depth_ > 0) {
@@ -537,9 +531,6 @@ Status RecordStore::EnsureWal() {
 Status RecordStore::Checkpoint() { return CheckpointImpl(false); }
 
 Status RecordStore::CheckpointImpl(bool force_full) {
-  if (fail_writes_) {
-    return Status::IOError("record store: injected write failure");
-  }
   obs::WallProfile::Scope store_scope(wall_profile_,
                                       obs::WallProfile::kStore);
   BIOPERA_RETURN_IF_ERROR(Flush());
@@ -681,9 +672,6 @@ uint64_t RecordStore::WalBytes() const {
 }
 
 std::string RecordStore::WalPath() const { return dir_ + "/wal.log"; }
-std::string RecordStore::SnapshotPath() const {
-  return dir_ + "/" + kLegacySnapshotFile;
-}
 std::string RecordStore::ManifestPath() const { return dir_ + "/MANIFEST"; }
 
 }  // namespace biopera

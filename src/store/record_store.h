@@ -72,7 +72,7 @@ class WriteBatch {
 ///  - Checkpoints are incremental: only tables dirtied since the last
 ///    checkpoint are serialized into a delta segment listed in a
 ///    manifest; a periodic compaction rewrites everything into one
-///    segment. Legacy single-snapshot directories still open.
+///    segment.
 ///
 /// All disk I/O flows through an `Fs` (store/fs.h): production uses the
 /// real disk, tests interpose a FaultFs to inject torn writes, ENOSPC,
@@ -123,10 +123,10 @@ class RecordStore {
   };
 
   /// Opens (or creates) a store rooted at directory `dir`: loads the
-  /// snapshot chain (manifest segments, or the legacy single snapshot),
-  /// then replays the WAL. A torn WAL tail from a crash is silently
-  /// discarded. `fs` defaults to the real disk and must outlive the
-  /// store.
+  /// snapshot chain the MANIFEST lists, then replays the WAL. A torn WAL
+  /// tail from a crash is silently discarded. A directory that holds the
+  /// pre-manifest snapshot.dat but no MANIFEST is FailedPrecondition.
+  /// `fs` defaults to the real disk and must outlive the store.
   static Result<std::unique_ptr<RecordStore>> Open(const std::string& dir,
                                                    Fs* fs = nullptr);
 
@@ -197,12 +197,6 @@ class RecordStore {
   uint64_t WalBytes() const;
   uint64_t CommitCount() const { return commits_; }
 
-  /// Test/failure-injection hook: when set, Apply fails with IOError
-  /// without writing, emulating a full or failed disk under the server.
-  /// Prefer FaultFs::SetDiskFull, which exercises the real I/O path; this
-  /// remains as a thin shim for direct store tests.
-  void SetFailWrites(bool fail) { fail_writes_ = fail; }
-
   /// Called when a commit-group flush (or the auto-checkpoint after it)
   /// fails at a scope boundary, where no caller sees the Status. The
   /// engine hooks this to enter degraded mode. `owner` disambiguates
@@ -263,7 +257,6 @@ class RecordStore {
   Status LoadManifest(std::string_view payload);
   Status WriteManifest();
   std::string WalPath() const;
-  std::string SnapshotPath() const;
   std::string ManifestPath() const;
 
   std::string dir_;
@@ -276,7 +269,6 @@ class RecordStore {
   std::string cached_table_name_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t commits_ = 0;
-  bool fail_writes_ = false;
   uint64_t fence_epoch_ = 0;
 
   // Incremental-checkpoint state.

@@ -7,8 +7,6 @@
 #include "common/strings.h"
 #include "darwin/align.h"
 #include "darwin/align_simd.h"
-#include "darwin/banded.h"
-#include "darwin/banded_simd.h"
 #include "darwin/pam.h"
 #include "ocr/builder.h"
 #include "workloads/partition.h"
@@ -441,118 +439,61 @@ Status RegisterAllVsAllActivities(ActivityRegistry* registry,
           const darwin::ScoringMatrix& matrix =
               ctx->pam->Scoring(ctx->fixed_pam);
           std::vector<Match> matches;
-          if (ctx->use_banded_screen) {
-            // Banded screen: quantized SIMD banded kernel per pair, with
-            // saturated pairs and pairs inside the quantization band of
-            // the threshold re-scored by the exact double banded kernel —
-            // the accept set and the recorded scores are bit-identical to
-            // screening every pair with BandedSmithWatermanScore.
-            const darwin::QuantizedMatrix& qmatrix =
-                ctx->pam->QuantizedScoring(ctx->fixed_pam);
-            const darwin::SwKernel kernel = darwin::ResolveSwKernel();
-            uint64_t banded_rescored = 0;
-            auto align_pair = [&](uint32_t ei, uint32_t ej) {
-              const darwin::Sequence& sa = (*ctx->dataset)[ei];
-              const darwin::Sequence& sb = (*ctx->dataset)[ej];
-              const size_t band = darwin::SuggestBand(
-                  sa.length(), sb.length(), ctx->fixed_pam);
-              darwin::SwScore q = darwin::BandedSimdScore(
-                  sa, sb, qmatrix, band, darwin::GapPenalty{}, kernel);
-              double score;
-              if (q.saturated) {
-                score = darwin::BandedSmithWatermanScore(sa, sb, matrix,
-                                                         band);
-                ++banded_rescored;
-              } else {
-                double bound = darwin::QuantizationErrorBound(
-                    sa.length(), sb.length(), qmatrix,
-                    darwin::GapPenalty{});
-                if (q.Value() < ctx->match_threshold - bound) return;
-                score = darwin::BandedSmithWatermanScore(sa, sb, matrix,
-                                                         band);
-                ++banded_rescored;
-              }
-              if (score >= ctx->match_threshold) {
-                Match m;
-                m.entry_a = std::min(ei, ej);
-                m.entry_b = std::max(ei, ej);
-                m.score = score;
-                m.pam_distance = ctx->fixed_pam;
-                matches.push_back(m);
-              }
-            };
-            // Update mode: each queue (new) entry also scans the old ones.
-            for (uint32_t qi = teu.first; qi < teu.last; ++qi) {
-              for (uint32_t old = 0; old < ctx->update_from; ++old) {
-                align_pair(entries[qi], old);
-              }
-              for (size_t qj = qi + 1; qj < entries.size(); ++qj) {
-                align_pair(entries[qi], entries[qj]);
-              }
+          // Fixed-PAM screen: one striped-SIMD batch per query entry, with
+          // every pair inside the quantization band of the threshold
+          // re-scored by the exact double kernel — the accept set and
+          // the recorded scores are bit-identical to scoring every
+          // pair with SmithWatermanScore.
+          const darwin::QuantizedMatrix& qmatrix =
+              ctx->pam->QuantizedScoring(ctx->fixed_pam);
+          const darwin::SwKernel kernel = darwin::ResolveSwKernel();
+          darwin::ScorePairsStats sw_stats;
+          uint64_t rescored = 0;
+          std::vector<const darwin::Sequence*> targets;
+          std::vector<uint32_t> partners;
+          for (uint32_t qi = teu.first; qi < teu.last; ++qi) {
+            const uint32_t ei = entries[qi];
+            const darwin::Sequence& sa = (*ctx->dataset)[ei];
+            targets.clear();
+            partners.clear();
+            for (uint32_t old = 0; old < ctx->update_from; ++old) {
+              targets.push_back(&(*ctx->dataset)[old]);
+              partners.push_back(old);
             }
-            out.provenance.emplace_back(
-                "sw_kernel", std::string(darwin::SwKernelName(kernel)));
-            out.provenance.emplace_back(
-                "sw_rescored",
-                StrFormat("%llu", static_cast<unsigned long long>(
-                                      banded_rescored)));
-          } else {
-            // Full pass: one striped-SIMD batch per query entry, with
-            // every pair inside the quantization band of the threshold
-            // re-scored by the exact double kernel — the accept set and
-            // the recorded scores are bit-identical to scoring every
-            // pair with SmithWatermanScore.
-            const darwin::QuantizedMatrix& qmatrix =
-                ctx->pam->QuantizedScoring(ctx->fixed_pam);
-            const darwin::SwKernel kernel = darwin::ResolveSwKernel();
-            darwin::ScorePairsStats sw_stats;
-            uint64_t rescored = 0;
-            std::vector<const darwin::Sequence*> targets;
-            std::vector<uint32_t> partners;
-            for (uint32_t qi = teu.first; qi < teu.last; ++qi) {
-              const uint32_t ei = entries[qi];
-              const darwin::Sequence& sa = (*ctx->dataset)[ei];
-              targets.clear();
-              partners.clear();
-              for (uint32_t old = 0; old < ctx->update_from; ++old) {
-                targets.push_back(&(*ctx->dataset)[old]);
-                partners.push_back(old);
-              }
-              for (size_t qj = qi + 1; qj < entries.size(); ++qj) {
-                targets.push_back(&(*ctx->dataset)[entries[qj]]);
-                partners.push_back(entries[qj]);
-              }
-              std::vector<double> scores =
-                  darwin::ScorePairs(sa, targets, matrix, qmatrix,
-                                     darwin::GapPenalty{}, kernel, &sw_stats);
-              for (size_t t = 0; t < targets.size(); ++t) {
-                double bound = darwin::QuantizationErrorBound(
-                    sa.length(), targets[t]->length(), qmatrix,
-                    darwin::GapPenalty{});
-                if (scores[t] < ctx->match_threshold - bound) continue;
-                double score =
-                    darwin::SmithWatermanScore(sa, *targets[t], matrix);
-                ++rescored;
-                if (score < ctx->match_threshold) continue;
-                Match m;
-                m.entry_a = std::min(ei, partners[t]);
-                m.entry_b = std::max(ei, partners[t]);
-                m.score = score;
-                m.pam_distance = ctx->fixed_pam;
-                matches.push_back(m);
-              }
+            for (size_t qj = qi + 1; qj < entries.size(); ++qj) {
+              targets.push_back(&(*ctx->dataset)[entries[qj]]);
+              partners.push_back(entries[qj]);
             }
-            out.provenance.emplace_back(
-                "sw_kernel", std::string(darwin::SwKernelName(kernel)));
-            out.provenance.emplace_back(
-                "sw_cells",
-                StrFormat("%llu",
-                          static_cast<unsigned long long>(sw_stats.cells)));
-            out.provenance.emplace_back(
-                "sw_rescored",
-                StrFormat("%llu",
-                          static_cast<unsigned long long>(rescored)));
+            std::vector<double> scores =
+                darwin::ScorePairs(sa, targets, matrix, qmatrix,
+                                   darwin::GapPenalty{}, kernel, &sw_stats);
+            for (size_t t = 0; t < targets.size(); ++t) {
+              double bound = darwin::QuantizationErrorBound(
+                  sa.length(), targets[t]->length(), qmatrix,
+                  darwin::GapPenalty{});
+              if (scores[t] < ctx->match_threshold - bound) continue;
+              double score =
+                  darwin::SmithWatermanScore(sa, *targets[t], matrix);
+              ++rescored;
+              if (score < ctx->match_threshold) continue;
+              Match m;
+              m.entry_a = std::min(ei, partners[t]);
+              m.entry_b = std::max(ei, partners[t]);
+              m.score = score;
+              m.pam_distance = ctx->fixed_pam;
+              matches.push_back(m);
+            }
           }
+          out.provenance.emplace_back(
+              "sw_kernel", std::string(darwin::SwKernelName(kernel)));
+          out.provenance.emplace_back(
+              "sw_cells",
+              StrFormat("%llu",
+                        static_cast<unsigned long long>(sw_stats.cells)));
+          out.provenance.emplace_back(
+              "sw_rescored",
+              StrFormat("%llu",
+                        static_cast<unsigned long long>(rescored)));
           out.fields["matches"] = Value(darwin::MatchesToText(matches));
           out.fields["count"] = Value(static_cast<int64_t>(matches.size()));
         } else {

@@ -46,11 +46,6 @@ struct AllVsAllContext {
   // Real mode.
   const darwin::Dataset* dataset = nullptr;
   const darwin::PamFamily* pam = nullptr;
-  /// Use the banded Smith-Waterman for the fixed-PAM screening pass
-  /// (Darwin's "fast but inaccurate" first algorithm): a large speedup
-  /// that can only lose borderline off-diagonal matches, which the
-  /// refinement pass would down-weight anyway.
-  bool use_banded_screen = false;
 
   // Synthetic mode: ground-truth family structure.
   std::vector<uint32_t> family_of;

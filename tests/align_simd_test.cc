@@ -8,8 +8,6 @@
 
 #include "common/rng.h"
 #include "darwin/align.h"
-#include "darwin/banded.h"
-#include "darwin/banded_simd.h"
 #include "darwin/generator.h"
 #include "darwin/pam.h"
 #include "darwin/sequence.h"
@@ -130,94 +128,6 @@ TEST(AlignSimdDifferentialTest, KernelsMatchScalarReferenceExactly) {
   }
   // The suite must actually exercise the promotion path.
   EXPECT_GT(saturated_cases, 0);
-}
-
-// Differential suite for the banded SIMD kernel: every supported variant
-// (the scalar int16 reference and, where available, the AVX2 row pass)
-// must produce identical integers, the de-quantized score must stay
-// within the quantization error bound of the scalar double banded
-// kernel, and saturation must promote to the exact kernel.
-TEST(BandedSimdDifferentialTest, VariantsMatchAndTrackDoubleKernel) {
-  Rng rng(20260809);
-  const PamFamily& family = SharedPamFamily();
-  std::vector<std::pair<Sequence, Sequence>> cases;
-  for (size_t la : {size_t{0}, size_t{1}, size_t{33}, size_t{360}}) {
-    for (size_t lb : {size_t{0}, size_t{1}, size_t{290}, size_t{360}}) {
-      cases.emplace_back(RandomSeq(&rng, la), RandomSeq(&rng, lb));
-    }
-  }
-  Sequence root = RandomSeq(&rng, 300, "root");
-  for (int pam : {20, 80, 250}) {
-    cases.emplace_back(root, MutateSequence(root, pam, family, &rng));
-  }
-  // Poly-W self-alignment saturates int16 at low PAM (promotion path).
-  cases.emplace_back(Sequence("pw", std::vector<uint8_t>(500, 17)),
-                     Sequence("pw2", std::vector<uint8_t>(500, 17)));
-
-  const std::vector<GapPenalty> penalty_sets = {
-      GapPenalty{},
-      GapPenalty{7.3, 0.9},  // penalties that do NOT quantize exactly
-  };
-  const bool have_avx2 = SwKernelSupported(SwKernel::kAvx2);
-  int saturated_cases = 0;
-  for (int pam : {10, 100, 250}) {
-    const ScoringMatrix& matrix = family.Scoring(pam);
-    const QuantizedMatrix& qmatrix = family.QuantizedScoring(pam);
-    for (const GapPenalty& gaps : penalty_sets) {
-      for (const auto& [a, b] : cases) {
-        for (size_t band : {size_t{4}, size_t{16},
-                            SuggestBand(a.length(), b.length(), pam),
-                            size_t{1000}}) {
-          SwScore ref =
-              BandedSimdScore(a, b, qmatrix, band, gaps, SwKernel::kScalar);
-          if (have_avx2) {
-            SwScore got =
-                BandedSimdScore(a, b, qmatrix, band, gaps, SwKernel::kAvx2);
-            ASSERT_EQ(got.quantized, ref.quantized)
-                << "pam=" << pam << " band=" << band << " open=" << gaps.open
-                << " la=" << a.length() << " lb=" << b.length();
-            ASSERT_EQ(got.saturated, ref.saturated);
-          }
-          double exact = BandedSmithWatermanScore(a, b, matrix, band, gaps);
-          double promoted = BandedSimdSmithWatermanScore(a, b, matrix,
-                                                         qmatrix, band, gaps);
-          if (ref.saturated) {
-            ++saturated_cases;
-            EXPECT_EQ(promoted, exact);  // promotion runs the exact kernel
-          } else {
-            double bound =
-                QuantizationErrorBound(a.length(), b.length(), qmatrix, gaps);
-            EXPECT_LE(std::abs(promoted - exact), bound + 1e-9)
-                << "pam=" << pam << " band=" << band
-                << " la=" << a.length() << " lb=" << b.length();
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GT(saturated_cases, 0);
-}
-
-// A band that covers the whole DP matrix degenerates to the unrestricted
-// recurrence: the banded kernel must reproduce the striped scalar
-// reference's integers exactly.
-TEST(BandedSimdDifferentialTest, FullBandEqualsUnrestrictedQuantized) {
-  Rng rng(5);
-  const QuantizedMatrix& qmatrix = SharedPamFamily().QuantizedScoring(250);
-  for (int i = 0; i < 6; ++i) {
-    Sequence a = RandomSeq(&rng, 120 + 40 * i, "a");
-    Sequence b = RandomSeq(&rng, 100 + 55 * i, "b");
-    PairScorer reference(a, qmatrix, GapPenalty{}, SwKernel::kScalar);
-    SwScore full = reference.Score(b);
-    for (SwKernel kernel : {SwKernel::kScalar, SwKernel::kAvx2}) {
-      if (!SwKernelSupported(kernel)) continue;
-      SwScore banded = BandedSimdScore(a, b, qmatrix, 4096, GapPenalty{},
-                                       kernel);
-      EXPECT_EQ(banded.quantized, full.quantized)
-          << SwKernelName(kernel) << " i=" << i;
-      EXPECT_EQ(banded.saturated, full.saturated);
-    }
-  }
 }
 
 TEST(AlignSimdTest, ScorePairsMatchesSinglePairCalls) {

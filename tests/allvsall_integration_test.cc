@@ -2,8 +2,11 @@
 // synthetic and real-computation modes, including mid-run failures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cluster/cluster.h"
 #include "core/engine.h"
+#include "darwin/align.h"
 #include "darwin/generator.h"
 #include "sim/simulator.h"
 #include "store/record_store.h"
@@ -167,41 +170,85 @@ TEST(AllVsAllIntegration, RealModeFindsFamilyMatches) {
   }
 }
 
-TEST(AllVsAllIntegration, BandedScreenFindsTheSameFamilyMatches) {
-  Rng rng(7);
+// The fixed-PAM screen is exact: its striped-SIMD pass plus re-scoring
+// inside the quantization band accepts exactly the pairs, with exactly
+// the scores, that the double kernel accepts when it scores every pair.
+TEST(AllVsAllIntegration, FixedPamScreenEqualsBruteForceDoubleKernel) {
+  Rng rng(11);
   darwin::GeneratorOptions gen;
-  gen.num_sequences = 24;
+  gen.num_sequences = 30;
   gen.mean_length = 120;
   gen.min_length = 60;
   gen.max_member_pam = 100;
   gen.fragment_probability = 0;
   auto data = darwin::GenerateDataset(gen, &rng);
-  auto run = [&](bool banded) {
-    auto ctx = workloads::MakeRealContext(&data.dataset,
-                                          &darwin::SharedPamFamily(), 60);
-    ctx->use_banded_screen = banded;
-    testing::TempDir dir;
-    AvsaWorld w(dir.path(), ctx, 2, 2);
-    Value::Map args;
-    args["db_name"] = Value("banded24");
-    args["num_teus"] = Value(3);
-    auto id = w.engine->StartProcess("all_vs_all", args);
-    EXPECT_TRUE(id.ok());
-    w.sim.Run();
-    auto master = w.engine->GetWhiteboardValue(*id, "master_file");
-    auto matches = darwin::MatchesFromText(master->AsString());
-    size_t family = 0;
-    for (const auto& m : *matches) {
-      if (data.SameFamily(m.entry_a, m.entry_b)) ++family;
+  const darwin::PamFamily& pam = darwin::SharedPamFamily();
+
+  for (uint32_t update_from : {0u, 10u}) {
+    SCOPED_TRACE("update_from=" + std::to_string(update_from));
+    auto ctx = workloads::MakeRealContext(&data.dataset, &pam);
+    ctx->update_from = update_from;
+    const darwin::ScoringMatrix& matrix = pam.Scoring(ctx->fixed_pam);
+    const uint32_t n = static_cast<uint32_t>(data.dataset.size());
+
+    // The screen's pair order: each queue (new) entry against every old
+    // entry, then against the queue entries after it.
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    for (uint32_t i = update_from; i < n; ++i) {
+      for (uint32_t old = 0; old < update_from; ++old) {
+        pairs.push_back({i, old});
+      }
+      for (uint32_t j = i + 1; j < n; ++j) pairs.push_back({i, j});
     }
-    return family;
-  };
-  size_t full = run(false);
-  size_t banded = run(true);
-  ASSERT_GT(full, 0u);
-  // The banded screen recovers (nearly) all family matches — our mutation
-  // model produces no indels, so homolog alignments hug the diagonal.
-  EXPECT_GE(banded, full * 9 / 10);
+    std::vector<double> scores;
+    for (const auto& [i, j] : pairs) {
+      scores.push_back(darwin::SmithWatermanScore(data.dataset[i],
+                                                  data.dataset[j], matrix));
+    }
+    std::vector<double> sorted = scores;
+    std::sort(sorted.begin(), sorted.end());
+    ctx->match_threshold = sorted[sorted.size() * 9 / 10];
+    std::vector<darwin::Match> brute_force;
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      if (scores[k] < ctx->match_threshold) continue;
+      darwin::Match m;
+      m.entry_a = std::min(pairs[k].first, pairs[k].second);
+      m.entry_b = std::max(pairs[k].first, pairs[k].second);
+      m.score = scores[k];
+      m.pam_distance = ctx->fixed_pam;
+      brute_force.push_back(m);
+    }
+    ASSERT_FALSE(brute_force.empty());
+
+    core::ActivityRegistry registry;
+    ASSERT_OK(workloads::RegisterAllVsAllActivities(&registry, ctx));
+    ASSERT_OK_AND_ASSIGN(core::ActivityFn fixed_pam,
+                         registry.Find("darwin.fixed_pam"));
+    core::ActivityInput input;
+    Value::Map teu;
+    teu["first"] = Value(0);
+    teu["last"] = Value(static_cast<int64_t>(n - update_from));
+    input.params["partition"] = Value(teu);
+    if (update_from > 0) {
+      Value::Map queue;
+      queue["first"] = Value(static_cast<int64_t>(update_from));
+      queue["count"] = Value(static_cast<int64_t>(n - update_from));
+      input.params["queue_file"] = Value(queue);
+    }
+    ASSERT_OK_AND_ASSIGN(core::ActivityOutput out, fixed_pam(input));
+
+    EXPECT_EQ(out.fields["matches"].AsString(),
+              darwin::MatchesToText(brute_force));
+    EXPECT_EQ(out.fields["count"].AsInt(),
+              static_cast<int64_t>(brute_force.size()));
+    // Pairs inside the quantization band below the threshold were
+    // re-scored by the double kernel and rejected.
+    auto rescored = std::find_if(
+        out.provenance.begin(), out.provenance.end(),
+        [](const auto& kv) { return kv.first == "sw_rescored"; });
+    ASSERT_NE(rescored, out.provenance.end());
+    EXPECT_GT(std::stoull(rescored->second), brute_force.size());
+  }
 }
 
 TEST(AllVsAllIntegration, SurvivesRepeatedNodeCrashesAndServerCrash) {

@@ -1,11 +1,10 @@
-// Tests for the banded alignment optimization and the Karlin-Altschul
-// style score significance model.
+// Tests for the Karlin-Altschul style score significance model.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "darwin/banded.h"
+#include "darwin/align.h"
 #include "darwin/generator.h"
 #include "darwin/significance.h"
 #include "tests/test_util.h"
@@ -21,66 +20,6 @@ Sequence Random(size_t len, uint64_t seed) {
   for (auto& c : r) c = static_cast<uint8_t>(rng.Discrete(weights));
   return Sequence("r", std::move(r));
 }
-
-TEST(BandedTest, FullBandEqualsExactScore) {
-  Rng rng(1);
-  const PamFamily& family = SharedPamFamily();
-  const ScoringMatrix& matrix = family.Scoring(120);
-  for (uint64_t seed = 0; seed < 5; ++seed) {
-    Sequence a = Random(90, 100 + seed);
-    Sequence b = Random(110, 200 + seed);
-    double exact = SmithWatermanScore(a, b, matrix);
-    double banded = BandedSmithWatermanScore(a, b, matrix, 200);
-    EXPECT_NEAR(banded, exact, 1e-9);
-  }
-}
-
-TEST(BandedTest, NeverExceedsExactScore) {
-  const ScoringMatrix& matrix = SharedPamFamily().Scoring(250);
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    Sequence a = Random(120, 300 + seed);
-    Sequence b = Random(120, 400 + seed);
-    double exact = SmithWatermanScore(a, b, matrix);
-    for (size_t band : {4u, 16u, 64u}) {
-      EXPECT_LE(BandedSmithWatermanScore(a, b, matrix, band),
-                exact + 1e-9)
-          << "band " << band;
-    }
-  }
-}
-
-TEST(BandedTest, ExactForCloseHomologsWithSuggestedBand) {
-  Rng rng(7);
-  const PamFamily& family = SharedPamFamily();
-  const ScoringMatrix& matrix = family.Scoring(100);
-  for (int pam : {30, 80, 150}) {
-    Sequence a = Random(300, 500 + static_cast<uint64_t>(pam));
-    Sequence b = MutateSequence(a, pam, family, &rng);
-    size_t band = SuggestBand(a.length(), b.length(), pam);
-    double exact = SmithWatermanScore(a, b, matrix);
-    double banded = BandedSmithWatermanScore(a, b, matrix, band);
-    // No indels in our mutation model, so the optimal path hugs the
-    // diagonal: the suggested band must recover (nearly) the full score.
-    EXPECT_GE(banded, exact * 0.999) << "pam " << pam;
-  }
-}
-
-TEST(BandedTest, BandCoversLengthDifference) {
-  // A short domain against a long sequence: the band must reach the
-  // diagonal offset where the domain sits.
-  EXPECT_GE(SuggestBand(100, 400, 100), 300u);
-  EXPECT_GE(SuggestBand(400, 100, 100), 300u);
-}
-
-TEST(BandedTest, EmptyInputs) {
-  const ScoringMatrix& matrix = SharedPamFamily().Scoring(250);
-  Sequence empty("e", {});
-  Sequence a = Random(10, 1);
-  EXPECT_EQ(BandedSmithWatermanScore(empty, a, matrix, 5), 0);
-  EXPECT_EQ(BandedSmithWatermanScore(a, empty, matrix, 5), 0);
-}
-
-// --- Significance -------------------------------------------------------------
 
 TEST(SignificanceTest, CalibrationProducesPositiveParams) {
   Rng rng(11);

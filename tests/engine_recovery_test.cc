@@ -8,7 +8,6 @@
 #include "darwin/generator.h"
 #include "ocr/builder.h"
 #include "sim/simulator.h"
-#include "store/codec.h"
 #include "store/record_store.h"
 #include "tests/test_util.h"
 #include "workloads/allvsall.h"
@@ -221,44 +220,6 @@ TEST(RecoveryTest, CheckpointedStoreRecoversIdentically) {
     World w(dir.path(), options);
     ASSERT_OK(w.engine->Startup());
     w.sim.Run();
-    ASSERT_OK_AND_ASSIGN(Value total,
-                         w.engine->GetWhiteboardValue(id, "total"));
-    EXPECT_EQ(total, Value(kExpectedTotal));
-  }
-}
-
-TEST(RecoveryTest, LegacyTextCodecStoreRecovers) {
-  // Pre-binary-codec stores hold instance records in the Value text form.
-  // Simulate one by re-encoding every instance record as text mid-flight:
-  // Startup must decode the legacy records (the text fallback of
-  // DecodeValueRecord) and resume the process to the same result.
-  testing::TempDir dir;
-  std::string id;
-  {
-    World w(dir.path());
-    ASSERT_OK(w.engine->Startup());
-    RegisterComplexTemplates(w.engine.get());
-    ASSERT_OK_AND_ASSIGN(id, w.engine->StartProcess("rec_main"));
-    w.sim.RunFor(Duration::Seconds(70));
-    w.engine->Crash();
-  }
-  {
-    ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
-    size_t rewritten = 0;
-    for (const auto& [key, record] : store->Scan("instance")) {
-      ASSERT_OK_AND_ASSIGN(Value v, DecodeValueRecord(record));
-      ASSERT_OK(store->Put("instance", key, v.ToText()));
-      ++rewritten;
-    }
-    EXPECT_GT(rewritten, 0u);
-    ASSERT_OK(store->Checkpoint());
-  }
-  {
-    World w(dir.path());
-    ASSERT_OK(w.engine->Startup());
-    w.sim.Run();
-    ASSERT_OK_AND_ASSIGN(auto state, w.engine->GetInstanceState(id));
-    EXPECT_EQ(state, InstanceState::kDone);
     ASSERT_OK_AND_ASSIGN(Value total,
                          w.engine->GetWhiteboardValue(id, "total"));
     EXPECT_EQ(total, Value(kExpectedTotal));

@@ -8,6 +8,7 @@
 
 #include "common/strings.h"
 #include "store/codec.h"
+#include "store/fs.h"
 #include "store/record_store.h"
 #include "store/snapshot.h"
 #include "store/spaces.h"
@@ -393,11 +394,15 @@ TEST(RecordStoreTest, CrashConsistentAtEveryWalTruncation) {
 
 TEST(RecordStoreTest, InjectedWriteFailure) {
   testing::TempDir dir;
-  ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
-  store->SetFailWrites(true);
+  FaultFs fs(Fs::Default());
+  ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path(), &fs));
+  // One committed record first: Checkpoint() with nothing dirty returns
+  // OK before it touches the disk.
+  ASSERT_OK(store->Put("t", "k0", "v0"));
+  fs.SetDiskFull(true);
   EXPECT_TRUE(store->Put("t", "k", "v").IsIOError());
   EXPECT_TRUE(store->Checkpoint().IsIOError());
-  store->SetFailWrites(false);
+  fs.SetDiskFull(false);
   ASSERT_OK(store->Put("t", "k", "v"));
 }
 
@@ -604,7 +609,7 @@ TEST(BinaryValueCodecTest, NestingDeeperThanCapIsRejected) {
   EXPECT_TRUE(DecodeValue(&v, &out));
 }
 
-TEST(BinaryValueCodecTest, RecordMarkerFramesBinaryAndTextCoexist) {
+TEST(BinaryValueCodecTest, RecordMarkerFramesBinaryAndRejectsText) {
   ocr::Value original = SampleValue();
   std::string record = EncodeValueRecord(original);
   ASSERT_FALSE(record.empty());
@@ -612,11 +617,10 @@ TEST(BinaryValueCodecTest, RecordMarkerFramesBinaryAndTextCoexist) {
   ASSERT_OK_AND_ASSIGN(ocr::Value decoded, DecodeValueRecord(record));
   EXPECT_EQ(decoded, original);
 
-  // A legacy text record (what pre-binary stores hold) still decodes.
-  ocr::Value simple = ocr::Value(int64_t{42});
-  ASSERT_OK_AND_ASSIGN(ocr::Value from_text,
-                       DecodeValueRecord(simple.ToText()));
-  EXPECT_EQ(from_text, simple);
+  // A text record has no marker: corruption, not a second decoder.
+  std::string text = ocr::Value(int64_t{42}).ToText();
+  EXPECT_TRUE(DecodeValueRecord(text).status().IsCorruption());
+  EXPECT_TRUE(DecodeValueRecord("").status().IsCorruption());
 
   // A marker followed by garbage is corruption, not a crash.
   EXPECT_FALSE(DecodeValueRecord("\x01\x7fgarbage").ok());
@@ -832,8 +836,10 @@ TEST(RecordStoreTest, EmptiedTableDoesNotResurrectFromOlderSegment) {
   EXPECT_FALSE(reopened->Contains("t", "k"));
 }
 
-TEST(RecordStoreTest, LegacySingleSnapshotStoreOpens) {
-  // A pre-manifest store directory: snapshot.dat plus a WAL, no MANIFEST.
+TEST(RecordStoreTest, PreManifestStoreIsRefused) {
+  // A pre-manifest store directory: a single snapshot.dat, no MANIFEST.
+  // Opening it as a WAL-only store would silently drop the snapshot's
+  // records, so Open refuses it.
   testing::TempDir dir;
   std::string image;
   PutVarint64(&image, 1);  // one table
@@ -843,19 +849,12 @@ TEST(RecordStoreTest, LegacySingleSnapshotStoreOpens) {
   PutLengthPrefixed(&image, "old_value");
   ASSERT_OK(
       WriteSnapshot(std::string(dir.path()) + "/snapshot.dat", image));
-  ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
-  ASSERT_OK_AND_ASSIGN(std::string v, store->Get("t", "old_key"));
-  EXPECT_EQ(v, "old_value");
-  // The first checkpoint migrates it into the manifest chain; the store
-  // reopens fine afterwards and keeps both old and new data.
-  ASSERT_OK(store->Put("t", "new_key", "new_value"));
-  ASSERT_OK(store->Checkpoint());
-  EXPECT_TRUE(
+  Result<std::unique_ptr<RecordStore>> opened = RecordStore::Open(dir.path());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  EXPECT_FALSE(
       std::filesystem::exists(std::string(dir.path()) + "/MANIFEST"));
-  store.reset();
-  ASSERT_OK_AND_ASSIGN(auto reopened, RecordStore::Open(dir.path()));
-  EXPECT_TRUE(reopened->Contains("t", "old_key"));
-  EXPECT_TRUE(reopened->Contains("t", "new_key"));
 }
 
 TEST(RecordStoreTest, WalBytesPolicyTriggersCheckpoint) {
