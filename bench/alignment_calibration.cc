@@ -2,7 +2,8 @@
 //
 // Measures DP cells/second of every Smith-Waterman kernel the host
 // supports (double-precision scalar baseline, SSE2, AVX2) on length-360
-// random pairs — the dataset's mean length — then derives a
+// random pairs — the dataset's mean length; each row is the median of
+// kWindows timing windows, printed with their min–max — then derives a
 // modern-hardware `sw_cell_seconds` from the fastest kernel
 // (CalibratedCostOptions) with the kernel variant recorded as
 // provenance. Finally it runs the small real-dataset
@@ -11,6 +12,7 @@
 // wall-clock times.
 //
 // `--json[=path]` writes BENCH_alignment.json for the CI artifact.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -36,7 +38,8 @@ using darwin::SwKernel;
 
 constexpr size_t kLength = 360;
 constexpr size_t kTargets = 32;
-constexpr double kMinSeconds = 0.2;
+constexpr double kWindowSeconds = 0.2;
+constexpr int kWindows = 5;
 
 Sequence MakeRandom(size_t length, uint64_t seed) {
   Rng rng(seed);
@@ -53,23 +56,36 @@ double NowSeconds() {
       .count();
 }
 
+/// Cells per second over kWindows windows: the median and the spread.
 struct Throughput {
   double cells_per_second = 0;
+  double min = 0;
+  double max = 0;
 };
 
-/// Repeats `body` (which processes `cells_per_round` DP cells) until at
-/// least kMinSeconds elapsed; returns the sustained throughput.
+/// After one warm-up call, times kWindows windows, each repeating `body`
+/// (which processes `cells_per_round` DP cells) until at least
+/// kWindowSeconds elapsed. A single window swings by up to a third from
+/// run to run on a shared host; the median of several does not.
 template <typename Body>
 Throughput Measure(double cells_per_round, Body body) {
   body();  // warm-up: profile construction, cache effects
-  double start = NowSeconds();
-  double rounds = 0;
-  do {
-    body();
-    ++rounds;
-  } while (NowSeconds() - start < kMinSeconds);
-  double elapsed = NowSeconds() - start;
-  return Throughput{cells_per_round * rounds / elapsed};
+  std::vector<double> rates;
+  for (int window = 0; window < kWindows; ++window) {
+    double start = NowSeconds();
+    double rounds = 0;
+    do {
+      body();
+      ++rounds;
+    } while (NowSeconds() - start < kWindowSeconds);
+    rates.push_back(cells_per_round * rounds / (NowSeconds() - start));
+  }
+  std::sort(rates.begin(), rates.end());
+  return Throughput{rates[rates.size() / 2], rates.front(), rates.back()};
+}
+
+std::string Spread(const Throughput& t) {
+  return StrFormat("%.3g-%.3g", t.min, t.max);
 }
 
 struct PoolRun {
@@ -139,7 +155,7 @@ int Main(int argc, char** argv) {
       static_cast<double>(kLength) * kLength * kTargets;
 
   BenchJson json("alignment");
-  TextTable table({"kernel", "cells/s", "vs scalar"});
+  TextTable table({"kernel", "cells/s", "min-max", "vs scalar"});
 
   // Double-precision scalar: the pre-SIMD production baseline.
   Throughput scalar = Measure(batch_cells, [&] {
@@ -147,9 +163,12 @@ int Main(int argc, char** argv) {
       darwin::SmithWatermanScore(query, *t, matrix);
     }
   });
-  table.AddRow({"scalar", StrFormat("%.3g", scalar.cells_per_second), "1.0"});
+  table.AddRow({"scalar", StrFormat("%.3g", scalar.cells_per_second),
+                Spread(scalar), "1.0"});
   json.Add("kernel_scalar",
            {{"cells_per_s", scalar.cells_per_second},
+            {"cells_per_s_min", scalar.min},
+            {"cells_per_s_max", scalar.max},
             {"length", static_cast<double>(kLength)},
             {"speedup_vs_scalar", 1.0}});
 
@@ -158,7 +177,7 @@ int Main(int argc, char** argv) {
   for (SwKernel kernel : {SwKernel::kSse2, SwKernel::kAvx2}) {
     std::string name(darwin::SwKernelName(kernel));
     if (!darwin::SwKernelSupported(kernel)) {
-      table.AddRow({name, "unsupported", "-"});
+      table.AddRow({name, "unsupported", "-", "-"});
       continue;
     }
     Throughput simd = Measure(batch_cells, [&] {
@@ -166,9 +185,11 @@ int Main(int argc, char** argv) {
     });
     double speedup = simd.cells_per_second / scalar.cells_per_second;
     table.AddRow({name, StrFormat("%.3g", simd.cells_per_second),
-                  StrFormat("%.1fx", speedup)});
+                  Spread(simd), StrFormat("%.1fx", speedup)});
     json.Add(StrFormat("kernel_%s", name.c_str()),
              {{"cells_per_s", simd.cells_per_second},
+              {"cells_per_s_min", simd.min},
+              {"cells_per_s_max", simd.max},
               {"length", static_cast<double>(kLength)},
               {"speedup_vs_scalar", speedup}});
     if (simd.cells_per_second > best_cells_per_second) {

@@ -32,6 +32,7 @@ double ClusterSim::Node::EffectiveBusyCpus() const {
 }
 
 ClusterSim::ClusterSim(Simulator* sim) : sim_(sim) {
+  AttachChannel(&own_channel_);
   UpdateTrace();
 }
 
@@ -137,64 +138,6 @@ void ClusterSim::Reschedule(Node* node) {
   }
 }
 
-bool ClusterSim::CommandReachable(const Node& node) const {
-  if (channel_ != nullptr) return channel_->CommandLinkUp(node.config.name);
-  return node.connected;
-}
-
-bool ClusterSim::ReportReachable(const Node& node) const {
-  if (channel_ != nullptr) return channel_->ReportLinkUp(node.config.name);
-  return node.connected;
-}
-
-Status ClusterSim::StartJobInternal(JobId id, Node* node, Duration work,
-                                    uint64_t fence) {
-  if (!node->up) {
-    return Status::Unavailable("node " + node->config.name + " is down");
-  }
-  if (job_locations_.contains(id)) {
-    return Status::AlreadyExists(StrFormat("job %llu already running",
-                                           static_cast<unsigned long long>(id)));
-  }
-  Advance(node);
-  node->jobs.push_back(
-      Job{id, work.ToSeconds(), work.ToSeconds(), fence, kInvalidEventId});
-  job_locations_[id] = node->config.name;
-  Reschedule(node);
-  UpdateTrace();
-  return Status::OK();
-}
-
-Status ClusterSim::StartJob(JobId id, const std::string& node_name,
-                            Duration work) {
-  Node* node = Find(node_name);
-  if (node == nullptr) return Status::NotFound("node " + node_name);
-  // Defined disconnected semantics: a command to an unreachable node
-  // fails loudly instead of silently applying.
-  if (!CommandReachable(*node)) {
-    return Status::Unavailable("node " + node_name + " is unreachable");
-  }
-  return StartJobInternal(id, node, work, /*fence=*/0);
-}
-
-Status ClusterSim::KillJob(JobId id) {
-  auto it = job_locations_.find(id);
-  if (it == job_locations_.end()) {
-    return Status::NotFound(StrFormat("job %llu not running",
-                                      static_cast<unsigned long long>(id)));
-  }
-  Node* node = Find(it->second);
-  assert(node != nullptr);
-  if (!CommandReachable(*node)) {
-    return Status::Unavailable("node " + it->second + " is unreachable");
-  }
-  comms::Message msg;
-  msg.type = comms::MessageType::kKill;
-  msg.node = it->second;
-  msg.job = id;
-  return HandleKill(msg);
-}
-
 void ClusterSim::KillAllJobs() {
   for (auto& [name, node] : nodes_) {
     Advance(&node);
@@ -246,36 +189,20 @@ void ClusterSim::CompleteJob(Node* node, JobId id) {
   job_locations_.erase(id);
   // Remember the outcome so a duplicated launch of this attempt re-sends
   // the report instead of re-running the work.
-  if (fence != 0) finished_jobs_[id] = FinishedJob{fence, true, ""};
-  Report(node, id, fence, /*success=*/true, "");
+  finished_jobs_[id] = fence;
+  ReportCompletion(node, id, fence);
   Reschedule(node);  // survivors get a bigger share
   UpdateTrace();
 }
 
-void ClusterSim::Report(Node* node, JobId id, uint64_t fence, bool success,
-                        const std::string& reason) {
-  if (channel_ != nullptr) {
-    comms::Message msg;
-    msg.type = success ? comms::MessageType::kCompletion
-                       : comms::MessageType::kFailure;
-    msg.node = node->config.name;
-    msg.job = id;
-    msg.fence = fence;
-    msg.reason = reason;
-    if (!channel_->SendReport(msg)) {
-      node->pending_reports.push_back({id, fence, success, reason});
-    }
-    return;
-  }
-  if (!node->connected) {
-    node->pending_reports.push_back({id, fence, success, reason});
-    return;
-  }
-  if (listener_ == nullptr) return;
-  if (success) {
-    listener_->OnJobFinished(id, node->config.name);
-  } else {
-    listener_->OnJobFailed(id, node->config.name, reason);
+void ClusterSim::ReportCompletion(Node* node, JobId id, uint64_t fence) {
+  comms::Message msg;
+  msg.type = comms::MessageType::kCompletion;
+  msg.node = node->config.name;
+  msg.job = id;
+  msg.fence = fence;
+  if (!channel_->SendReport(msg)) {
+    node->pending_reports.push_back(std::move(msg));
   }
 }
 
@@ -283,28 +210,11 @@ void ClusterSim::FlushReports(Node* node) {
   // Strictly enqueue (FIFO) order: the deque is drained front-first and
   // every path that queues appends at the back, so a reconnect replays
   // the outage's reports in exactly the order the node produced them.
-  while (!node->pending_reports.empty() && ReportReachable(*node) &&
-         node->connected) {
-    auto report = node->pending_reports.front();
+  while (!node->pending_reports.empty() &&
+         channel_->ReportLinkUp(node->config.name)) {
+    comms::Message msg = std::move(node->pending_reports.front());
     node->pending_reports.pop_front();
-    if (channel_ != nullptr) {
-      comms::Message msg;
-      msg.type = report.success ? comms::MessageType::kCompletion
-                                : comms::MessageType::kFailure;
-      msg.node = node->config.name;
-      msg.job = report.id;
-      msg.fence = report.fence;
-      msg.reason = report.reason;
-      channel_->SendReport(msg);
-      continue;
-    }
-    if (listener_ != nullptr) {
-      if (report.success) {
-        listener_->OnJobFinished(report.id, node->config.name);
-      } else {
-        listener_->OnJobFailed(report.id, node->config.name, report.reason);
-      }
-    }
+    channel_->SendReport(msg);
   }
 }
 
@@ -332,10 +242,10 @@ Status ClusterSim::CrashNode(const std::string& name) {
                       {{"jobs_lost", StrFormat("%zu", lost.size())}});
   }
   // The server detects the dead PEC (heartbeat timeout) and classifies the
-  // node's active jobs as failed (paper §5.4 events 3 and 7). In silent
+  // node's active jobs as failed (paper §5.4 events 3 and 7). In lease
   // mode there is no such modelling shortcut: the crash only shows up as
   // missed leases and the engine's suspicion machinery takes over.
-  if (listener_ != nullptr && !silent_crashes_) {
+  if (listener_ != nullptr && heartbeat_interval_ <= Duration::Zero()) {
     listener_->OnNodeDown(name);
     for (JobId id : lost) {
       listener_->OnJobFailed(id, name, "node crash");
@@ -357,7 +267,9 @@ Status ClusterSim::RepairNode(const std::string& name) {
         obs_->spans.FindOpen(obs::SpanKind::kNodeOutage, "", name),
         "repaired");
   }
-  if (listener_ != nullptr && !silent_crashes_) listener_->OnNodeUp(name);
+  if (listener_ != nullptr && heartbeat_interval_ <= Duration::Zero()) {
+    listener_->OnNodeUp(name);
+  }
   return Status::OK();
 }
 
@@ -386,15 +298,12 @@ Status ClusterSim::SetExternalLoad(const std::string& name,
   // Raw load change; the PEC's adaptive monitor decides whether to
   // propagate a report (wired externally via the monitor module). The PEC
   // reports the *external* load fraction — it can tell its own jobs apart.
-  if (node->up && channel_ != nullptr) {
+  if (node->up) {
     comms::Message msg;
     msg.type = comms::MessageType::kLoad;
     msg.node = name;
     msg.load = node->external_busy / node->config.num_cpus;
     channel_->SendReport(msg);  // ephemeral: not queued when the link is down
-  } else if (listener_ != nullptr && node->connected && node->up) {
-    listener_->OnLoadReport(name,
-                            node->external_busy / node->config.num_cpus);
   }
   return Status::OK();
 }
@@ -405,28 +314,15 @@ double ClusterSim::ExternalLoad(const std::string& name) const {
 }
 
 Status ClusterSim::SetConnected(const std::string& name, bool connected) {
-  Node* node = Find(name);
-  if (node == nullptr) return Status::NotFound("node " + name);
-  if (channel_ != nullptr) {
-    // Symmetric outage on the channel; OnChannelLink mirrors the report
-    // link into `connected` and flushes.
-    channel_->SetConnected(name, connected);
-    return Status::OK();
-  }
-  if (node->connected == connected) return Status::OK();
-  node->connected = connected;
-  if (connected) FlushReports(node);
+  if (Find(name) == nullptr) return Status::NotFound("node " + name);
+  // Symmetric outage on the channel; OnChannelLink flushes on reconnect.
+  channel_->SetConnected(name, connected);
   return Status::OK();
 }
 
 void ClusterSim::SetAllConnected(bool connected) {
-  for (auto& [name, node] : nodes_) {
-    if (channel_ != nullptr) {
-      channel_->SetConnected(name, connected);
-      continue;
-    }
-    node.connected = connected;
-    if (connected) FlushReports(&node);
+  for (const auto& [name, node] : nodes_) {
+    channel_->SetConnected(name, connected);
   }
 }
 
@@ -436,7 +332,6 @@ void ClusterSim::SetAllConnected(bool connected) {
 
 void ClusterSim::AttachChannel(comms::Channel* channel) {
   channel_ = channel;
-  if (channel_ == nullptr) return;
   channel_->BindSimulator(sim_);
   channel_->SetCommandHandler(this);
   channel_->SetLinkObserver(
@@ -444,18 +339,14 @@ void ClusterSim::AttachChannel(comms::Channel* channel) {
 }
 
 void ClusterSim::DetachChannel(comms::Channel* channel) {
-  if (channel_ != channel || channel_ == nullptr) return;
+  if (channel_ != channel || channel_ == &own_channel_) return;
   channel_->SetCommandHandler(nullptr);
   channel_->SetLinkObserver(nullptr);
-  channel_ = nullptr;
+  AttachChannel(&own_channel_);
 }
 
 void ClusterSim::OnChannelLink(const std::string& name) {
-  Node* node = Find(name);
-  if (node != nullptr) {
-    node->connected = channel_->ReportLinkUp(name);
-    if (node->connected) FlushReports(node);
-  }
+  if (Node* node = Find(name); node != nullptr) FlushReports(node);
   if (listener_ != nullptr) listener_->OnLinkChanged(name);
 }
 
@@ -473,40 +364,48 @@ Status ClusterSim::HandleCommand(const comms::Message& msg) {
 }
 
 Status ClusterSim::HandleLaunch(const comms::Message& msg) {
+  // Every attempt carries the engine's fencing token; the dedup memory
+  // below is keyed by it.
+  if (msg.fence == 0) {
+    return Status::InvalidArgument(
+        StrFormat("launch of job %llu carries no fence",
+                  static_cast<unsigned long long>(msg.job)));
+  }
   Node* node = Find(msg.node);
   if (node == nullptr) return Status::NotFound("node " + msg.node);
-  if (msg.fence != 0) {
-    // Exactly-once dedup. A tombstoned attempt was killed — a late
-    // duplicate of its launch must not resurrect it.
-    if (auto dead = dead_jobs_.find(msg.job);
-        dead != dead_jobs_.end() && dead->second == msg.fence) {
-      return Status::OK();
-    }
-    // A finished attempt re-sends its report (maybe the first was lost)
-    // instead of burning CPU on a rerun.
-    if (auto fin = finished_jobs_.find(msg.job);
-        fin != finished_jobs_.end() && fin->second.fence == msg.fence) {
-      if (node->up) {
-        Report(node, msg.job, fin->second.fence, fin->second.success,
-               fin->second.reason);
-      }
-      return Status::OK();
-    }
-    // Already running with the same fence: benign duplicate, idempotent.
-    if (auto loc = job_locations_.find(msg.job);
-        loc != job_locations_.end()) {
-      Node* running_on = Find(loc->second);
-      for (const Job& job : running_on->jobs) {
-        if (job.id == msg.job && job.fence == msg.fence) {
-          return Status::OK();
-        }
-      }
-      return Status::AlreadyExists(
-          StrFormat("job %llu already running under another fence",
-                    static_cast<unsigned long long>(msg.job)));
-    }
+  // Exactly-once dedup. A tombstoned attempt was killed — a late
+  // duplicate of its launch must not resurrect it.
+  if (auto dead = dead_jobs_.find(msg.job);
+      dead != dead_jobs_.end() && dead->second == msg.fence) {
+    return Status::OK();
   }
-  return StartJobInternal(msg.job, node, msg.work, msg.fence);
+  // A finished attempt re-sends its report (maybe the first was lost)
+  // instead of burning CPU on a rerun.
+  if (auto fin = finished_jobs_.find(msg.job);
+      fin != finished_jobs_.end() && fin->second == msg.fence) {
+    if (node->up) ReportCompletion(node, msg.job, msg.fence);
+    return Status::OK();
+  }
+  // Already running with the same fence: benign duplicate, idempotent.
+  if (auto loc = job_locations_.find(msg.job); loc != job_locations_.end()) {
+    Node* running_on = Find(loc->second);
+    for (const Job& job : running_on->jobs) {
+      if (job.id == msg.job && job.fence == msg.fence) return Status::OK();
+    }
+    return Status::AlreadyExists(
+        StrFormat("job %llu already running under another fence",
+                  static_cast<unsigned long long>(msg.job)));
+  }
+  if (!node->up) {
+    return Status::Unavailable("node " + node->config.name + " is down");
+  }
+  Advance(node);
+  node->jobs.push_back(Job{msg.job, msg.work.ToSeconds(),
+                           msg.work.ToSeconds(), msg.fence, kInvalidEventId});
+  job_locations_[msg.job] = node->config.name;
+  Reschedule(node);
+  UpdateTrace();
+  return Status::OK();
 }
 
 Status ClusterSim::HandleKill(const comms::Message& msg) {
@@ -514,9 +413,7 @@ Status ClusterSim::HandleKill(const comms::Message& msg) {
   if (it == job_locations_.end()) {
     // The launch may still be in flight (delayed or reordered past this
     // kill): tombstone the attempt so it can never start afterwards.
-    if (msg.fence != 0 && !finished_jobs_.contains(msg.job)) {
-      dead_jobs_[msg.job] = msg.fence;
-    }
+    if (!finished_jobs_.contains(msg.job)) dead_jobs_[msg.job] = msg.fence;
     return Status::NotFound(StrFormat(
         "job %llu not running", static_cast<unsigned long long>(msg.job)));
   }
@@ -528,9 +425,8 @@ Status ClusterSim::HandleKill(const comms::Message& msg) {
   assert(job != node->jobs.end());
   if (job->completion != kInvalidEventId) sim_->Cancel(job->completion);
   wasted_seconds_ += job->initial_seconds - job->remaining_seconds;
-  // Tombstone the killed attempt against delayed duplicates of its
-  // launch (fence 0 = legacy caller, outside the protocol).
-  if (job->fence != 0) dead_jobs_[msg.job] = job->fence;
+  // Tombstone the killed attempt against delayed duplicates of its launch.
+  dead_jobs_[msg.job] = job->fence;
   node->jobs.erase(job);
   job_locations_.erase(it);
   Reschedule(node);
@@ -578,7 +474,6 @@ void ClusterSim::CancelHeartbeat(Node* node) {
 }
 
 void ClusterSim::SendHeartbeat(Node* node) {
-  if (channel_ == nullptr) return;
   comms::Message msg;
   msg.type = comms::MessageType::kHeartbeat;
   msg.node = node->config.name;

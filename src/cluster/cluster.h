@@ -36,24 +36,21 @@ struct NodeConfig {
   bool ServesClass(std::string_view cls) const;
 };
 
-/// Engine-facing notifications from the simulated cluster. Mirrors what
-/// the paper's Program Execution Clients report to the BioOpera server:
-/// job completions and failures, node availability changes, and load.
+/// Engine-facing notifications from the simulated cluster that do not
+/// travel as channel reports: node availability and job losses in
+/// instant-notification mode, hardware reconfiguration, and link state.
+/// Completions and load samples are reports on the channel (the
+/// comms::ReportHandler side).
 class ClusterListener {
  public:
   virtual ~ClusterListener() = default;
-  virtual void OnJobFinished(JobId id, const std::string& node) = 0;
   virtual void OnJobFailed(JobId id, const std::string& node,
                            const std::string& reason) = 0;
   virtual void OnNodeDown(const std::string& node) = 0;
   virtual void OnNodeUp(const std::string& node) = 0;
-  /// Periodic load report (fraction of CPUs busy, 0..1), already filtered
-  /// by the PEC's adaptive monitor.
-  virtual void OnLoadReport(const std::string& node, double load) = 0;
   virtual void OnConfigChanged(const NodeConfig& config) = 0;
-  /// Either channel link of `node` changed state (only fired when a
-  /// comms::Channel is attached). Default no-op so legacy listeners keep
-  /// compiling; the engine uses it to flush queued kills and re-pump.
+  /// Either channel link of `node` changed state. The engine uses it to
+  /// flush queued kills and re-pump.
   virtual void OnLinkChanged(const std::string& node) { (void)node; }
 };
 
@@ -80,29 +77,32 @@ class ClusterSim : public comms::CommandHandler {
   ClusterListener* listener() const { return listener_; }
 
   // --- Message channel -----------------------------------------------------
-  /// Routes this cluster's control plane through `channel`: the cluster
-  /// becomes the channel's command handler, completion/failure/load
-  /// reports travel as messages (gated by the per-node report link), and
-  /// SetConnected maps onto the channel's links. The channel must outlive
-  /// the attachment. Replaces any previously attached channel.
+  /// The control plane always runs on a channel: the cluster owns a plain
+  /// (synchronous, lossless) comms::Channel and is attached to it from
+  /// construction. AttachChannel routes the control plane through
+  /// `channel` instead (a FaultChannel, say): the cluster becomes its
+  /// command handler, completion and load reports travel on it (gated by
+  /// the per-node report link), and SetConnected maps onto its links. The
+  /// channel must be non-null and outlive the attachment.
   void AttachChannel(comms::Channel* channel);
-  /// Detaches `channel` if it is the attached one (engine teardown).
+  /// Detaches `channel` if it is the attached one (engine teardown) and
+  /// falls back to the cluster's own channel.
   void DetachChannel(comms::Channel* channel);
+  /// The attached channel; never null.
   comms::Channel* channel() const { return channel_; }
   /// PEC side of the protocol: launch / kill / probe, with the
   /// exactly-once dedup memory (fence-keyed finished-job and tombstone
-  /// tables) absorbing duplicated, delayed and reordered commands.
+  /// tables) absorbing duplicated, delayed and reordered commands. A
+  /// launch without a fence is refused InvalidArgument.
   Status HandleCommand(const comms::Message& msg) override;
 
-  /// Starts per-node heartbeat daemons on the attached channel (lease
-  /// mode): every `interval` each up node emits a kHeartbeat report.
-  /// Heartbeats are ephemeral — a down report link drops them (that is
-  /// the signal the engine's failure detector feeds on).
+  /// Lease mode: starts per-node heartbeat daemons on the channel (every
+  /// `interval` each up node emits a kHeartbeat report) and silences
+  /// CrashNode/RepairNode towards the listener — the server must detect
+  /// death via missed leases and rebirth via resumed heartbeats, as on a
+  /// real network. Heartbeats are ephemeral: a down report link drops
+  /// them (that is the signal the engine's failure detector feeds on).
   void EnableHeartbeats(Duration interval);
-  /// Lease mode: CrashNode/RepairNode stop notifying the listener
-  /// directly — the server must detect death via missed leases and
-  /// rebirth via resumed heartbeats, as on a real network.
-  void SetSilentCrashes(bool silent) { silent_crashes_ = silent; }
 
   /// Attaches an observability context: each node's down -> up window
   /// becomes a node_outage span in its span sink (stamped with this
@@ -119,16 +119,9 @@ class ClusterSim : public comms::CommandHandler {
   /// Total CPUs across nodes that are up.
   int AvailableCpus() const;
 
-  // --- Job control (called by the dispatcher) -----------------------------
-  /// Starts a job of `work` CPU-time (at reference speed 1.0) on `node`.
-  /// Fails if the node is down, unknown, or — defined semantics, never a
-  /// silent apply — unreachable (Unavailable when the command link / the
-  /// legacy connected flag is down).
-  Status StartJob(JobId id, const std::string& node, Duration work);
-  /// Kills a running job without any report (used when the server aborts
-  /// or migrates it). Returns NotFound if not running, Unavailable (and
-  /// does nothing) if the node is unreachable.
-  Status KillJob(JobId id);
+  // --- Job control ----------------------------------------------------------
+  // Jobs start and stop only through kLaunch / kKill commands on the
+  // channel (HandleCommand).
   /// Kills every running job (server crash semantics: ongoing processes
   /// are stopped; the recovered server re-dispatches from the store).
   void KillAllJobs();
@@ -139,8 +132,9 @@ class ClusterSim : public comms::CommandHandler {
   Result<Duration> JobRemaining(JobId id) const;
 
   // --- Environment changes (failure injector / load generator) ------------
-  /// Crashes a node: running jobs are lost and reported failed (the server
-  /// learns of the crash via OnNodeDown as its PEC heartbeat dies).
+  /// Crashes a node: running jobs are lost. Without heartbeats the
+  /// listener hears OnNodeDown and OnJobFailed per lost job at once; in
+  /// lease mode it hears nothing.
   Status CrashNode(const std::string& name);
   Status RepairNode(const std::string& name);
   /// Changes the number of CPUs (the ik-linux mid-run upgrade of Fig. 6).
@@ -149,8 +143,9 @@ class ClusterSim : public comms::CommandHandler {
   /// fractional; clamped to [0, num_cpus]).
   Status SetExternalLoad(const std::string& name, double busy_cpus);
   double ExternalLoad(const std::string& name) const;
-  /// Disconnects / reconnects a node from the network: completion and
-  /// failure reports queue at the node and flush on reconnect.
+  /// Disconnects / reconnects a node from the network (both channel
+  /// links): commands are refused and completion reports queue at the
+  /// node, flushing on reconnect.
   Status SetConnected(const std::string& name, bool connected);
   /// Convenience: network outage over the whole cluster.
   void SetAllConnected(bool connected);
@@ -176,27 +171,21 @@ class ClusterSim : public comms::CommandHandler {
     JobId id;
     double remaining_seconds;  // at reference speed 1.0
     double initial_seconds;
-    /// Fencing token of the launch that started this attempt (0 for
-    /// legacy direct StartJob calls); echoed in every report.
+    /// Fencing token of the launch that started this attempt; echoed in
+    /// every report.
     uint64_t fence = 0;
     EventId completion = kInvalidEventId;
   };
   struct Node {
     NodeConfig config;
     bool up = true;
-    bool connected = true;
     double external_busy = 0;
     std::vector<Job> jobs;
     TimePoint last_update;
-    /// Reports queued while disconnected, flushed strictly in enqueue
-    /// (FIFO) order on reconnect — locked by a cluster_test regression.
-    struct PendingReport {
-      JobId id;
-      uint64_t fence;
-      bool success;
-      std::string reason;
-    };
-    std::deque<PendingReport> pending_reports;
+    /// Completion reports queued while the report link is down, flushed
+    /// strictly in enqueue (FIFO) order on reconnect — locked by a
+    /// cluster_test regression.
+    std::deque<comms::Message> pending_reports;
     /// Lease-mode heartbeat daemon (kInvalidEventId when disabled/down).
     EventId heartbeat = kInvalidEventId;
 
@@ -211,8 +200,9 @@ class ClusterSim : public comms::CommandHandler {
   /// Re-schedules completion events after any rate change.
   void Reschedule(Node* node);
   void CompleteJob(Node* node, JobId id);
-  void Report(Node* node, JobId id, uint64_t fence, bool success,
-              const std::string& reason);
+  /// Sends the completion report of attempt (`id`, `fence`), queueing it
+  /// while the report link is down.
+  void ReportCompletion(Node* node, JobId id, uint64_t fence);
   void FlushReports(Node* node);
   void UpdateTrace();
 
@@ -220,15 +210,8 @@ class ClusterSim : public comms::CommandHandler {
   Status HandleLaunch(const comms::Message& msg);
   Status HandleKill(const comms::Message& msg);
   Status HandleProbe(const comms::Message& msg);
-  Status StartJobInternal(JobId id, Node* node, Duration work,
-                          uint64_t fence);
-  /// A command can reach `node` (channel command link, or the legacy
-  /// connected flag when no channel is attached).
-  bool CommandReachable(const Node& node) const;
-  bool ReportReachable(const Node& node) const;
-  /// The channel told us a link of `name` changed: mirror the report link
-  /// into `connected`, flush queued reports on reconnect, notify the
-  /// listener.
+  /// A link of `name` changed: flush queued reports if the report link is
+  /// up, notify the listener.
   void OnChannelLink(const std::string& name);
   void ArmHeartbeat(Node* node);
   void CancelHeartbeat(Node* node);
@@ -237,23 +220,18 @@ class ClusterSim : public comms::CommandHandler {
   Simulator* sim_;
   ClusterListener* listener_ = nullptr;
   obs::Observability* obs_ = nullptr;
+  comms::Channel own_channel_;
   comms::Channel* channel_ = nullptr;
+  /// Non-zero in lease mode (EnableHeartbeats).
   Duration heartbeat_interval_ = Duration::Zero();
-  bool silent_crashes_ = false;
   std::map<std::string, Node> nodes_;
   std::map<JobId, std::string> job_locations_;
   /// Exactly-once memory (fence-keyed, so a new engine epoch reusing job
-  /// ids is unaffected). finished_jobs_: last outcome per completed
-  /// attempt — a duplicated launch re-sends the report instead of
+  /// ids is unaffected). finished_jobs_: fence of the last completed
+  /// attempt per job — a duplicated launch re-sends the report instead of
   /// re-running. dead_jobs_: attempts killed (or killed-in-flight) — a
-  /// delayed duplicate launch cannot resurrect them. Only fence != 0
-  /// (protocol-mode) attempts are remembered.
-  struct FinishedJob {
-    uint64_t fence;
-    bool success;
-    std::string reason;
-  };
-  std::map<JobId, FinishedJob> finished_jobs_;
+  /// delayed duplicate launch cannot resurrect them.
+  std::map<JobId, uint64_t> finished_jobs_;
   std::map<JobId, uint64_t> dead_jobs_;
   StepSeries availability_;
   StepSeries utilization_;

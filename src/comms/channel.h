@@ -50,9 +50,8 @@ struct Message {
   std::string node;
   uint64_t job = 0;
   /// Attempt-epoch fencing token stamped by the engine at launch and
-  /// echoed in every report about the job: writer_epoch << 20 | counter.
-  /// 0 means "no fence" (legacy direct calls), which opts the message out
-  /// of the exactly-once dedup memory.
+  /// echoed in every report about the job: writer_epoch << 20 | counter,
+  /// never 0. The PEC refuses a launch with fence 0 (InvalidArgument).
   uint64_t fence = 0;
   Duration work;       // kLaunch: estimated reference-CPU cost
   std::string reason;  // kFailure: why

@@ -291,20 +291,15 @@ Engine::Engine(Simulator* sim, cluster::ClusterSim* cluster,
       rng_(options.seed) {
   cluster_->SetListener(this);
   // All engine<->PEC traffic goes through the comms seam. Without an
-  // explicit channel the engine owns a plain one (synchronous, lossless —
-  // byte-identical to the direct calls it replaced).
-  if (options_.channel != nullptr) {
-    channel_ = options_.channel;
-  } else {
-    owned_channel_ = std::make_unique<comms::Channel>();
-    channel_ = owned_channel_.get();
-  }
+  // explicit channel the engine shares the cluster's (by default its own
+  // plain one: synchronous and lossless), link state included.
+  channel_ = options_.channel != nullptr ? options_.channel
+                                         : cluster_->channel();
   channel_->SetReportHandler(this);
   cluster_->AttachChannel(channel_);
   if (options_.heartbeat_interval > Duration::Zero()) {
     // Lease mode: failure detection runs on heartbeats alone — the
     // cluster stops telling the listener about crashes/repairs directly.
-    cluster_->SetSilentCrashes(true);
     cluster_->EnableHeartbeats(options_.heartbeat_interval);
   }
   RecordStore::CheckpointPolicy checkpoint_policy;
@@ -2336,13 +2331,7 @@ void Engine::CheckMigrations() {
 // Cluster events
 // ---------------------------------------------------------------------------
 
-void Engine::OnJobFinished(cluster::JobId id, const std::string& node_name) {
-  // Legacy direct-notification entry point; channel reports arrive
-  // through HandleReport, which fences them first.
-  ApplyJobFinished(id, node_name);
-}
-
-void Engine::ApplyJobFinished(cluster::JobId id, const std::string& /*node*/) {
+void Engine::ApplyJobFinished(cluster::JobId id) {
   if (!up_) return;
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return;  // stale report from before a crash
@@ -2382,13 +2371,12 @@ void Engine::ApplyJobFinished(cluster::JobId id, const std::string& /*node*/) {
   PumpDispatch();
 }
 
-void Engine::OnJobFailed(cluster::JobId id, const std::string& node_name,
+void Engine::OnJobFailed(cluster::JobId id, const std::string& /*node*/,
                          const std::string& reason) {
-  ApplyJobFailed(id, node_name, reason);
+  ApplyJobFailed(id, reason);
 }
 
-void Engine::ApplyJobFailed(cluster::JobId id, const std::string& node_name,
-                            const std::string& reason) {
+void Engine::ApplyJobFailed(cluster::JobId id, const std::string& reason) {
   if (!up_) return;
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return;
@@ -2498,16 +2486,16 @@ void Engine::HandleReport(const comms::Message& msg) {
     if (dup_reports_metric_ != nullptr) dup_reports_metric_->Increment();
     return;
   }
-  if (msg.fence != 0 && msg.fence != it->second.fence) {
+  if (msg.fence != it->second.fence) {
     // A live job id but the wrong attempt epoch: the fencing token does
     // the tie-break (docs/COMMS.md). Only the current attempt may apply.
     if (fenced_reports_metric_ != nullptr) fenced_reports_metric_->Increment();
     return;
   }
   if (msg.type == comms::MessageType::kCompletion) {
-    ApplyJobFinished(msg.job, msg.node);
+    ApplyJobFinished(msg.job);
   } else {
-    ApplyJobFailed(msg.job, msg.node, msg.reason);
+    ApplyJobFailed(msg.job, msg.reason);
   }
 }
 
@@ -2553,7 +2541,7 @@ void Engine::SendKill(const std::string& node, cluster::JobId job,
   // for backoff retries and for an immediate flush when the link heals.
   auto [it, inserted] = pending_kills_.try_emplace(job);
   PendingKill& kill = it->second;
-  kill.node = node;
+  kill.node = msg.node;
   kill.fence = fence;
   if (!inserted && kill.retry != kInvalidEventId) return;  // already scheduled
   ScheduleKillRetry(job);
@@ -2581,17 +2569,7 @@ void Engine::ScheduleKillRetry(cluster::JobId job) {
     if (retry_it == pending_kills_.end()) return;
     retry_it->second.retry = kInvalidEventId;
     if (kill_retries_metric_ != nullptr) kill_retries_metric_->Increment();
-    comms::Message msg;
-    msg.type = comms::MessageType::kKill;
-    msg.node = retry_it->second.node;
-    msg.job = job;
-    msg.fence = retry_it->second.fence;
-    Status st = channel_->SendCommand(msg);
-    if (st.ok() || st.IsNotFound()) {
-      pending_kills_.erase(retry_it);
-    } else {
-      ScheduleKillRetry(job);
-    }
+    SendKill(retry_it->second.node, job, retry_it->second.fence);
   });
 }
 
@@ -2607,17 +2585,7 @@ void Engine::FlushPendingKills(const std::string& node) {
       sim_->Cancel(it->second.retry);
       it->second.retry = kInvalidEventId;
     }
-    comms::Message msg;
-    msg.type = comms::MessageType::kKill;
-    msg.node = it->second.node;
-    msg.job = job;
-    msg.fence = it->second.fence;
-    Status st = channel_->SendCommand(msg);
-    if (st.ok() || st.IsNotFound()) {
-      pending_kills_.erase(it);
-    } else {
-      ScheduleKillRetry(job);
-    }
+    SendKill(node, job, it->second.fence);
   }
 }
 

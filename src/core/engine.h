@@ -76,16 +76,17 @@ struct EngineOptions {
   Duration degraded_retry_max = Duration::Minutes(5);
   monitor::AdaptiveMonitorOptions monitor_options;
   /// Control-plane channel between the engine and the PECs. When null the
-  /// engine creates and owns a plain comms::Channel (lossless, synchronous
-  /// delivery — byte-identical to the pre-seam direct calls). Pass a
+  /// engine uses the cluster's channel (ClusterSim::channel(): by default
+  /// the cluster's own plain comms::Channel, lossless and synchronous), so
+  /// link state set on the cluster outlives any one engine. Pass a
   /// comms::FaultChannel to subject every launch/kill command and every
   /// completion/heartbeat report to drops, delays, duplicates, reorders
   /// and asymmetric partitions (see docs/COMMS.md). Must outlive the
   /// engine.
   comms::Channel* channel = nullptr;
   /// Lease-based failure detection. When non-zero, PECs heartbeat at this
-  /// interval, direct crash/repair notifications are disabled
-  /// (ClusterSim::SetSilentCrashes), and the engine runs the
+  /// interval, which also silences the cluster's direct crash/repair
+  /// notifications (ClusterSim::EnableHeartbeats), and the engine runs the
   /// suspected/condemned state machine of docs/COMMS.md: a node missing
   /// `lease_misses_to_suspect` consecutive heartbeats is *suspected*
   /// (scheduler stops placing on it; a probe is sent); if silence persists
@@ -340,14 +341,16 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   DispatchStats GetDispatchStats() const;
 
   // --- ClusterListener -------------------------------------------------------
-  void OnJobFinished(cluster::JobId id, const std::string& node) override;
   void OnJobFailed(cluster::JobId id, const std::string& node,
                    const std::string& reason) override;
   void OnNodeDown(const std::string& node) override;
   void OnNodeUp(const std::string& node) override;
-  void OnLoadReport(const std::string& node, double load) override;
   void OnConfigChanged(const cluster::NodeConfig& config) override;
   void OnLinkChanged(const std::string& node) override;
+
+  /// A PEC's external-load sample (a kLoad report). Ignored while adaptive
+  /// monitors poll the nodes instead.
+  void OnLoadReport(const std::string& node, double load);
 
   // --- comms::ReportHandler --------------------------------------------------
   /// Report-plane entry point: every heartbeat / completion / failure /
@@ -363,7 +366,7 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   enum class LeaseState { kUp, kSuspected, kCondemned, kUnknown };
   LeaseState GetLeaseState(const std::string& node) const;
 
-  /// The control-plane channel in use (owned default or the one from
+  /// The control-plane channel in use (the cluster's, or the one from
   /// EngineOptions).
   comms::Channel* channel() const { return channel_; }
 
@@ -508,11 +511,13 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
 
   // -- Control plane (comms seam) --
   /// Applies a verified completion/failure (fence already checked).
-  void ApplyJobFinished(cluster::JobId id, const std::string& node);
-  void ApplyJobFailed(cluster::JobId id, const std::string& node,
-                      const std::string& reason);
-  /// Sends a kKill for (node, job, fence); an undeliverable kill enters
-  /// the bounded-retry registry instead of being lost.
+  void ApplyJobFinished(cluster::JobId id);
+  void ApplyJobFailed(cluster::JobId id, const std::string& reason);
+  /// Sends a kKill for (node, job, fence) — the first send, every backoff
+  /// retry and every link-up flush. A delivered kill (OK, or NotFound: the
+  /// job is already gone) settles the job's pending entry; an
+  /// undeliverable one enters the bounded-retry registry instead of being
+  /// lost.
   void SendKill(const std::string& node, cluster::JobId job, uint64_t fence);
   void ScheduleKillRetry(cluster::JobId job);
   /// Command link to `node` came back: re-send its queued kills now.
@@ -684,8 +689,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   std::set<std::string, std::less<>> pump_frozen_;
 
   // -- Control plane state --
-  /// Owned default channel (used when EngineOptions.channel is null).
-  std::unique_ptr<comms::Channel> owned_channel_;
   /// The channel the cluster is attached through (never null after the
   /// constructor).
   comms::Channel* channel_ = nullptr;

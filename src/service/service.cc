@@ -254,7 +254,6 @@ Result<Ticket> ShardedService::Admit(const Submission& submission,
   TenantStats& tstats = tenants_[submission.tenant];
   ++tstats.admitted;
   ++tstats.live;
-  ++stats_.admitted;
   admitted_metric_->Increment();
   TenantMetrics& tm = TenantMetricsFor(submission.tenant);
   tm.admitted->Increment();
@@ -274,7 +273,6 @@ Result<Ticket> ShardedService::Admit(const Submission& submission,
 
 Result<Ticket> ShardedService::Submit(const Submission& submission) {
   if (!started_) return Status::FailedPrecondition("service not started");
-  ++stats_.submitted;
   submitted_metric_->Increment();
   const std::string global_id = StrFormat(
       "g%llu", static_cast<unsigned long long>(next_seq_++));
@@ -291,7 +289,6 @@ Result<Ticket> ShardedService::Submit(const Submission& submission) {
   }
   if (backlog_depth_ >= options_.max_backlog) {
     ++tenants_[submission.tenant].rejected;
-    ++stats_.rejected;
     rejected_metric_->Increment();
     TenantMetricsFor(submission.tenant).rejected->Increment();
     fleet_obs_->spans.EmitInstant(obs::SpanKind::kAdmission, global_id, 0,
@@ -354,7 +351,6 @@ void ShardedService::DrainBacklog() {
             << "backlogged submission " << entry.global_id
             << " failed to start: " << admitted.status().ToString();
         ++tstats.rejected;
-        ++stats_.rejected;
         rejected_metric_->Increment();
         TenantMetricsFor(tenant).rejected->Increment();
       }
@@ -392,7 +388,7 @@ void ShardedService::RefreshLiveness() {
 
 void ShardedService::AdvanceAll(TimePoint target) {
   const TimePoint virtual_start = VirtualNow();
-  const uint64_t barrier_seq = stats_.barriers + 1;
+  const uint64_t barrier_seq = barriers_metric_->value() + 1;
   const uint64_t barrier_span = fleet_obs_->spans.Begin(
       obs::SpanKind::kBarrier,
       StrFormat("barrier %llu",
@@ -426,10 +422,9 @@ void ShardedService::AdvanceAll(TimePoint target) {
     }
   }
   const uint64_t wall_ns = WallNowNs() - t0;
-  stats_.barrier_wall_ns += wall_ns;
-  ++stats_.barriers;
+  barrier_wall_ns_ += wall_ns;
   barriers_metric_->Increment();
-  barrier_wall_gauge_->Set(static_cast<double>(stats_.barrier_wall_ns) / 1e9);
+  barrier_wall_gauge_->Set(static_cast<double>(barrier_wall_ns_) / 1e9);
 
   for (size_t i = 0; i < shards_.size(); ++i) {
     uint64_t buckets[obs::WallProfile::kNumBuckets];
@@ -550,7 +545,12 @@ Result<ocr::Value> ShardedService::GetWhiteboardValue(
 size_t ShardedService::LiveInstances() const { return live_; }
 
 ServiceStats ShardedService::GetStats() const {
-  ServiceStats stats = stats_;
+  ServiceStats stats;
+  stats.submitted = submitted_metric_->value();
+  stats.admitted = admitted_metric_->value();
+  stats.rejected = rejected_metric_->value();
+  stats.barriers = barriers_metric_->value();
+  stats.barrier_wall_ns = barrier_wall_ns_;
   stats.backlog_depth = backlog_depth_;
   stats.live = live_;
   for (const auto& shard : shards_) {
@@ -645,10 +645,11 @@ std::string ShardedService::BuildCrossShardReport() const {
 std::map<std::string, double> ShardedService::CollectSloSensors() const {
   std::map<std::string, double> sensors;
   sensors["backlog_depth"] = static_cast<double>(backlog_depth_);
-  const uint64_t decided = stats_.admitted + stats_.rejected;
+  const uint64_t rejected = rejected_metric_->value();
+  const uint64_t decided = admitted_metric_->value() + rejected;
   sensors["rejection_ratio"] =
       decided == 0 ? 0.0
-                   : static_cast<double>(stats_.rejected) /
+                   : static_cast<double>(rejected) /
                          static_cast<double>(decided);
   double wait_p99 = 0.0;
   for (const auto& [tenant, tm] : tenant_metrics_) {
@@ -701,10 +702,11 @@ std::string ShardedService::BuildFleetReport() const {
   out << StrFormat(
       "submitted=%llu admitted=%llu rejected=%llu backlog=%zu live=%zu "
       "barriers=%llu\n",
-      static_cast<unsigned long long>(stats_.submitted),
-      static_cast<unsigned long long>(stats_.admitted),
-      static_cast<unsigned long long>(stats_.rejected), backlog_depth_,
-      live_, static_cast<unsigned long long>(stats_.barriers));
+      static_cast<unsigned long long>(submitted_metric_->value()),
+      static_cast<unsigned long long>(admitted_metric_->value()),
+      static_cast<unsigned long long>(rejected_metric_->value()),
+      backlog_depth_, live_,
+      static_cast<unsigned long long>(barriers_metric_->value()));
   if (!tenants_.empty()) {
     out << "--- tenants (admission wait in virtual hours) ---\n";
     out << "tenant  live  backlog  admitted  rejected  wait_p50  wait_p99\n";

@@ -90,7 +90,9 @@ struct Ticket {
   bool backlogged = false;
 };
 
-/// Aggregate service counters (console STATS / bench output).
+/// Aggregate service counters (console STATS / bench output): a snapshot
+/// of the fleet registry's service_*_total counters, the front door's
+/// backlog and live counts, and the shards' dispatch stats.
 struct ServiceStats {
   uint64_t submitted = 0;
   uint64_t admitted = 0;
@@ -330,7 +332,9 @@ class ShardedService {
   std::string backlog_cursor_;  // tenant after which the next drain starts
   size_t backlog_depth_ = 0;
   uint64_t next_seq_ = 1;
-  ServiceStats stats_;
+  /// Wall time inside StepBarrier advances, exact in ns (the
+  /// service_barrier_wall_seconds_total gauge holds it as a double).
+  uint64_t barrier_wall_ns_ = 0;
   bool started_ = false;
 
   // --- Fleet observability state ---------------------------------------------

@@ -32,7 +32,7 @@ EngineShard::EngineShard(int idx, std::string shard_dir,
     channel->BindSimulator(&sim);
     engine_options.channel = channel.get();
   } else {
-    engine_options.channel = nullptr;  // engine owns a lossless channel
+    engine_options.channel = nullptr;  // the cluster's lossless channel
   }
   engine = std::make_unique<core::Engine>(&sim, cluster.get(), store.get(),
                                           registry, engine_options);

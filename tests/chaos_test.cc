@@ -8,7 +8,6 @@
 #include "cluster/cluster.h"
 #include "core/engine.h"
 #include "darwin/generator.h"
-#include <cstdlib>
 
 #include "sim/simulator.h"
 #include "store/fs.h"
@@ -26,15 +25,9 @@ using ocr::Value;
 
 class ChaosSweep : public ::testing::TestWithParam<int> {};
 
-// CI's fault-matrix job reruns the sweep with fresh seeds by exporting
-// BIOPERA_CHAOS_SEED_OFFSET; locally the offset defaults to 0.
-uint64_t SeedOffset() {
-  const char* env = std::getenv("BIOPERA_CHAOS_SEED_OFFSET");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
-}
-
 TEST_P(ChaosSweep, AllVsAllSurvivesRandomHavoc) {
-  const uint64_t seed = 4000 + SeedOffset() + static_cast<uint64_t>(GetParam());
+  const uint64_t seed =
+      4000 + testing::ChaosSeedOffset() + static_cast<uint64_t>(GetParam());
   Rng data_rng(99);  // the dataset is the same across all chaos seeds
   darwin::GeneratorOptions gen;
   gen.num_sequences = 120;

@@ -10,16 +10,27 @@
 #include "comms/channel.h"
 #include "common/rng.h"
 #include "sim/simulator.h"
+#include "tests/command_util.h"
 #include "tests/test_util.h"
 
 namespace biopera::cluster {
 namespace {
 
-class CountingListener : public ClusterListener {
+/// Counts cluster notifications and channel reports, checking each job is
+/// reported at most once.
+class CountingListener : public ClusterListener, public comms::ReportHandler {
  public:
-  void OnJobFinished(JobId id, const std::string&) override {
-    EXPECT_TRUE(outstanding.erase(id)) << "finish for unknown job " << id;
-    ++finished;
+  void HandleReport(const comms::Message& msg) override {
+    if (msg.type == comms::MessageType::kCompletion) {
+      EXPECT_TRUE(outstanding.erase(msg.job))
+          << "finish for unknown job " << msg.job;
+      ++finished;
+    } else if (msg.type == comms::MessageType::kFailure) {
+      OnJobFailed(msg.job, msg.node, msg.reason);
+    } else if (msg.type == comms::MessageType::kLoad) {
+      EXPECT_GE(msg.load, 0.0);
+      EXPECT_LE(msg.load, 1.0);
+    }
   }
   void OnJobFailed(JobId id, const std::string&,
                    const std::string&) override {
@@ -28,10 +39,6 @@ class CountingListener : public ClusterListener {
   }
   void OnNodeDown(const std::string&) override { ++downs; }
   void OnNodeUp(const std::string&) override { ++ups; }
-  void OnLoadReport(const std::string&, double load) override {
-    EXPECT_GE(load, 0.0);
-    EXPECT_LE(load, 1.0);
-  }
   void OnConfigChanged(const NodeConfig&) override {}
 
   std::set<JobId> outstanding;  // started and not yet reported/killed
@@ -44,11 +51,14 @@ class CountingListener : public ClusterListener {
 class ClusterFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClusterFuzz, InvariantsHoldUnderRandomOperations) {
-  biopera::Rng rng(7000 + static_cast<uint64_t>(GetParam()));
+  biopera::Rng rng(7000 + testing::ChaosSeedOffset() +
+                   static_cast<uint64_t>(GetParam()));
   Simulator sim;
   ClusterSim cluster(&sim);
   CountingListener listener;
   cluster.SetListener(&listener);
+  cluster.channel()->SetReportHandler(&listener);
+  testing::CommandSender commands(&cluster);
   const int kNodes = 3;
   for (int i = 0; i < kNodes; ++i) {
     ASSERT_OK(cluster.AddNode({.name = "n" + std::to_string(i),
@@ -69,7 +79,7 @@ TEST_P(ClusterFuzz, InvariantsHoldUnderRandomOperations) {
       case 1: {  // start a job
         double work = static_cast<double>(rng.UniformInt(10, 600));
         JobId id = next_job++;
-        Status st = cluster.StartJob(id, node, Duration::Seconds(work));
+        Status st = commands.Launch(id, node, Duration::Seconds(work));
         if (st.ok()) {
           listener.outstanding.insert(id);
           ++started;
@@ -83,7 +93,7 @@ TEST_P(ClusterFuzz, InvariantsHoldUnderRandomOperations) {
       case 2: {  // kill a random outstanding job (engine abort/migration)
         if (!listener.outstanding.empty()) {
           JobId id = *listener.outstanding.begin();
-          Status st = cluster.KillJob(id);
+          Status st = commands.Kill(id);
           if (st.ok()) {
             listener.outstanding.erase(id);
             ++killed;
@@ -159,11 +169,7 @@ class DedupShim : public comms::ReportHandler {
       case comms::MessageType::kCompletion:
       case comms::MessageType::kFailure:
         if (listener_->outstanding.contains(msg.job)) {
-          if (msg.type == comms::MessageType::kCompletion) {
-            listener_->OnJobFinished(msg.job, msg.node);
-          } else {
-            listener_->OnJobFailed(msg.job, msg.node, msg.reason);
-          }
+          listener_->HandleReport(msg);
           ++applied;
         } else {
           EXPECT_TRUE(ever_started_->contains(msg.job))
@@ -172,9 +178,8 @@ class DedupShim : public comms::ReportHandler {
         }
         break;
       case comms::MessageType::kLoad:
-        listener_->OnLoadReport(msg.node, msg.load);
-        break;
       case comms::MessageType::kHeartbeat:
+        listener_->HandleReport(msg);
         break;
       default:
         ADD_FAILURE() << "command delivered on the report path";
@@ -192,6 +197,9 @@ class DedupShim : public comms::ReportHandler {
 class ProtocolFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ProtocolFuzz, ExactlyOnceHoldsThroughDupsReordersAndPartitions) {
+  // Fixed seeds, unlike ClusterFuzz: the final suppressed > 0 check asks
+  // each run to have delivered at least one duplicated completion, and 40
+  // of 1,000 shifted seeds deliver none.
   biopera::Rng rng(8000 + static_cast<uint64_t>(GetParam()));
   biopera::Rng fault_rng(8100 + static_cast<uint64_t>(GetParam()));
   Simulator sim;
@@ -200,6 +208,10 @@ TEST_P(ProtocolFuzz, ExactlyOnceHoldsThroughDupsReordersAndPartitions) {
   std::set<JobId> ever_started;
   DedupShim shim(&listener, &ever_started);
   cluster.SetListener(&listener);
+  // Commands skip the FaultChannel's injection (see CommandSender): a
+  // dropped or held kill would leave a job running that the test already
+  // counts as killed.
+  testing::CommandSender commands(&cluster);
 
   comms::FaultChannel chan;
   chan.BindSimulator(&sim);
@@ -229,7 +241,7 @@ TEST_P(ProtocolFuzz, ExactlyOnceHoldsThroughDupsReordersAndPartitions) {
       case 1:
       case 2: {  // start a (short) job: most complete, reports are common
         JobId id = next_job++;
-        Status st = cluster.StartJob(
+        Status st = commands.Launch(
             id, node,
             Duration::Seconds(static_cast<double>(rng.UniformInt(10, 120))));
         if (st.ok()) {
@@ -245,7 +257,7 @@ TEST_P(ProtocolFuzz, ExactlyOnceHoldsThroughDupsReordersAndPartitions) {
       case 3: {  // kill a random outstanding job
         if (!listener.outstanding.empty()) {
           JobId id = *listener.outstanding.begin();
-          Status st = cluster.KillJob(id);
+          Status st = commands.Kill(id);
           if (st.ok()) {
             listener.outstanding.erase(id);
             ++killed;

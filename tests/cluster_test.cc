@@ -9,16 +9,23 @@
 #include "cluster/external_load.h"
 #include "cluster/failure.h"
 #include "sim/simulator.h"
+#include "tests/command_util.h"
 #include "tests/test_util.h"
 
 namespace biopera::cluster {
 namespace {
 
-/// Records every cluster notification for inspection.
-class RecordingListener : public ClusterListener {
+/// Records every cluster notification and channel report for inspection.
+class RecordingListener : public ClusterListener, public comms::ReportHandler {
  public:
-  void OnJobFinished(JobId id, const std::string& node) override {
-    finished.push_back({id, node});
+  void HandleReport(const comms::Message& msg) override {
+    if (msg.type == comms::MessageType::kCompletion) {
+      finished.push_back({msg.job, msg.node});
+    } else if (msg.type == comms::MessageType::kLoad) {
+      loads[msg.node] = msg.load;
+    } else if (msg.type == comms::MessageType::kHeartbeat) {
+      ++heartbeats;
+    }
   }
   void OnJobFailed(JobId id, const std::string& node,
                    const std::string& reason) override {
@@ -29,9 +36,6 @@ class RecordingListener : public ClusterListener {
     down.push_back(node);
   }
   void OnNodeUp(const std::string& node) override { up.push_back(node); }
-  void OnLoadReport(const std::string& node, double load) override {
-    loads[node] = load;
-  }
   void OnConfigChanged(const NodeConfig& config) override {
     config_changes.push_back(config.name);
   }
@@ -43,13 +47,18 @@ class RecordingListener : public ClusterListener {
   std::vector<std::string> up;
   std::map<std::string, double> loads;
   std::vector<std::string> config_changes;
+  int heartbeats = 0;
 };
 
 struct Fixture {
-  Fixture() : cluster(&sim) { cluster.SetListener(&listener); }
+  Fixture() : cluster(&sim), commands(&cluster) {
+    cluster.SetListener(&listener);
+    cluster.channel()->SetReportHandler(&listener);
+  }
   Simulator sim;
   ClusterSim cluster;
   RecordingListener listener;
+  testing::CommandSender commands;
 };
 
 TEST(NodeConfigTest, ServesClass) {
@@ -79,7 +88,7 @@ TEST(ClusterTest, AddRemoveNodes) {
 TEST(ClusterTest, JobRunsAtNodeSpeed) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "fast", .num_cpus = 1, .speed = 2.0}));
-  ASSERT_OK(f.cluster.StartJob(1, "fast", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "fast", Duration::Seconds(100)));
   f.sim.Run();
   ASSERT_EQ(f.listener.finished.size(), 1u);
   // 100 reference-seconds at speed 2 finish in 50.
@@ -89,8 +98,8 @@ TEST(ClusterTest, JobRunsAtNodeSpeed) {
 TEST(ClusterTest, JobsShareCpusFairly) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1, .speed = 1.0}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
-  ASSERT_OK(f.cluster.StartJob(2, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Seconds(100)));
   f.sim.Run();
   ASSERT_EQ(f.listener.finished.size(), 2u);
   // Two jobs on one CPU: the first finishes after 200s of sharing...
@@ -101,8 +110,8 @@ TEST(ClusterTest, JobsShareCpusFairly) {
 TEST(ClusterTest, SurvivorSpeedsUpAfterCompletion) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1, .speed = 1.0}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(50)));
-  ASSERT_OK(f.cluster.StartJob(2, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(50)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Seconds(100)));
   f.sim.Run();
   // Shared until job 1 finishes at t=100 (50 each done); then job 2 runs
   // alone for its remaining 50 -> t=150.
@@ -112,8 +121,8 @@ TEST(ClusterTest, SurvivorSpeedsUpAfterCompletion) {
 TEST(ClusterTest, MultiCpuNodeRunsJobsInParallel) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 2, .speed = 1.0}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
-  ASSERT_OK(f.cluster.StartJob(2, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Seconds(100)));
   f.sim.Run();
   EXPECT_DOUBLE_EQ(f.sim.Now().SinceEpoch().ToSeconds(), 100);
 }
@@ -121,7 +130,7 @@ TEST(ClusterTest, MultiCpuNodeRunsJobsInParallel) {
 TEST(ClusterTest, ExternalLoadStallsNiceJobs) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1, .speed = 1.0}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
   f.sim.RunFor(Duration::Seconds(50));
   // An external user saturates the node for 100s.
   ASSERT_OK(f.cluster.SetExternalLoad("n", 1.0));
@@ -137,7 +146,7 @@ TEST(ClusterTest, PartialExternalLoadSlowsJobs) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 2, .speed = 1.0}));
   ASSERT_OK(f.cluster.SetExternalLoad("n", 1.0));  // one of two CPUs busy
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
   f.sim.Run();
   EXPECT_DOUBLE_EQ(f.sim.Now().SinceEpoch().ToSeconds(), 100);  // full speed
   // Load report carries the external fraction.
@@ -147,10 +156,10 @@ TEST(ClusterTest, PartialExternalLoadSlowsJobs) {
 TEST(ClusterTest, KillJobRemovesIt) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
   f.sim.RunFor(Duration::Seconds(10));
-  ASSERT_OK(f.cluster.KillJob(1));
-  EXPECT_TRUE(f.cluster.KillJob(1).IsNotFound());
+  ASSERT_OK(f.commands.Kill(1));
+  EXPECT_TRUE(f.commands.Kill(1).IsNotFound());
   f.sim.Run();
   EXPECT_TRUE(f.listener.finished.empty());
   EXPECT_EQ(f.cluster.NumRunningJobs(), 0u);
@@ -159,17 +168,20 @@ TEST(ClusterTest, KillJobRemovesIt) {
 }
 
 TEST(ClusterTest, DuplicateJobIdRejected) {
+  // The second launch carries a fresh fence: a new attempt of a job id
+  // that is still running, not a duplicate of the first.
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 2}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(10)));
-  EXPECT_EQ(f.cluster.StartJob(1, "n", Duration::Seconds(10)).code(),
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(10)));
+  EXPECT_EQ(f.commands.Launch(1, "n", Duration::Seconds(10)).code(),
             StatusCode::kAlreadyExists);
+  EXPECT_EQ(f.cluster.NumRunningJobs(), 1u);
 }
 
 TEST(ClusterTest, JobRemainingTracksProgress) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1, .speed = 2.0}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
   f.sim.RunFor(Duration::Seconds(20));
   ASSERT_OK_AND_ASSIGN(Duration remaining, f.cluster.JobRemaining(1));
   EXPECT_NEAR(remaining.ToSeconds(), 60, 1e-6);  // 40 ref-seconds done
@@ -180,8 +192,8 @@ TEST(ClusterTest, JobRemainingTracksProgress) {
 TEST(ClusterTest, CrashReportsNodeDownAndJobFailures) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 2}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
-  ASSERT_OK(f.cluster.StartJob(2, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Seconds(100)));
   f.sim.RunFor(Duration::Seconds(10));
   ASSERT_OK(f.cluster.CrashNode("n"));
   EXPECT_EQ(f.listener.down, (std::vector<std::string>{"n"}));
@@ -196,19 +208,42 @@ TEST(ClusterTest, CrashReportsNodeDownAndJobFailures) {
   EXPECT_TRUE(f.cluster.IsUp("n"));
 }
 
+TEST(ClusterTest, HeartbeatsSilenceCrashAndRepairNotifications) {
+  Fixture f;
+  ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1}));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Hours(1)));
+  f.cluster.EnableHeartbeats(Duration::Seconds(30));
+  f.sim.RunFor(Duration::Seconds(95));
+  EXPECT_EQ(f.listener.heartbeats, 3);
+  // Lease mode: the crash loses the job but tells the listener nothing;
+  // the server has to notice the missing heartbeats.
+  ASSERT_OK(f.cluster.CrashNode("n"));
+  EXPECT_EQ(f.cluster.NumRunningJobs(), 0u);
+  f.sim.RunFor(Duration::Minutes(5));
+  EXPECT_EQ(f.listener.heartbeats, 3);
+  ASSERT_OK(f.cluster.RepairNode("n"));
+  EXPECT_TRUE(f.listener.down.empty());
+  EXPECT_TRUE(f.listener.failed.empty());
+  EXPECT_TRUE(f.listener.up.empty());
+  EXPECT_TRUE(f.listener.config_changes.empty());
+  // The repaired PEC heartbeats again.
+  f.sim.RunFor(Duration::Seconds(95));
+  EXPECT_EQ(f.listener.heartbeats, 6);
+}
+
 TEST(ClusterTest, StartJobOnDownNodeFails) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1}));
   ASSERT_OK(f.cluster.CrashNode("n"));
-  EXPECT_TRUE(f.cluster.StartJob(1, "n", Duration::Seconds(1)).IsUnavailable());
+  EXPECT_TRUE(f.commands.Launch(1, "n", Duration::Seconds(1)).IsUnavailable());
   EXPECT_TRUE(
-      f.cluster.StartJob(2, "ghost", Duration::Seconds(1)).IsNotFound());
+      f.commands.Launch(2, "ghost", Duration::Seconds(1)).IsNotFound());
 }
 
 TEST(ClusterTest, DisconnectedReportsQueueAndFlushOnReconnect) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(10)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(10)));
   ASSERT_OK(f.cluster.SetConnected("n", false));
   f.sim.Run();
   EXPECT_TRUE(f.listener.finished.empty());  // report held at the node
@@ -222,9 +257,9 @@ TEST(ClusterTest, ReconnectFlushesReportsInEnqueueOrder) {
   // in exactly the order the node produced them.
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 3}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(10)));
-  ASSERT_OK(f.cluster.StartJob(2, "n", Duration::Seconds(20)));
-  ASSERT_OK(f.cluster.StartJob(3, "n", Duration::Seconds(30)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(10)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Seconds(20)));
+  ASSERT_OK(f.commands.Launch(3, "n", Duration::Seconds(30)));
   ASSERT_OK(f.cluster.SetConnected("n", false));
   f.sim.Run();  // all three complete behind the partition, in 1-2-3 order
   EXPECT_TRUE(f.listener.finished.empty());
@@ -240,22 +275,22 @@ TEST(ClusterTest, DisconnectedNodeRefusesCommands) {
   // fail Unavailable and are never silently applied.
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 2}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
   ASSERT_OK(f.cluster.SetConnected("n", false));
   EXPECT_TRUE(
-      f.cluster.StartJob(2, "n", Duration::Seconds(100)).IsUnavailable());
+      f.commands.Launch(2, "n", Duration::Seconds(100)).IsUnavailable());
   EXPECT_EQ(f.cluster.NumRunningJobs(), 1u);
-  EXPECT_TRUE(f.cluster.KillJob(1).IsUnavailable());
+  EXPECT_TRUE(f.commands.Kill(1).IsUnavailable());
   EXPECT_EQ(f.cluster.NumRunningJobs(), 1u);
   ASSERT_OK(f.cluster.SetConnected("n", true));
-  ASSERT_OK(f.cluster.KillJob(1));
+  ASSERT_OK(f.commands.Kill(1));
   EXPECT_EQ(f.cluster.NumRunningJobs(), 0u);
 }
 
 TEST(ClusterTest, CrashDropsQueuedReports) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(10)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(10)));
   ASSERT_OK(f.cluster.SetConnected("n", false));
   f.sim.Run();  // job completes; report queued
   ASSERT_OK(f.cluster.CrashNode("n"));
@@ -267,8 +302,8 @@ TEST(ClusterTest, CrashDropsQueuedReports) {
 TEST(ClusterTest, CpuUpgradeSpeedsRunningJobs) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1, .speed = 1.0}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(100)));
-  ASSERT_OK(f.cluster.StartJob(2, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Seconds(100)));
   f.sim.RunFor(Duration::Seconds(100));  // each is half done (share 0.5)
   ASSERT_OK(f.cluster.SetNodeCpus("n", 2));
   EXPECT_EQ(f.listener.config_changes, (std::vector<std::string>{"n"}));
@@ -281,8 +316,8 @@ TEST(ClusterTest, KillAllJobs) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "a", .num_cpus = 1}));
   ASSERT_OK(f.cluster.AddNode({.name = "b", .num_cpus = 1}));
-  ASSERT_OK(f.cluster.StartJob(1, "a", Duration::Seconds(100)));
-  ASSERT_OK(f.cluster.StartJob(2, "b", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(1, "a", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(2, "b", Duration::Seconds(100)));
   f.cluster.KillAllJobs();
   EXPECT_EQ(f.cluster.NumRunningJobs(), 0u);
   f.sim.Run();
@@ -292,8 +327,8 @@ TEST(ClusterTest, KillAllJobs) {
 TEST(ClusterTest, TraceSeriesTracksAvailabilityAndUtilization) {
   Fixture f;
   ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 4}));
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Hours(24)));
-  ASSERT_OK(f.cluster.StartJob(2, "n", Duration::Hours(24)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Hours(24)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Hours(24)));
   f.sim.RunFor(Duration::Hours(12));
   const StepSeries& avail = f.cluster.AvailabilitySeries();
   const StepSeries& util = f.cluster.UtilizationSeries();
@@ -335,7 +370,7 @@ TEST(FailureInjectorTest, NetworkOutageQueuesReports) {
   FailureInjector inject(&f.cluster);
   inject.ScheduleNetworkOutage(TimePoint::Zero() + Duration::Seconds(5),
                                Duration::Seconds(100), "outage");
-  ASSERT_OK(f.cluster.StartJob(1, "n", Duration::Seconds(10)));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(10)));
   f.sim.RunFor(Duration::Seconds(50));
   EXPECT_TRUE(f.listener.finished.empty());
   f.sim.RunFor(Duration::Seconds(60));

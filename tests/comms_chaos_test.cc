@@ -6,7 +6,6 @@
 // exactly-once protocol as a property over random message histories.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <tuple>
 
@@ -53,20 +52,14 @@ const char* ModeName(int mode) {
   }
 }
 
-// CI's tsan job reruns the matrix with fresh seeds by exporting
-// BIOPERA_CHAOS_SEED_OFFSET; locally the offset defaults to 0.
-uint64_t SeedOffset() {
-  const char* env = std::getenv("BIOPERA_CHAOS_SEED_OFFSET");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
-}
-
 class CommsChaos
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(CommsChaos, ExactlyOnceUnderLossyControlPlane) {
   const int mode = std::get<0>(GetParam());
   const uint64_t seed =
-      6000 + SeedOffset() + 37 * static_cast<uint64_t>(std::get<1>(GetParam()));
+      6000 + testing::ChaosSeedOffset() +
+      37 * static_cast<uint64_t>(std::get<1>(GetParam()));
   SCOPED_TRACE(std::string("mode=") + ModeName(mode) +
                " seed=" + std::to_string(seed));
 

@@ -16,6 +16,7 @@
 #include "ocr/builder.h"
 #include "sim/simulator.h"
 #include "store/record_store.h"
+#include "tests/command_util.h"
 #include "tests/test_util.h"
 
 namespace biopera::comms {
@@ -238,58 +239,53 @@ struct ReportLog : public comms::ReportHandler {
 
 struct ProtocolWorld {
   ProtocolWorld() : cluster(&sim) {
-    chan.BindSimulator(&sim);
     chan.SetReportHandler(&log);
-    cluster.AttachChannel(&chan);
     EXPECT_OK(cluster.AddNode({.name = "n0", .num_cpus = 1}));
     EXPECT_OK(cluster.AddNode({.name = "n1", .num_cpus = 1}));
   }
 
-  comms::Message Launch(uint64_t job, uint64_t fence,
-                        const std::string& node = "n0") {
-    comms::Message msg;
-    msg.type = comms::MessageType::kLaunch;
-    msg.node = node;
-    msg.job = job;
-    msg.fence = fence;
-    msg.work = Duration::Minutes(10);
-    return msg;
+  static comms::Message Launch(uint64_t job, uint64_t fence) {
+    return testing::LaunchCommand("n0", job, fence);
   }
-
-  comms::Message Kill(uint64_t job, uint64_t fence) {
-    comms::Message msg;
-    msg.type = comms::MessageType::kKill;
-    msg.job = job;
-    msg.fence = fence;
-    return msg;
+  static comms::Message Kill(uint64_t job, uint64_t fence) {
+    return testing::KillCommand("n0", job, fence);
   }
 
   Simulator sim;
   ClusterSim cluster;
-  comms::Channel chan;
+  comms::Channel& chan = *cluster.channel();  // the cluster's own
   ReportLog log;
 };
 
-// Satellite: commands against an unreachable node have defined semantics
-// -- they fail Unavailable and are never silently applied.
+// Commands against an unreachable node have defined semantics -- they
+// fail Unavailable and are never silently applied.
 TEST(CommandSemanticsTest, DisconnectedNodeRefusesStartAndKill) {
   ProtocolWorld w;
-  ASSERT_OK(w.cluster.StartJob(1, "n0", Duration::Minutes(10)));
+  ASSERT_OK(w.chan.SendCommand(w.Launch(1, 100)));
   w.chan.SetCommandLink("n0", false);
 
-  Status start = w.cluster.StartJob(2, "n0", Duration::Minutes(10));
+  Status start = w.chan.SendCommand(w.Launch(2, 200));
   EXPECT_TRUE(start.IsUnavailable()) << start.ToString();
   EXPECT_EQ(w.cluster.NumRunningJobs(), 1u);  // nothing silently started
 
-  Status kill = w.cluster.KillJob(1);
+  Status kill = w.chan.SendCommand(w.Kill(1, 100));
   EXPECT_TRUE(kill.IsUnavailable()) << kill.ToString();
   EXPECT_EQ(w.cluster.NumRunningJobs(), 1u);  // nothing silently killed
 
   // Reconnect: both commands now apply.
   w.chan.SetCommandLink("n0", true);
-  ASSERT_OK(w.cluster.StartJob(2, "n0", Duration::Minutes(10)));
-  ASSERT_OK(w.cluster.KillJob(1));
+  ASSERT_OK(w.chan.SendCommand(w.Launch(2, 200)));
+  ASSERT_OK(w.chan.SendCommand(w.Kill(1, 100)));
   EXPECT_EQ(w.cluster.NumRunningJobs(), 1u);
+}
+
+TEST(ProtocolTest, LaunchWithoutFenceIsRefused) {
+  ProtocolWorld w;
+  Status st = w.cluster.HandleCommand(w.Launch(1, /*fence=*/0));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(w.cluster.NumRunningJobs(), 0u);
+  w.sim.Run();
+  EXPECT_TRUE(w.log.reports.empty());
 }
 
 TEST(ProtocolTest, DuplicateLaunchIsIdempotent) {

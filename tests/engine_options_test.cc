@@ -194,6 +194,32 @@ TEST(RandomPolicyTest, EngineRunsWithRandomPolicy) {
   EXPECT_EQ(state, InstanceState::kDone);
 }
 
+TEST(EngineOptionsTest, DefaultChannelIsTheClusters) {
+  World w({}, /*nodes=*/1);
+  EXPECT_EQ(w.engine->channel(), w.cluster->channel());
+  // Link state lives in the cluster's channel, not in an engine: a
+  // partition made between two engines still refuses the replacement's
+  // launches.
+  w.engine.reset();
+  ASSERT_OK(w.cluster->SetConnected("node0", false));
+  w.engine = std::make_unique<Engine>(&w.sim, w.cluster.get(), w.store.get(),
+                                      &w.registry, EngineOptions{});
+  EXPECT_EQ(w.engine->channel(), w.cluster->channel());
+  ASSERT_OK(w.engine->Startup());
+  ASSERT_OK(w.engine->RegisterTemplate(TwoStep()));
+  ASSERT_OK_AND_ASSIGN(std::string id, w.engine->StartProcess("twostep"));
+  w.sim.RunFor(Duration::Minutes(1));
+  EXPECT_EQ(w.cluster->NumRunningJobs(), 0u);
+  w.sim.RunFor(Duration::Hours(1));
+  ASSERT_OK_AND_ASSIGN(auto state, w.engine->GetInstanceState(id));
+  EXPECT_EQ(state, InstanceState::kRunning);
+  // Healing the link lets the queued work run.
+  ASSERT_OK(w.cluster->SetConnected("node0", true));
+  w.sim.Run();
+  ASSERT_OK_AND_ASSIGN(state, w.engine->GetInstanceState(id));
+  EXPECT_EQ(state, InstanceState::kDone);
+}
+
 TEST(BadPolicyTest, StartupFailsWithUnknownPolicy) {
   EngineOptions options;
   options.policy = "does_not_exist";

@@ -34,13 +34,6 @@ constexpr int kShards = 3;
 constexpr int kJobs = 24;
 constexpr int kNodesPerShard = 2;
 
-// CI's fault-matrix and tsan jobs rerun the storm with fresh seeds by
-// exporting BIOPERA_CHAOS_SEED_OFFSET; locally the offset defaults to 0.
-uint64_t SeedOffset() {
-  const char* env = std::getenv("BIOPERA_CHAOS_SEED_OFFSET");
-  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
-}
-
 ocr::ProcessDef JobProcess() {
   auto def =
       ocr::ProcessBuilder("chaos_job")
@@ -214,7 +207,8 @@ class ShardPartitionStorm : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardPartitionStorm, ConvergesToGroundTruthDeterministically) {
   const uint64_t seed =
-      9100 + SeedOffset() + 53 * static_cast<uint64_t>(GetParam());
+      9100 + testing::ChaosSeedOffset() +
+      53 * static_cast<uint64_t>(GetParam());
   SCOPED_TRACE("seed=" + std::to_string(seed));
 
   testing::TempDir a_dir, b_dir;

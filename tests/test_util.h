@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -14,6 +15,14 @@
 #include "common/status.h"
 
 namespace biopera::testing {
+
+/// Seed shift for the randomized suites (chaos sweeps and fuzzers). CI's
+/// fault-matrix and tsan jobs rerun them with fresh seeds by exporting
+/// BIOPERA_CHAOS_SEED_OFFSET; locally the offset defaults to 0.
+inline uint64_t ChaosSeedOffset() {
+  const char* env = std::getenv("BIOPERA_CHAOS_SEED_OFFSET");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
+}
 
 /// Creates a unique temporary directory, removed on destruction.
 class TempDir {
