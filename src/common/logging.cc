@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +25,7 @@ int LevelFromEnv() {
   return static_cast<int>(LogLevel::kWarning);
 }
 
-std::atomic<int> g_log_level{LevelFromEnv()};
+const int g_log_level = LevelFromEnv();
 const Clock* g_log_clock = nullptr;
 LogCaptureHook g_capture_hook;
 
@@ -44,14 +43,6 @@ const char* LevelTag(LogLevel level) {
   return "?";
 }
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
 
 void SetLogClock(const Clock* clock) { g_log_clock = clock; }
 
@@ -74,10 +65,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 LogMessage::~LogMessage() {
   std::string line = stream_.str();
   if (g_capture_hook) g_capture_hook(level_, line);
-  if (static_cast<int>(level_) <
-      g_log_level.load(std::memory_order_relaxed)) {
-    return;
-  }
+  if (static_cast<int>(level_) < g_log_level) return;
   line.push_back('\n');
   std::fwrite(line.data(), 1, line.size(), stderr);
 }

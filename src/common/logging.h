@@ -9,14 +9,11 @@
 
 namespace biopera {
 
+/// The minimum level emitted to stderr is kWarning (benches and tests
+/// stay quiet unless something is wrong), overridable at process start
+/// with the BIOPERA_LOG_LEVEL environment variable ("debug" | "info" |
+/// "warning" | "error", case-insensitive).
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Sets the minimum level that is emitted to stderr. Default: kWarning
-/// (benches and tests stay quiet unless something is wrong), overridable
-/// at process start with the BIOPERA_LOG_LEVEL environment variable
-/// ("debug" | "info" | "warning" | "error", case-insensitive).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 /// Registers the clock used to prefix log lines with a timestamp —
 /// typically the experiment's Simulator, so lines carry *virtual* time.

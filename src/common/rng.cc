@@ -89,11 +89,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(theta);
 }
 
-double Rng::LogNormal(double median, double sigma) {
-  assert(median > 0);
-  return median * std::exp(Normal(0.0, sigma));
-}
-
 double Rng::Gamma(double shape, double scale) {
   assert(shape > 0 && scale > 0);
   if (shape < 1.0) {

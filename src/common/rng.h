@@ -38,10 +38,6 @@ class Rng {
   /// Standard normal via Box-Muller.
   double Normal(double mean, double stddev);
 
-  /// Lognormal such that the *median* of the result is `median` and the
-  /// underlying normal has standard deviation `sigma`.
-  double LogNormal(double median, double sigma);
-
   /// Gamma(shape k, scale theta) via Marsaglia-Tsang. k > 0, theta > 0.
   double Gamma(double shape, double scale);
 

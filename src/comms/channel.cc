@@ -4,19 +4,6 @@
 
 namespace biopera::comms {
 
-std::string_view MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kLaunch: return "launch";
-    case MessageType::kKill: return "kill";
-    case MessageType::kProbe: return "probe";
-    case MessageType::kHeartbeat: return "heartbeat";
-    case MessageType::kCompletion: return "completion";
-    case MessageType::kFailure: return "failure";
-    case MessageType::kLoad: return "load";
-  }
-  return "unknown";
-}
-
 bool IsCommand(MessageType type) {
   switch (type) {
     case MessageType::kLaunch:

@@ -34,7 +34,6 @@ enum class MessageType {
   kLoad,       // external-load sample: load
 };
 
-std::string_view MessageTypeName(MessageType type);
 bool IsCommand(MessageType type);
 
 /// The fault-point name of a message type: "cmd.launch", "rpt.completion",
@@ -171,7 +170,6 @@ class FaultChannel : public Channel {
   void ArmDup(const std::string& point, uint64_t at_hit);
   void ArmDelay(const std::string& point, uint64_t at_hit, Duration delay);
   void ArmReorder(const std::string& point, uint64_t at_hit);
-  void Disarm() { armed_.reset(); }
 
   /// Seeded random faults on every message. The rng must outlive the
   /// channel; draws happen in message-send order, so a given seed yields
@@ -181,7 +179,6 @@ class FaultChannel : public Channel {
 
   /// Hit counts per fault point, armed or not.
   const std::map<std::string, uint64_t>& Hits() const { return hits_; }
-  void ResetHits() { hits_.clear(); }
   uint64_t faults_injected() const { return faults_injected_; }
 
   Status SendCommand(const Message& msg) override;

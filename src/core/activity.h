@@ -32,8 +32,7 @@ struct ActivityOutput {
   Duration cost = Duration::Seconds(1);
   /// Execution parameters the activity wants on the task's lineage
   /// record beyond its bound inputs — PAM matrix id/version, noise
-  /// seeds, thresholds. Flat (key, value) pairs in insertion order;
-  /// ignored (and free) when no Observability is attached.
+  /// seeds, thresholds. Flat (key, value) pairs in insertion order.
   std::vector<std::pair<std::string, std::string>> provenance;
 };
 

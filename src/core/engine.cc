@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,7 +9,6 @@
 #include "obs/barrier_profile.h"
 #include "obs/json.h"
 #include "obs/quantile.h"
-#include "ocr/ocr_text.h"
 #include "store/codec.h"
 
 namespace biopera::core {
@@ -23,176 +21,33 @@ struct Engine::PreExecState {
   std::optional<Result<ActivityOutput>> output;
 };
 
-using ocr::ControlConnector;
 using ocr::ProcessDef;
-using ocr::TaskDef;
-using ocr::TaskKind;
 using ocr::Value;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Reference resolution
-// ---------------------------------------------------------------------------
+/// Kill-command retry policy: an undeliverable kKill is retried with
+/// exponential backoff (base doubling to max, plus deterministic
+/// per-(node, job, attempt) jitter: comms::RetryBackoff) at most
+/// kKillRetryLimit times; undeliverable kills are also flushed at once
+/// when the command link comes back.
+constexpr Duration kKillRetryBase = Duration::Seconds(2);
+constexpr Duration kKillRetryMax = Duration::Minutes(4);
+constexpr int kKillRetryLimit = 8;
+/// Degraded-mode retry backoff (store IOError survival): the first retry
+/// of the failed commit fires after the initial delay, doubling up to the
+/// maximum until the disk accepts writes.
+constexpr Duration kDegradedRetryInitial = Duration::Seconds(1);
+constexpr Duration kDegradedRetryMax = Duration::Minutes(5);
 
-/// Descends a dotted path inside a Value (maps only).
-Result<Value> Descend(const Value& v, const std::vector<std::string>& path,
-                      size_t from) {
-  const Value* cur = &v;
-  for (size_t i = from; i < path.size(); ++i) {
-    if (!cur->is_map()) {
-      return Status::NotFound("cannot descend into non-map at " + path[i]);
-    }
-    auto it = cur->AsMap().find(path[i]);
-    if (it == cur->AsMap().end()) {
-      return Status::NotFound("no field " + path[i]);
-    }
-    cur = &it->second;
-  }
-  return *cur;
-}
-
-/// Sets `value` at a dotted path inside `map`, creating nested maps.
-Status SetIntoMap(Value::Map* map, const std::vector<std::string>& path,
-                  size_t from, Value value) {
-  assert(from < path.size());
-  Value::Map* cur = map;
-  for (size_t i = from; i + 1 < path.size(); ++i) {
-    Value& slot = (*cur)[path[i]];
-    if (!slot.is_map()) slot = Value(Value::Map{});
-    cur = &slot.AsMap();
-  }
-  (*cur)[path.back()] = std::move(value);
-  return Status::OK();
-}
-
-Result<std::vector<std::string>> SplitRef(const std::string& ref) {
-  BIOPERA_ASSIGN_OR_RETURN(ocr::Expr e, ocr::Expr::Parse(ref));
-  if (e.kind() != ocr::Expr::Kind::kRef) {
-    return Status::InvalidArgument("not a data reference: " + ref);
-  }
-  return e.ref_path();
-}
-
-/// Evaluation context rooted at one scope node: resolves wb.*, sibling
-/// task outputs, and parallel-body locals (item / index).
-class ScopeEvalContext : public ocr::EvalContext {
- public:
-  ScopeEvalContext(TaskNode* scope, const TaskNode* current)
-      : scope_(scope), current_(current) {}
-
-  Result<Value> Lookup(const std::vector<std::string>& path) const override {
-    if (path.empty()) return Status::InvalidArgument("empty reference");
-    const std::string& root = path[0];
-    if (root == "wb") {
-      if (path.size() < 2) return Status::InvalidArgument("bare wb ref");
-      Value::Map* wb = scope_->ScopeWhiteboard();
-      auto it = wb->find(path[1]);
-      if (it == wb->end()) return Status::NotFound("no wb var " + path[1]);
-      return Descend(it->second, path, 2);
-    }
-    if (root == "item" || root == "index") {
-      const TaskNode* body =
-          current_ != nullptr ? current_->BodyAncestor() : nullptr;
-      if (body == nullptr) body = scope_->BodyAncestor();
-      if (body == nullptr) {
-        return Status::NotFound("no parallel body in scope for " + root);
-      }
-      if (root == "index") return Value(body->index);
-      return Descend(body->item, path, 1);
-    }
-    // Sibling task outputs: <task>.out.<field>...
-    TaskNode* sibling = scope_->FindChild(root);
-    if (sibling == nullptr) {
-      return Status::NotFound("no task or variable " + root);
-    }
-    if (path.size() < 2 || path[1] != "out") {
-      return Status::InvalidArgument("task reference must use " + root +
-                                     ".out.*");
-    }
-    if (path.size() == 2) return Value(sibling->outputs);
-    auto it = sibling->outputs.find(path[2]);
-    if (it == sibling->outputs.end()) {
-      return Status::NotFound("no output field " + path[2]);
-    }
-    return Descend(it->second, path, 3);
-  }
-
- private:
-  TaskNode* scope_;
-  const TaskNode* current_;
-};
-
-// ---------------------------------------------------------------------------
-// Persistence record codecs: Value::Map <-> marker-framed binary records
-// (store/codec.h).
-// ---------------------------------------------------------------------------
-
-std::string TaskRecordKey(const std::string& path) { return "task/" + path; }
-
-std::string EncodeTaskRecord(const TaskNode& node) {
-  Value::Map rec;
-  rec["state"] = Value(std::string(TaskStateName(node.state)));
-  rec["attempts"] = Value(static_cast<int64_t>(node.attempts));
-  if (!node.binding_used.empty()) rec["binding"] = Value(node.binding_used);
-  if (!node.outputs.empty()) rec["outputs"] = Value(node.outputs);
-  if (node.cost != Duration::Zero()) {
-    rec["cost_us"] = Value(node.cost.micros());
-  }
-  rec["started_us"] = Value(node.started.micros());
-  rec["finished_us"] = Value(node.finished.micros());
-  if (!node.expansion.is_null()) rec["expansion"] = node.expansion;
-  if (node.sub_def != nullptr) rec["sub"] = Value(node.sub_def->name);
-  return EncodeValueRecord(Value(std::move(rec)));
-}
-
-std::string EncodeWhiteboard(const Value::Map& wb) {
-  return EncodeValueRecord(Value(wb));
-}
-
-std::string EncodeHeader(const ProcessInstance& inst) {
-  Value::Map rec;
-  rec["template"] = Value(inst.def().name);
-  rec["state"] = Value(std::string(InstanceStateName(inst.state())));
-  rec["priority"] = Value(static_cast<int64_t>(inst.priority()));
-  rec["cpu_seconds"] = Value(inst.stats().cpu_seconds);
-  rec["completed"] =
-      Value(static_cast<int64_t>(inst.stats().activities_completed));
-  rec["failed"] = Value(static_cast<int64_t>(inst.stats().activities_failed));
-  rec["started_us"] = Value(inst.stats().started.micros());
-  rec["finished_us"] = Value(inst.stats().finished.micros());
-  Value::Map lineage;
-  for (const auto& [var, writer] : inst.lineage()) {
-    lineage[var] = Value(writer);
-  }
-  rec["lineage"] = Value(std::move(lineage));
-  if (!inst.raised_events().empty()) {
-    Value::List events;
-    for (const auto& event : inst.raised_events()) {
-      events.emplace_back(event);
-    }
-    rec["events"] = Value(std::move(events));
-  }
-  return EncodeValueRecord(Value(std::move(rec)));
-}
-
-int64_t RecInt(const Value::Map& rec, const std::string& key, int64_t dflt) {
-  auto it = rec.find(key);
-  if (it == rec.end() || !it->second.is_number()) return dflt;
-  return it->second.is_int() ? it->second.AsInt()
-                             : static_cast<int64_t>(it->second.AsDouble());
-}
-
-double RecDouble(const Value::Map& rec, const std::string& key, double dflt) {
-  auto it = rec.find(key);
-  if (it == rec.end() || !it->second.is_number()) return dflt;
-  return it->second.AsDouble();
-}
-
-std::string RecString(const Value::Map& rec, const std::string& key) {
-  auto it = rec.find(key);
-  return it != rec.end() && it->second.is_string() ? it->second.AsString()
-                                                   : std::string();
+/// A node's hardware characteristics as its configuration-space row.
+std::string NodeConfigRow(const cluster::NodeConfig& node) {
+  Value::Map cfg;
+  cfg["cpus"] = Value(static_cast<int64_t>(node.num_cpus));
+  cfg["speed"] = Value(node.speed);
+  cfg["os"] = Value(node.os);
+  cfg["classes"] = Value(node.resource_classes);
+  return Value(std::move(cfg)).ToText();
 }
 
 // ---------------------------------------------------------------------------
@@ -252,28 +107,6 @@ std::string LineageOutKey(const std::string& path, int attempt) {
   return StrFormat("%s/a%04d/out", path.c_str(), attempt);
 }
 
-/// Creates, indexes, and attaches one child node under `parent`. Shared
-/// by ExpandComposite and RecoverInstance so expansion and recovery stay
-/// in lockstep.
-TaskNode* AddChildNode(ProcessInstance* inst, TaskNode* parent,
-                       const TaskDef* def, std::string path) {
-  auto child = std::make_unique<TaskNode>();
-  child->def = def;
-  child->parent = parent;
-  child->path = std::move(path);
-  TaskNode* raw = child.get();
-  inst->IndexNode(raw);
-  parent->children.push_back(std::move(child));
-  return raw;
-}
-
-/// The binding an activity node runs: the alternative after failures
-/// switched it, else its definition's (empty for a node without one).
-const std::string& BindingOf(const TaskNode& node) {
-  return node.binding_used.empty() && node.def != nullptr ? node.def->binding
-                                                          : node.binding_used;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -288,7 +121,8 @@ Engine::Engine(Simulator* sim, cluster::ClusterSim* cluster,
       spaces_(store),
       registry_(registry),
       options_(options),
-      rng_(options.seed) {
+      rng_(options.seed),
+      navigator_(sim, &spaces_, registry, this) {
   cluster_->SetListener(this);
   // All engine<->PEC traffic goes through the comms seam. Without an
   // explicit channel the engine shares the cluster's (by default its own
@@ -416,14 +250,8 @@ Status Engine::Startup() {
                             sim_->Now());
       if (options_.adaptive_monitoring) OnNodeUp(node.name);
     }
-    // Record hardware characteristics in the configuration space.
-    Value::Map cfg;
-    cfg["cpus"] = Value(static_cast<int64_t>(node.num_cpus));
-    cfg["speed"] = Value(node.speed);
-    cfg["os"] = Value(node.os);
-    cfg["classes"] = Value(node.resource_classes);
     BIOPERA_RETURN_IF_ERROR(
-        spaces_.PutConfig("node/" + node.name, Value(cfg).ToText()));
+        spaces_.PutConfig("node/" + node.name, NodeConfigRow(node)));
   }
   RefreshConfigVersion();
 
@@ -571,7 +399,7 @@ void Engine::OnStoreFlushFailure(const Status& cause) {
 void Engine::EnterDegraded(const Status& cause) {
   if (!up_ || degraded_) return;
   degraded_ = true;
-  degraded_backoff_ = options_.degraded_retry_initial;
+  degraded_backoff_ = kDegradedRetryInitial;
   BIOPERA_LOG(kWarning) << "store degraded, dispatch suspended: "
                         << cause.ToString();
   if (degraded_gauge_ != nullptr) {
@@ -607,8 +435,7 @@ void Engine::RetryDegradedCommit() {
   }
   if (MaybeHandleFenced(st)) return;
   if (!st.ok()) {
-    degraded_backoff_ =
-        std::min(degraded_backoff_ * 2, options_.degraded_retry_max);
+    degraded_backoff_ = std::min(degraded_backoff_ * 2, kDegradedRetryMax);
     ScheduleDegradedRetry();
     return;
   }
@@ -670,34 +497,13 @@ Result<std::string> Engine::ScrubStore() {
 Status Engine::RegisterTemplate(const ProcessDef& def) {
   BIOPERA_RETURN_IF_ERROR(ocr::ValidateProcess(def));
   RecordStore::CommitScope commit_group(GroupTarget());
-  if (Status st = spaces_.PutTemplate(def.name, ocr::PrintOcr(def));
-      !st.ok()) {
-    MaybeHandleFenced(st);
-    return st;
-  }
-  // Retire (but keep alive) any cached parse: existing instances hold
-  // pointers into it; new activations late-bind to the fresh text.
-  auto it = template_cache_.find(def.name);
-  if (it != template_cache_.end()) {
-    retired_defs_.push_back(std::move(it->second));
-    template_cache_.erase(it);
-  }
-  return Status::OK();
+  Status st = navigator_.StoreTemplate(def);
+  if (!st.ok()) MaybeHandleFenced(st);
+  return st;
 }
 
 std::vector<std::string> Engine::ListTemplates() const {
   return spaces_.ListTemplates();
-}
-
-Result<const ProcessDef*> Engine::ResolveTemplate(const std::string& name) {
-  auto it = template_cache_.find(name);
-  if (it != template_cache_.end()) return it->second.get();
-  BIOPERA_ASSIGN_OR_RETURN(std::string text, spaces_.GetTemplate(name));
-  BIOPERA_ASSIGN_OR_RETURN(ProcessDef def, ocr::ParseOcr(text));
-  auto owned = std::make_unique<ProcessDef>(std::move(def));
-  const ProcessDef* ptr = owned.get();
-  template_cache_[name] = std::move(owned);
-  return ptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -710,7 +516,7 @@ Result<std::string> Engine::StartProcess(const std::string& template_name,
   if (!up_) return Status::Unavailable("server is down");
   RecordStore::CommitScope commit_group(GroupTarget());
   BIOPERA_ASSIGN_OR_RETURN(const ProcessDef* def,
-                           ResolveTemplate(template_name));
+                           navigator_.ResolveTemplate(template_name));
   std::string id = StrFormat("%s-%06llu", template_name.c_str(),
                              static_cast<unsigned long long>(
                                  next_instance_seq_++));
@@ -719,14 +525,9 @@ Result<std::string> Engine::StartProcess(const std::string& template_name,
                         StrFormat("%llu", static_cast<unsigned long long>(
                                               next_instance_seq_))));
 
-  auto inst = std::make_unique<ProcessInstance>(id, def);
-  inst->set_priority(priority);
-  inst->stats().started = sim_->Now();
-  for (const auto& [key, value] : args) {
-    inst->whiteboard()[key] = value;
-  }
+  std::unique_ptr<ProcessInstance>& inst = instances_[id];
+  inst = navigator_.NewInstance(id, def, args, priority);
   ProcessInstance* raw = inst.get();
-  instances_[id] = std::move(inst);
   if (spans_ != nullptr) {
     raw->set_span_id(spans_->Begin(
         obs::SpanKind::kInstance, id, /*parent=*/0, /*link=*/0,
@@ -736,10 +537,7 @@ Result<std::string> Engine::StartProcess(const std::string& template_name,
   }
 
   WriteBatch batch;
-  PersistHeader(raw, &batch);
-  PersistWhiteboard(raw, raw->root(), &batch);
-  BIOPERA_RETURN_IF_ERROR(EvaluateScope(raw, raw->root(), &batch));
-  BIOPERA_RETURN_IF_ERROR(MaybeCompleteScope(raw, raw->root(), &batch));
+  BIOPERA_RETURN_IF_ERROR(navigator_.Start(raw, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(id, "started template=" + template_name);
   PumpDispatch();
@@ -755,7 +553,7 @@ Status Engine::Suspend(const std::string& instance_id) {
   SetInstanceState(inst, InstanceState::kSuspended);
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
-  PersistHeader(inst, &batch);
+  navigator_.PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "suspended");
   return Status::OK();
@@ -770,7 +568,7 @@ Status Engine::Resume(const std::string& instance_id) {
   SetInstanceState(inst, InstanceState::kRunning);
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
-  PersistHeader(inst, &batch);
+  navigator_.PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "resumed");
   WakeInstance(instance_id);
@@ -781,17 +579,7 @@ Status Engine::Resume(const std::string& instance_id) {
 Status Engine::Abort(const std::string& instance_id) {
   ProcessInstance* inst = FindInstance(instance_id);
   if (inst == nullptr) return Status::NotFound("no instance " + instance_id);
-  // Kill this instance's running jobs.
-  std::vector<cluster::JobId> to_kill;
-  if (auto it = jobs_by_instance_.find(instance_id);
-      it != jobs_by_instance_.end()) {
-    to_kill.assign(it->second.begin(), it->second.end());
-  }
-  for (cluster::JobId job_id : to_kill) {
-    const PendingJob& doomed = jobs_.at(job_id);
-    SendKill(doomed.node, job_id, doomed.fence);
-    TakeJob(job_id, /*failed=*/false, "killed");
-  }
+  KillJobs(inst, /*subtree=*/nullptr);
   DropParkedForInstance(instance_id);
   SetInstanceState(inst, InstanceState::kAborted);
   if (spans_ != nullptr) {
@@ -800,7 +588,7 @@ Status Engine::Abort(const std::string& instance_id) {
   }
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
-  PersistHeader(inst, &batch);
+  navigator_.PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "aborted");
   SyncObsGauges();
@@ -817,107 +605,34 @@ Status Engine::Restart(const std::string& instance_id) {
   // their checkpointed results. Outstanding jobs of this instance are
   // killed and re-scheduled (the paper's event 10: a restart immediately
   // re-schedules TEUs that never reported).
-  std::vector<cluster::JobId> stale;
-  if (auto it = jobs_by_instance_.find(instance_id);
-      it != jobs_by_instance_.end()) {
-    stale.assign(it->second.begin(), it->second.end());
-  }
-  for (cluster::JobId job_id : stale) {
-    const PendingJob& doomed = jobs_.at(job_id);
-    SendKill(doomed.node, job_id, doomed.fence);
-    TakeJob(job_id, /*failed=*/false, "killed");
-  }
+  KillJobs(inst, /*subtree=*/nullptr);
   // Entries parked while the instance was suspended are dispatchable again.
   WakeInstance(instance_id);
-  inst->ForEachNode([&](TaskNode* node) {
-    switch (node->state) {
-      case TaskState::kFailed:
-      case TaskState::kRetryWait:
-      case TaskState::kRunning:
-        node->attempts = 0;
-        if (node->kind() == TaskKind::kActivity) {
-          inst->SetTaskState(node, TaskState::kReady);
-          EnqueueReady(inst, node);
-        } else {
-          // Composite: children re-queue themselves; mark running again.
-          inst->SetTaskState(node, TaskState::kRunning);
-        }
-        PersistTask(inst, node, &batch);
-        break;
-      case TaskState::kSkipped:
-        // Dead paths may have been skipped because their source failed;
-        // reset and let re-evaluation decide again.
-        inst->SetTaskState(node, TaskState::kInactive);
-        PersistTask(inst, node, &batch);
-        break;
-      default:
-        break;
-    }
-  });
-  PersistHeader(inst, &batch);
-  // Re-run navigation over every active scope: connectors whose sources
-  // are already complete must re-activate the tasks we just reset.
-  BIOPERA_RETURN_IF_ERROR(ReevaluateAll(inst, &batch));
+  BIOPERA_RETURN_IF_ERROR(navigator_.Restart(inst, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   AppendHistory(instance_id, "restarted");
   PumpDispatch();
   return Status::OK();
 }
 
-Status Engine::ReevaluateAll(ProcessInstance* inst, WriteBatch* batch) {
-  // Bottom-up over composite scopes so child completions bubble upward.
-  std::function<Status(TaskNode*)> visit = [&](TaskNode* scope) -> Status {
-    for (auto& child : scope->children) {
-      if (!child->children.empty() &&
-          child->state == TaskState::kRunning) {
-        BIOPERA_RETURN_IF_ERROR(visit(child.get()));
-      }
-    }
-    if (scope->is_root() || scope->state == TaskState::kRunning) {
-      BIOPERA_RETURN_IF_ERROR(EvaluateScope(inst, scope, batch));
-      BIOPERA_RETURN_IF_ERROR(MaybeCompleteScope(inst, scope, batch));
-    }
-    return Status::OK();
-  };
-  return visit(inst->root());
-}
-
-void Engine::DiscardSubtree(ProcessInstance* inst, TaskNode* node,
-                            WriteBatch* batch) {
-  // Kill any outstanding jobs under this subtree first. Only this
-  // instance's jobs are examined (per-instance index), in JobId order.
-  std::vector<cluster::JobId> stale;
+void Engine::KillJobs(ProcessInstance* inst, const TaskNode* subtree) {
+  std::vector<cluster::JobId> doomed;
   if (auto it = jobs_by_instance_.find(inst->id());
       it != jobs_by_instance_.end()) {
     for (cluster::JobId job_id : it->second) {
-      TaskNode* owner = inst->FindByPath(jobs_.at(job_id).path);
-      for (TaskNode* walk = owner; walk != nullptr; walk = walk->parent) {
-        if (walk == node) {
-          stale.push_back(job_id);
-          break;
-        }
-      }
+      // Under `subtree` when the job's task has it as an ancestor-or-self.
+      const TaskNode* walk = subtree == nullptr
+                                 ? nullptr
+                                 : inst->FindByPath(jobs_.at(job_id).path);
+      while (walk != nullptr && walk != subtree) walk = walk->parent;
+      if (walk == subtree) doomed.push_back(job_id);
     }
   }
-  for (cluster::JobId job_id : stale) {
-    const PendingJob& doomed = jobs_.at(job_id);
-    SendKill(doomed.node, job_id, doomed.fence);
+  for (cluster::JobId job_id : doomed) {
+    const PendingJob& pending = jobs_.at(job_id);
+    SendKill(pending.node, job_id, pending.fence);
     TakeJob(job_id, /*failed=*/false, "killed");
   }
-  std::function<void(TaskNode*)> discard = [&](TaskNode* n) {
-    for (auto& child : n->children) {
-      discard(child.get());
-      spaces_.BatchDeleteInstanceRecord(batch, inst->id(),
-                                        "task/" + child->path);
-      if (child->own_whiteboard != nullptr) {
-        spaces_.BatchDeleteInstanceRecord(batch, inst->id(),
-                                          "wb/" + child->path);
-      }
-      inst->UnindexNode(child.get());
-    }
-    n->children.clear();
-  };
-  discard(node);
 }
 
 Status Engine::Invalidate(const std::string& instance_id,
@@ -928,47 +643,12 @@ Status Engine::Invalidate(const std::string& instance_id,
   if (inst->state() == InstanceState::kAborted) {
     return Status::FailedPrecondition("instance aborted");
   }
-  TaskNode* target = inst->root()->FindChild(task_name);
-  if (target == nullptr) {
+  if (inst->root()->FindChild(task_name) == nullptr) {
     return Status::NotFound("no top-level task " + task_name);
-  }
-  // Transitive control-flow closure over the top-level connectors.
-  std::set<std::string> affected = {task_name};
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (const ocr::ControlConnector& conn : inst->def().connectors) {
-      if (affected.contains(conn.source) && !affected.contains(conn.target)) {
-        affected.insert(conn.target);
-        grew = true;
-      }
-    }
   }
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
-  for (const std::string& name : affected) {
-    TaskNode* node = inst->root()->FindChild(name);
-    if (node == nullptr || node->state == TaskState::kInactive) continue;
-    DiscardSubtree(inst, node, &batch);
-    inst->SetTaskState(node, TaskState::kInactive);
-    node->attempts = 0;
-    node->outputs.clear();
-    node->expansion = Value();
-    node->sub_def = nullptr;
-    node->own_whiteboard.reset();
-    node->connectors = nullptr;
-    PersistTask(inst, node, &batch);
-  }
-  if (inst->state() != InstanceState::kSuspended) {
-    SetInstanceState(inst, InstanceState::kRunning);
-  }
-  inst->stats().finished = TimePoint();
-  PersistHeader(inst, &batch);
-  AppendHistory(instance_id,
-                StrFormat("invalidated %s and %zu downstream task(s)",
-                          task_name.c_str(), affected.size() - 1));
-  // Upstream results are intact; re-evaluation re-activates the tail.
-  BIOPERA_RETURN_IF_ERROR(ReevaluateAll(inst, &batch));
+  BIOPERA_RETURN_IF_ERROR(navigator_.Invalidate(inst, task_name, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   PumpDispatch();
   return Status::OK();
@@ -998,93 +678,12 @@ Status Engine::RaiseEvent(const std::string& instance_id,
   ProcessInstance* inst = FindInstance(instance_id);
   if (inst == nullptr) return Status::NotFound("no instance " + instance_id);
   if (inst->raised_events().contains(event)) return Status::OK();
-  inst->raised_events().insert(event);
   RecordStore::CommitScope commit_group(GroupTarget());
-  AppendHistory(instance_id, "event raised: " + event);
   WriteBatch batch;
-  PersistHeader(inst, &batch);
-  // Release every task gated on this event.
-  std::vector<TaskNode*> waiting;
-  inst->ForEachNode([&](TaskNode* node) {
-    if (node->state == TaskState::kEventWait && node->def != nullptr &&
-        node->def->wait_event == event) {
-      waiting.push_back(node);
-    }
-  });
-  for (TaskNode* node : waiting) {
-    inst->SetTaskState(node, TaskState::kInactive);
-    BIOPERA_RETURN_IF_ERROR(ActivateTask(inst, node, &batch));
-  }
+  BIOPERA_RETURN_IF_ERROR(navigator_.RaiseEvent(inst, event, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   PumpDispatch();
   return Status::OK();
-}
-
-Status Engine::CompensateSphere(ProcessInstance* inst, TaskNode* scope,
-                                WriteBatch* batch) {
-  AppendHistory(inst->id(),
-                StrFormat("sphere %s failed; running compensation",
-                          scope->path.c_str()));
-  // Completed activities with undo actions, in reverse completion order.
-  std::vector<TaskNode*> done;
-  std::function<void(TaskNode*)> collect = [&](TaskNode* n) {
-    for (auto& child : n->children) {
-      collect(child.get());
-      if (child->kind() == TaskKind::kActivity &&
-          child->state == TaskState::kDone && child->def != nullptr &&
-          !child->def->compensation_binding.empty()) {
-        done.push_back(child.get());
-      }
-    }
-  };
-  collect(scope);
-  std::stable_sort(done.begin(), done.end(),
-                   [](const TaskNode* a, const TaskNode* b) {
-                     return a->finished > b->finished;
-                   });
-  bool compensation_failed = false;
-  for (TaskNode* node : done) {
-    Result<ActivityFn> fn =
-        registry_->Find(node->def->compensation_binding);
-    ActivityInput input;
-    input.params = node->outputs;  // the undo action sees what was produced
-    Result<ActivityOutput> out =
-        fn.ok() ? (*fn)(input) : Result<ActivityOutput>(fn.status());
-    if (!out.ok()) {
-      AppendHistory(inst->id(),
-                    StrFormat("compensation of %s FAILED: %s",
-                              node->path.c_str(),
-                              out.status().ToString().c_str()));
-      compensation_failed = true;
-      break;
-    }
-    inst->stats().cpu_seconds += out->cost.ToSeconds();
-    AppendHistory(inst->id(),
-                  StrFormat("compensated %s via %s", node->path.c_str(),
-                            node->def->compensation_binding.c_str()));
-  }
-  DiscardSubtree(inst, scope, batch);
-  ++inst->stats().activities_failed;
-  ++scope->attempts;
-  PersistHeader(inst, batch);
-  if (!compensation_failed &&
-      scope->attempts <= scope->def->failure.max_retries) {
-    AppendHistory(inst->id(),
-                  StrFormat("re-running sphere %s (attempt %d)",
-                            scope->path.c_str(), scope->attempts + 1));
-    BIOPERA_RETURN_IF_ERROR(ExpandComposite(inst, scope, batch));
-    PersistTask(inst, scope, batch);
-    BIOPERA_RETURN_IF_ERROR(EvaluateScope(inst, scope, batch));
-    return MaybeCompleteScope(inst, scope, batch);
-  }
-  PersistTask(inst, scope, batch);
-  // Exhausted (or an undo action itself failed): regular failure path.
-  // HandleTaskFailure sees a composite and routes to kFailed/ignore.
-  return HandleTaskFailure(inst, scope,
-                           compensation_failed
-                               ? "sphere compensation failed"
-                               : "sphere retries exhausted",
-                           batch);
 }
 
 // ---------------------------------------------------------------------------
@@ -1142,7 +741,7 @@ std::vector<std::string> Engine::TakeStateChanges() {
 
 void Engine::SetInstanceState(ProcessInstance* inst, InstanceState state) {
   inst->set_state(state);
-  state_changes_.push_back(inst->id());
+  InstanceStateWritten(inst);
 }
 
 Result<Value> Engine::GetWhiteboardValue(const std::string& instance_id,
@@ -1191,401 +790,54 @@ std::vector<Engine::RunningJob> Engine::GetRunningJobs() const {
 }
 
 // ---------------------------------------------------------------------------
-// Navigation
+// Navigator host: effects of navigation outside the instance tree
 // ---------------------------------------------------------------------------
 
-Status Engine::ExpandComposite(ProcessInstance* inst, TaskNode* node,
-                               WriteBatch* batch) {
-  const TaskDef* def = node->def;
-  switch (node->kind()) {
-    case TaskKind::kBlock: {
-      node->connectors = &def->connectors;
-      for (const TaskDef& sub : def->subtasks) {
-        AddChildNode(inst, node, &sub, node->path + "." + sub.name);
-      }
-      break;
-    }
-    case TaskKind::kParallel: {
-      ScopeEvalContext ctx(node->parent, node);
-      BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> ref,
-                               SplitRef(def->list_input));
-      BIOPERA_ASSIGN_OR_RETURN(Value list, ctx.Lookup(ref));
-      if (!list.is_list()) {
-        return Status::InvalidArgument(
-            node->path + ": parallel LIST input " + def->list_input +
-            " is not a list (got " + std::string(list.TypeName()) + ")");
-      }
-      node->expansion = list;
-      const auto& items = list.AsList();
-      for (size_t i = 0; i < items.size(); ++i) {
-        TaskNode* child = AddChildNode(
-            inst, node, &def->body[0],
-            StrFormat("%s[%zu]", node->path.c_str(), i));
-        child->item = items[i];
-        child->index = static_cast<int64_t>(i);
-      }
-      break;
-    }
-    case TaskKind::kSubprocess: {
-      // Late binding: the template is resolved only now, so a re-registered
-      // definition takes effect for instances expanded afterwards (§3.1).
-      BIOPERA_ASSIGN_OR_RETURN(const ProcessDef* sub,
-                               ResolveTemplate(def->subprocess_name));
-      node->sub_def = sub;
-      node->connectors = &sub->connectors;
-      node->own_whiteboard = std::make_unique<Value::Map>();
-      for (const ocr::DataObjectDef& d : sub->whiteboard) {
-        (*node->own_whiteboard)[d.name] = d.initial;
-      }
-      // Input mappings initialize same-named whiteboard variables.
-      ScopeEvalContext ctx(node->parent, node);
-      for (const ocr::Mapping& m : def->inputs) {
-        BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> from,
-                                 SplitRef(m.from));
-        BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> to, SplitRef(m.to));
-        Result<Value> v = ctx.Lookup(from);
-        if (!v.ok() && v.status().IsNotFound()) continue;  // optional input
-        BIOPERA_RETURN_IF_ERROR(v.status());
-        // to = "in.<param>": parameter name doubles as wb variable name.
-        BIOPERA_RETURN_IF_ERROR(
-            SetIntoMap(node->own_whiteboard.get(), to, 1, *v));
-      }
-      for (const TaskDef& sub_task : sub->tasks) {
-        AddChildNode(inst, node, &sub_task, node->path + "/" + sub_task.name);
-      }
-      PersistWhiteboard(inst, node, batch);
-      break;
-    }
-    case TaskKind::kActivity:
-      return Status::Internal("activities have no children");
-  }
-  return Status::OK();
+void Engine::TaskReady(ProcessInstance* inst, TaskNode* node) {
+  EnqueueReady(inst, node, ReadyEntry{});
 }
 
-Status Engine::ActivateTask(ProcessInstance* inst, TaskNode* node,
-                            WriteBatch* batch) {
-  // ON_EVENT gate: the task is eligible but waits for its trigger.
-  if (node->def != nullptr && !node->def->wait_event.empty() &&
-      !inst->raised_events().contains(node->def->wait_event)) {
-    inst->SetTaskState(node, TaskState::kEventWait);
-    PersistTask(inst, node, batch);
-    AppendHistory(inst->id(), StrFormat("task %s waiting for event '%s'",
-                                        node->path.c_str(),
-                                        node->def->wait_event.c_str()));
-    return Status::OK();
-  }
-  node->started = sim_->Now();
-  if (node->kind() == TaskKind::kActivity) {
-    inst->SetTaskState(node, TaskState::kReady);
-    PersistTask(inst, node, batch);
-    EnqueueReady(inst, node);
-    return Status::OK();
-  }
-  inst->SetTaskState(node, TaskState::kRunning);
-  BIOPERA_RETURN_IF_ERROR(ExpandComposite(inst, node, batch));
-  PersistTask(inst, node, batch);
-  BIOPERA_RETURN_IF_ERROR(EvaluateScope(inst, node, batch));
-  // An empty expansion (or empty subprocess) completes immediately.
-  BIOPERA_RETURN_IF_ERROR(MaybeCompleteScope(inst, node, batch));
-  return Status::OK();
+void Engine::RetryDue(ProcessInstance* inst, TaskNode* node,
+                      Duration backoff) {
+  sim_->Schedule(backoff, [this, instance_id = inst->id(), path = node->path] {
+    if (!up_) return;
+    ProcessInstance* inst2 = FindInstance(instance_id);
+    if (inst2 == nullptr) return;
+    TaskNode* node2 = inst2->FindByPath(path);
+    if (node2 == nullptr || node2->state != TaskState::kRetryWait) return;
+    RecordStore::CommitScope commit_group(GroupTarget());
+    WriteBatch retry_batch;
+    navigator_.MarkReady(inst2, node2, &retry_batch);
+    Status st = Commit(&retry_batch);
+    if (!st.ok()) {
+      BIOPERA_LOG(kError) << "retry commit failed: " << st.ToString();
+      return;
+    }
+    TaskReady(inst2, node2);
+    PumpDispatch();
+  });
 }
 
-Status Engine::SkipTask(ProcessInstance* inst, TaskNode* node,
-                        WriteBatch* batch) {
-  inst->SetTaskState(node, TaskState::kSkipped);
-  node->finished = sim_->Now();
-  PersistTask(inst, node, batch);
-  return Status::OK();
+void Engine::InstanceStateWritten(ProcessInstance* inst) {
+  state_changes_.push_back(inst->id());
+  // The instance span closes only on success; a kFailed instance may
+  // still be RESTARTed, and its makespan should cover that recovery.
+  if (spans_ != nullptr && inst->state() == InstanceState::kDone) {
+    spans_->End(inst->span_id(), "completed");
+    inst->set_span_id(0);
+  }
 }
 
-Status Engine::EvaluateScope(ProcessInstance* inst, TaskNode* scope,
-                             WriteBatch* batch) {
-  // Parallel scopes: all bodies start unconditionally.
-  if (scope->kind() == TaskKind::kParallel && !scope->is_root()) {
-    for (auto& child : scope->children) {
-      if (child->state == TaskState::kInactive) {
-        BIOPERA_RETURN_IF_ERROR(ActivateTask(inst, child.get(), batch));
-      }
-    }
-    return Status::OK();
-  }
-  if (scope->connectors == nullptr) return Status::OK();
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (auto& child : scope->children) {
-      if (child->state != TaskState::kInactive) continue;
-      // Collect incoming connectors of this child.
-      bool all_evaluated = true;
-      bool any_true = false;
-      bool has_incoming = false;
-      for (const ControlConnector& conn : *scope->connectors) {
-        if (conn.target != child->def->name) continue;
-        has_incoming = true;
-        TaskNode* source = scope->FindChild(conn.source);
-        if (source == nullptr) {
-          return Status::Internal("connector source missing: " + conn.source);
-        }
-        if (!IsTerminal(source->state)) {
-          all_evaluated = false;
-          break;
-        }
-        if (source->state == TaskState::kSkipped ||
-            source->state == TaskState::kFailed) {
-          continue;  // dead path: connector is false
-        }
-        bool value = true;
-        if (!conn.condition.empty()) {
-          BIOPERA_ASSIGN_OR_RETURN(ocr::Expr expr,
-                                   ocr::Expr::Parse(conn.condition));
-          ScopeEvalContext ctx(scope, child.get());
-          BIOPERA_ASSIGN_OR_RETURN(Value v, expr.Eval(ctx));
-          value = v.Truthy();
-        }
-        any_true = any_true || value;
-      }
-      if (!has_incoming) {
-        // Start task of the scope: activates as soon as the scope runs.
-        BIOPERA_RETURN_IF_ERROR(ActivateTask(inst, child.get(), batch));
-        changed = true;
-        continue;
-      }
-      if (!all_evaluated) continue;
-      if (any_true) {
-        BIOPERA_RETURN_IF_ERROR(ActivateTask(inst, child.get(), batch));
-      } else {
-        BIOPERA_RETURN_IF_ERROR(SkipTask(inst, child.get(), batch));
-      }
-      changed = true;
-    }
-  }
-  return Status::OK();
-}
-
-Status Engine::ApplyOutputMappings(ProcessInstance* inst, TaskNode* node,
-                                   WriteBatch* batch) {
-  if (node->def == nullptr || node->def->outputs.empty()) return Status::OK();
-  // Parallel bodies contribute via collection, not mappings.
-  if (node->index >= 0) return Status::OK();
-  TaskNode* scope = node->parent->ScopeOwner();
-  Value::Map* wb = scope->ScopeWhiteboard();
-  bool wrote_wb = false;
-  for (const ocr::Mapping& m : node->def->outputs) {
-    BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> from, SplitRef(m.from));
-    BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> to, SplitRef(m.to));
-    // from = "out.<field>..."
-    Result<Value> v = Descend(Value(node->outputs), from, 1);
-    if (!v.ok() && v.status().IsNotFound()) continue;  // absent output field
-    BIOPERA_RETURN_IF_ERROR(v.status());
-    if (to[0] != "wb" || to.size() < 2) {
-      return Status::InvalidArgument(node->path + ": output target " + m.to +
-                                     " must be wb.*");
-    }
-    BIOPERA_RETURN_IF_ERROR(SetIntoMap(wb, to, 1, std::move(*v)));
-    inst->lineage()[to[1]] = node->path;
-    wrote_wb = true;
-  }
-  if (wrote_wb) PersistWhiteboard(inst, scope, batch);
-  return Status::OK();
-}
-
-Status Engine::CompleteTask(ProcessInstance* inst, TaskNode* node,
-                            Value::Map outputs, Duration cost,
-                            WriteBatch* batch) {
-  node->outputs = std::move(outputs);
-  node->cost = cost;
-  inst->SetTaskState(node, TaskState::kDone);
-  node->finished = sim_->Now();
-  if (node->kind() == TaskKind::kActivity) {
-    inst->stats().cpu_seconds += cost.ToSeconds();
-    ++inst->stats().activities_completed;
-  }
-  BIOPERA_RETURN_IF_ERROR(ApplyOutputMappings(inst, node, batch));
-  PersistTask(inst, node, batch);
-  PersistHeader(inst, batch);
-
-  TaskNode* parent = node->parent;
-  if (parent == nullptr) return Status::OK();
-  // Re-evaluate the surrounding scope: our completion may enable siblings.
-  TaskNode* scope = parent;
-  BIOPERA_RETURN_IF_ERROR(EvaluateScope(inst, scope, batch));
-  return MaybeCompleteScope(inst, scope, batch);
-}
-
-Status Engine::MaybeCompleteScope(ProcessInstance* inst, TaskNode* scope,
-                                  WriteBatch* batch) {
-  if (scope->state != TaskState::kRunning && !scope->is_root()) {
-    return Status::OK();
-  }
-  bool all_terminal = true;
-  bool any_failed = false;
-  for (const auto& child : scope->children) {
-    if (!IsTerminal(child->state)) {
-      all_terminal = false;
-      break;
-    }
-    if (child->state == TaskState::kFailed) any_failed = true;
-  }
-  if (!all_terminal) return Status::OK();
-
-  if (scope->is_root()) {
-    if (inst->state() == InstanceState::kRunning ||
-        inst->state() == InstanceState::kSuspended) {
-      SetInstanceState(inst, any_failed ? InstanceState::kFailed
-                                        : InstanceState::kDone);
-      inst->stats().finished = sim_->Now();
-      PersistHeader(inst, batch);
-      AppendHistory(inst->id(), any_failed ? "failed" : "completed");
-      // The instance span closes only on success; a kFailed instance may
-      // still be RESTARTed, and its makespan should cover that recovery.
-      if (spans_ != nullptr && !any_failed) {
-        spans_->End(inst->span_id(), "completed");
-        inst->set_span_id(0);
-      }
-    }
-    return Status::OK();
-  }
-
-  if (any_failed) {
-    if (scope->kind() == TaskKind::kBlock && scope->def != nullptr &&
-        scope->def->atomic) {
-      return CompensateSphere(inst, scope, batch);
-    }
-    return HandleTaskFailure(inst, scope, "nested task failed", batch);
-  }
-
-  switch (scope->kind()) {
-    case TaskKind::kBlock: {
-      return CompleteTask(inst, scope, {}, Duration::Zero(), batch);
-    }
-    case TaskKind::kParallel: {
-      // Collect body results in index order.
-      Value::List collected;
-      for (const auto& child : scope->children) {
-        if (child->state == TaskState::kSkipped) {
-          collected.emplace_back();  // null placeholder
-        } else if (child->def->kind == TaskKind::kSubprocess) {
-          collected.emplace_back(child->own_whiteboard == nullptr
-                                     ? Value::Map{}
-                                     : *child->own_whiteboard);
-        } else {
-          collected.emplace_back(child->outputs);
-        }
-      }
-      if (!scope->def->collect_output.empty()) {
-        BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> to,
-                                 SplitRef(scope->def->collect_output));
-        if (to[0] != "wb" || to.size() < 2) {
-          return Status::InvalidArgument(scope->path +
-                                         ": COLLECT target must be wb.*");
-        }
-        TaskNode* owner = scope->parent->ScopeOwner();
-        BIOPERA_RETURN_IF_ERROR(SetIntoMap(owner->ScopeWhiteboard(), to, 1,
-                                           Value(std::move(collected))));
-        inst->lineage()[to[1]] = scope->path;
-        PersistWhiteboard(inst, owner, batch);
-      }
-      Value::Map outputs;
-      outputs["count"] = Value(static_cast<int64_t>(scope->children.size()));
-      return CompleteTask(inst, scope, std::move(outputs), Duration::Zero(),
-                          batch);
-    }
-    case TaskKind::kSubprocess: {
-      // The subprocess's output structure is its final whiteboard.
-      Value::Map outputs = *scope->own_whiteboard;
-      return CompleteTask(inst, scope, std::move(outputs), Duration::Zero(),
-                          batch);
-    }
-    case TaskKind::kActivity:
-      return Status::Internal("activity cannot be a scope");
-  }
-  return Status::OK();
-}
-
-Status Engine::HandleTaskFailure(ProcessInstance* inst, TaskNode* node,
-                                 const std::string& reason,
-                                 WriteBatch* batch) {
-  ++inst->stats().activities_failed;
-  ++node->attempts;
-  AppendHistory(inst->id(),
-                StrFormat("task %s failed (attempt %d): %s",
-                          node->path.c_str(), node->attempts,
-                          reason.c_str()));
-  const ocr::FailurePolicy& policy =
-      node->def != nullptr ? node->def->failure : ocr::FailurePolicy{};
-
-  const bool can_retry = node->kind() == TaskKind::kActivity &&
-                         node->attempts <= policy.max_retries;
+void Engine::TaskFailed(ProcessInstance* /*inst*/, TaskNode* /*node*/) {
   if (failed_metric_ != nullptr) failed_metric_->Increment();
-  if (can_retry) {
-    if (!policy.alternative_binding.empty()) {
-      node->binding_used = policy.alternative_binding;
-    }
-    inst->SetTaskState(node, TaskState::kRetryWait);
-    PersistTask(inst, node, batch);
-    std::string instance_id = inst->id();
-    std::string path = node->path;
-    sim_->Schedule(policy.retry_backoff, [this, instance_id, path] {
-      if (!up_) return;
-      ProcessInstance* inst2 = FindInstance(instance_id);
-      if (inst2 == nullptr) return;
-      TaskNode* node2 = inst2->FindByPath(path);
-      if (node2 == nullptr || node2->state != TaskState::kRetryWait) return;
-      inst2->SetTaskState(node2, TaskState::kReady);
-      RecordStore::CommitScope commit_group(GroupTarget());
-      WriteBatch retry_batch;
-      PersistTask(inst2, node2, &retry_batch);
-      Status st = Commit(&retry_batch);
-      if (!st.ok()) {
-        BIOPERA_LOG(kError) << "retry commit failed: " << st.ToString();
-        return;
-      }
-      EnqueueReady(inst2, node2);
-      PumpDispatch();
-    });
-    return Status::OK();
-  }
-
-  if (policy.ignore_failure) {
-    // Spheres-of-atomicity boundary: the failure is absorbed and the task
-    // completes with an empty output structure.
-    return CompleteTask(inst, node, {}, Duration::Zero(), batch);
-  }
-
-  inst->SetTaskState(node, TaskState::kFailed);
-  node->finished = sim_->Now();
-  PersistTask(inst, node, batch);
-  PersistHeader(inst, batch);
-  TaskNode* parent = node->parent;
-  if (parent == nullptr) return Status::OK();
-  BIOPERA_RETURN_IF_ERROR(EvaluateScope(inst, parent, batch));
-  return MaybeCompleteScope(inst, parent, batch);
-}
-
-Result<ActivityInput> Engine::BuildInput(TaskNode* node) {
-  ActivityInput input;
-  ScopeEvalContext ctx(node->parent, node);
-  for (const ocr::Mapping& m : node->def->inputs) {
-    BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> from, SplitRef(m.from));
-    BIOPERA_ASSIGN_OR_RETURN(std::vector<std::string> to, SplitRef(m.to));
-    Result<Value> v = ctx.Lookup(from);
-    if (!v.ok() && v.status().IsNotFound()) {
-      input.params[to[1]] = Value();  // optional input: null
-      continue;
-    }
-    BIOPERA_RETURN_IF_ERROR(v.status());
-    BIOPERA_RETURN_IF_ERROR(SetIntoMap(&input.params, to, 1, std::move(*v)));
-  }
-  return input;
 }
 
 // ---------------------------------------------------------------------------
 // Dispatching
 // ---------------------------------------------------------------------------
 
-void Engine::EnqueueReady(ProcessInstance* inst, TaskNode* node) {
-  ReadyEntry entry;
+void Engine::EnqueueReady(ProcessInstance* inst, TaskNode* node,
+                          ReadyEntry entry) {
   entry.instance_id = inst->id();
   entry.path = node->path;
   entry.priority = inst->priority();
@@ -1812,7 +1064,7 @@ void Engine::PreExecuteReady() {
     if (node == nullptr || node->state != TaskState::kReady) continue;
     Result<ActivityFn> fn = registry_->Find(BindingOf(*node));
     if (!fn.ok()) continue;
-    Result<ActivityInput> input = BuildInput(node);
+    Result<ActivityInput> input = navigator_.BuildInput(node);
     if (!input.ok()) continue;
     auto state = std::make_shared<PreExecState>();
     state->input = std::move(*input);
@@ -1922,7 +1174,7 @@ void Engine::PumpDispatch() {
     // result from a previous declined placement).
     if (!entry.cached.has_value()) {
       Result<ActivityFn> fn = registry_->Find(BindingOf(*node));
-      Result<ActivityInput> input = BuildInput(node);
+      Result<ActivityInput> input = navigator_.BuildInput(node);
       // A speculative pool execution is consumed only when the freshly
       // assembled input equals the one it ran with; earlier entries in
       // this scan may have navigated state that changes the input, in
@@ -1939,15 +1191,15 @@ void Engine::PumpDispatch() {
       if (!output.ok()) {
         EndAttemptSpan(entry.attempt_span, "failed");
         WriteBatch batch;
-        Status st = HandleTaskFailure(inst, node,
-                                      output.status().ToString(), &batch);
+        Status st = navigator_.Fail(inst, node, output.status().ToString(),
+                                    &batch);
         if (st.ok()) st = Commit(&batch);
         if (!st.ok()) {
           BIOPERA_LOG(kError) << "failure handling error: " << st.ToString();
         }
         return Verdict::kContinue;
       }
-      if (spans_ != nullptr && entry.input_desc.empty()) {
+      if (entry.input_desc.empty()) {
         // First execution of this attempt: summarize the bound inputs for
         // the lineage record written at dispatch below.
         entry.input_desc = DescribeValueMap(input->params);
@@ -2043,9 +1295,9 @@ void Engine::PumpDispatch() {
     pending.fence = fence;
     pending.attempt_span = entry.attempt_span;
     pending.attempt = node->attempts + 1;
+    pending.input_desc = entry.input_desc;
+    pending.params = entry.cached->provenance;
     if (spans_ != nullptr) {
-      pending.input_desc = entry.input_desc;
-      pending.params = entry.cached->provenance;
       pending.job_span = spans_->Begin(
           obs::SpanKind::kJob, entry.path, entry.attempt_span, /*link=*/0,
           entry.instance_id, entry.path, target,
@@ -2058,11 +1310,9 @@ void Engine::PumpDispatch() {
     IndexJob(job_id, pending);
     jobs_[job_id] = std::move(pending);
     NoteJobsNonEmpty();
-    inst->SetTaskState(node, TaskState::kRunning);
-    node->started = sim_->Now();
     awareness_.JobDispatched(target);
     WriteBatch batch;
-    PersistTask(inst, node, &batch);
+    navigator_.MarkRunning(inst, node, &batch);
     RecordLineageDispatch(entry, node, target, node->attempts + 1, &batch);
     st = Commit(&batch);
     if (!st.ok()) {
@@ -2172,10 +1422,9 @@ void Engine::RequeueLostJob(PendingJob pending, std::string_view outcome) {
   if (inst == nullptr) return;
   TaskNode* node = inst->FindByPath(pending.path);
   if (node == nullptr || node->state != TaskState::kRunning) return;
-  inst->SetTaskState(node, TaskState::kReady);
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
-  PersistTask(inst, node, &batch);
+  navigator_.MarkReady(inst, node, &batch);
   RecordLineageOutcome(pending, outcome, /*with_outputs=*/false, &batch);
   Status st = Commit(&batch);
   if (!st.ok()) {
@@ -2183,20 +1432,11 @@ void Engine::RequeueLostJob(PendingJob pending, std::string_view outcome) {
     return;
   }
   ReadyEntry entry;
-  entry.instance_id = pending.instance_id;
-  entry.path = pending.path;
   entry.cached = ActivityOutput{pending.outputs, pending.cost,
                                 std::move(pending.params)};
   entry.input_desc = std::move(pending.input_desc);
   entry.avoid_node = pending.node;
-  entry.priority = inst->priority();
-  entry.inst_hint = inst;
-  entry.engine_gen = instance_generation_;
-  entry.node_hint = node;
-  entry.structure_gen = inst->structure_generation();
-  if (node->def != nullptr) entry.resource_class = node->def->resource_class;
-  BeginAttemptSpan(&entry, inst, node);
-  PushEntry(std::move(entry));
+  EnqueueReady(inst, node, std::move(entry));
   PumpDispatch();
 }
 
@@ -2294,9 +1534,8 @@ void Engine::CheckMigrations() {
     PendingJob pending = TakeJob(job_id, /*failed=*/false, "migrated");
     ProcessInstance* inst = FindInstance(pending.instance_id);
     TaskNode* node = inst->FindByPath(pending.path);
-    inst->SetTaskState(node, TaskState::kReady);
     WriteBatch batch;
-    PersistTask(inst, node, &batch);
+    navigator_.MarkReady(inst, node, &batch);
     RecordLineageOutcome(pending, "migrated", /*with_outputs=*/false, &batch);
     Status st = Commit(&batch);
     if (!st.ok()) {
@@ -2310,19 +1549,10 @@ void Engine::CheckMigrations() {
     // on the new node (kill-and-restart), but the deterministic outputs
     // need not be recomputed.
     ReadyEntry entry;
-    entry.instance_id = pending.instance_id;
-    entry.path = pending.path;
     entry.cached = ActivityOutput{pending.outputs, pending.cost,
                                   std::move(pending.params)};
     entry.input_desc = std::move(pending.input_desc);
-    entry.priority = inst->priority();
-    entry.inst_hint = inst;
-    entry.engine_gen = instance_generation_;
-    entry.node_hint = node;
-    entry.structure_gen = inst->structure_generation();
-    if (node->def != nullptr) entry.resource_class = node->def->resource_class;
-    BeginAttemptSpan(&entry, inst, node);
-    PushEntry(std::move(entry));
+    EnqueueReady(inst, node, std::move(entry));
   }
   if (!to_migrate.empty()) PumpDispatch();
 }
@@ -2331,33 +1561,39 @@ void Engine::CheckMigrations() {
 // Cluster events
 // ---------------------------------------------------------------------------
 
-void Engine::ApplyJobFinished(cluster::JobId id) {
+void Engine::ApplyJobOutcome(cluster::JobId id, bool failed,
+                             const std::string& reason) {
   if (!up_) return;
   auto it = jobs_.find(id);
   if (it == jobs_.end()) return;  // stale report from before a crash
-  PendingJob pending = TakeJob(it, /*failed=*/false, "completed");
+  const std::string_view outcome = failed ? "failed" : "completed";
+  PendingJob pending = TakeJob(it, failed, outcome);
   ProcessInstance* inst = FindInstance(pending.instance_id);
   if (inst == nullptr) return;
   TaskNode* node = inst->FindByPath(pending.path);
   if (node == nullptr || node->state != TaskState::kRunning) return;
-  if (options_.job_cost_sensor != nullptr) {
+  if (!failed && options_.job_cost_sensor != nullptr) {
     // Streaming straggler sensor: virtual compute cost of every completed
     // job, independent of whether an Observability context is attached.
     options_.job_cost_sensor->Observe(pending.cost.ToSeconds());
   }
-  if (completed_metric_ != nullptr) {
+  if (!failed && completed_metric_ != nullptr) {
     completed_metric_->Increment();
     task_cost_metric_->Observe(pending.cost.ToSeconds());
   }
   RecordStore::CommitScope commit_group(GroupTarget());
   WriteBatch batch;
-  RecordLineageOutcome(pending, "completed", /*with_outputs=*/true, &batch);
-  Status st = CompleteTask(inst, node, std::move(pending.outputs),
-                           pending.cost, &batch);
+  RecordLineageOutcome(pending, outcome, /*with_outputs=*/!failed, &batch);
+  Status st = failed ? navigator_.Fail(inst, node, reason, &batch)
+                     : navigator_.Complete(inst, node,
+                                           std::move(pending.outputs),
+                                           pending.cost, &batch);
   if (st.ok()) st = Commit(&batch);
   if (!st.ok()) {
-    BIOPERA_LOG(kError) << "completion failed for " << pending.path << ": "
-                        << st.ToString();
+    BIOPERA_LOG(kError) << "could not apply the " << outcome << " report of "
+                        << pending.path << ": " << st.ToString();
+  }
+  if (!st.ok() && !failed) {
     if (RecordStore::IsFenced(st)) return;  // step-down already scheduled
     if (st.IsIOError()) {
       // A disk error does not fail the instance: the completed transition
@@ -2373,28 +1609,7 @@ void Engine::ApplyJobFinished(cluster::JobId id) {
 
 void Engine::OnJobFailed(cluster::JobId id, const std::string& /*node*/,
                          const std::string& reason) {
-  ApplyJobFailed(id, reason);
-}
-
-void Engine::ApplyJobFailed(cluster::JobId id, const std::string& reason) {
-  if (!up_) return;
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return;
-  PendingJob pending = TakeJob(it, /*failed=*/true, "failed");
-  ProcessInstance* inst = FindInstance(pending.instance_id);
-  if (inst == nullptr) return;
-  TaskNode* node = inst->FindByPath(pending.path);
-  if (node == nullptr || node->state != TaskState::kRunning) return;
-  RecordStore::CommitScope commit_group(GroupTarget());
-  WriteBatch batch;
-  RecordLineageOutcome(pending, "failed", /*with_outputs=*/false, &batch);
-  Status st = HandleTaskFailure(inst, node, reason, &batch);
-  if (st.ok()) st = Commit(&batch);
-  if (!st.ok()) {
-    BIOPERA_LOG(kError) << "failure handling failed for " << pending.path
-                        << ": " << st.ToString();
-  }
-  PumpDispatch();
+  ApplyJobOutcome(id, /*failed=*/true, reason);
 }
 
 void Engine::OnNodeDown(const std::string& node) {
@@ -2421,7 +1636,7 @@ void Engine::OnNodeUp(const std::string& node) {
       PumpDispatch();
     };
     auto mon = std::make_unique<monitor::AdaptiveMonitor>(
-        sim_, options_.monitor_options, probe, report);
+        sim_, monitor::AdaptiveMonitorOptions{}, probe, report);
     if (options_.observability != nullptr) {
       mon->SetMetrics(&options_.observability->metrics, node);
     }
@@ -2446,12 +1661,7 @@ void Engine::OnConfigChanged(const cluster::NodeConfig& config) {
   // Served classes or CPU counts may have changed in any direction.
   WakeAllClasses();
   RecordStore::CommitScope commit_group(GroupTarget());
-  Value::Map cfg;
-  cfg["cpus"] = Value(static_cast<int64_t>(config.num_cpus));
-  cfg["speed"] = Value(config.speed);
-  cfg["os"] = Value(config.os);
-  cfg["classes"] = Value(config.resource_classes);
-  Status st = spaces_.PutConfig("node/" + config.name, Value(cfg).ToText());
+  Status st = spaces_.PutConfig("node/" + config.name, NodeConfigRow(config));
   if (!st.ok()) {
     BIOPERA_LOG(kError) << "config update failed: " << st.ToString();
   }
@@ -2492,11 +1702,8 @@ void Engine::HandleReport(const comms::Message& msg) {
     if (fenced_reports_metric_ != nullptr) fenced_reports_metric_->Increment();
     return;
   }
-  if (msg.type == comms::MessageType::kCompletion) {
-    ApplyJobFinished(msg.job);
-  } else {
-    ApplyJobFailed(msg.job, msg.reason);
-  }
+  ApplyJobOutcome(msg.job, msg.type == comms::MessageType::kFailure,
+                  msg.reason);
 }
 
 void Engine::OnLinkChanged(const std::string& node) {
@@ -2551,16 +1758,16 @@ void Engine::ScheduleKillRetry(cluster::JobId job) {
   auto it = pending_kills_.find(job);
   if (it == pending_kills_.end()) return;
   PendingKill& kill = it->second;
-  if (kill.attempts >= options_.kill_retry_limit) {
+  if (kill.attempts >= kKillRetryLimit) {
     // Retry budget exhausted: the fence still guarantees the zombie's
     // eventual report cannot double-apply.
     if (kill_gave_up_metric_ != nullptr) kill_gave_up_metric_->Increment();
     pending_kills_.erase(it);
     return;
   }
-  Duration delay = comms::RetryBackoff(
-      options_.kill_retry_base, options_.kill_retry_max, options_.seed,
-      kill.node, job, kill.attempts);
+  Duration delay =
+      comms::RetryBackoff(kKillRetryBase, kKillRetryMax, options_.seed,
+                          kill.node, job, kill.attempts);
   ++kill.attempts;
   // A regular event (not a daemon): an owed kill keeps the run alive, but
   // only until the bounded retries run out.
@@ -2756,25 +1963,6 @@ void Engine::CondemnNode(const std::string& node) {
 // Persistence
 // ---------------------------------------------------------------------------
 
-void Engine::PersistTask(ProcessInstance* inst, const TaskNode* node,
-                         WriteBatch* batch) {
-  spaces_.BatchPutInstanceRecord(batch, inst->id(), TaskRecordKey(node->path),
-                                 EncodeTaskRecord(*node));
-}
-
-void Engine::PersistWhiteboard(ProcessInstance* inst,
-                               const TaskNode* scope_owner,
-                               WriteBatch* batch) {
-  std::string key = scope_owner->path.empty() ? "wb" : "wb/" + scope_owner->path;
-  spaces_.BatchPutInstanceRecord(batch, inst->id(), key,
-                                 EncodeWhiteboard(*scope_owner->own_whiteboard));
-}
-
-void Engine::PersistHeader(ProcessInstance* inst, WriteBatch* batch) {
-  spaces_.BatchPutInstanceRecord(batch, inst->id(), "header",
-                                 EncodeHeader(*inst));
-}
-
 Status Engine::Commit(WriteBatch* batch) {
   if (batch->empty()) return Status::OK();
   // Checkpoint cadence is the store's job now (CheckpointPolicy, forwarded
@@ -2825,7 +2013,6 @@ void Engine::RecordLineageDispatch(const ReadyEntry& entry,
                                    const TaskNode* node,
                                    const std::string& target, int attempt,
                                    WriteBatch* batch) {
-  if (spans_ == nullptr) return;
   Value::Map rec;
   rec["t_dispatch_us"] = Value(sim_->Now().micros());
   rec["node"] = Value(target);
@@ -2849,7 +2036,6 @@ void Engine::RecordLineageDispatch(const ReadyEntry& entry,
 void Engine::RecordLineageOutcome(const PendingJob& pending,
                                   std::string_view outcome, bool with_outputs,
                                   WriteBatch* batch) {
-  if (spans_ == nullptr) return;
   Value::Map rec;
   rec["outcome"] = Value(std::string(outcome));
   rec["t_finish_us"] = Value(sim_->Now().micros());
@@ -2869,7 +2055,7 @@ void Engine::RecordLineageOutcome(const PendingJob& pending,
 Result<std::vector<obs::LineageRecord>> Engine::GetTaskLineage(
     const std::string& instance_id) const {
   if (FindInstance(instance_id) == nullptr &&
-      !spaces_.GetInstanceRecord(instance_id, "header").ok()) {
+      navigator_.ReadHeader(instance_id).status().IsNotFound()) {
     return Status::NotFound("no instance " + instance_id);
   }
   std::vector<obs::LineageRecord> out;
@@ -2921,15 +2107,15 @@ Result<std::vector<obs::LineageRecord>> Engine::GetTaskLineage(
           }
         };
     if (is_in) {
-      record->binding = RecString(rec, "binding");
-      record->node = RecString(rec, "node");
-      record->dispatch_us = RecInt(rec, "t_dispatch_us", 0);
+      record->binding = RecordString(rec, "binding");
+      record->node = RecordString(rec, "node");
+      record->dispatch_us = RecordInt(rec, "t_dispatch_us", 0);
       copy_descriptors("in", &record->inputs);
       copy_descriptors("param", &record->params);
     } else {
-      record->outcome = RecString(rec, "outcome");
-      record->finish_us = RecInt(rec, "t_finish_us", -1);
-      record->cost_us = RecInt(rec, "cost_us", -1);
+      record->outcome = RecordString(rec, "outcome");
+      record->finish_us = RecordInt(rec, "t_finish_us", -1);
+      record->cost_us = RecordInt(rec, "cost_us", -1);
       copy_descriptors("out", &record->outputs);
     }
   }
@@ -2948,16 +2134,14 @@ Result<std::string> Engine::ExportLineageJsonl(
       inst != nullptr) {
     header.template_name = inst->def().name;
     header.state = InstanceStateName(inst->state());
-  } else if (Result<std::string> text =
-                 spaces_.GetInstanceRecord(instance_id, "header");
-             text.ok()) {
+  } else if (Result<PersistedHeader> persisted =
+                 navigator_.ReadHeader(instance_id);
+             !persisted.status().IsNotFound()) {
     // Recovered-but-not-loaded (engine down) or foreign instance: read
     // the persisted header record directly.
-    BIOPERA_ASSIGN_OR_RETURN(Value v, DecodeValueRecord(*text));
-    if (v.is_map()) {
-      header.template_name = RecString(v.AsMap(), "template");
-      header.state = RecString(v.AsMap(), "state");
-    }
+    BIOPERA_RETURN_IF_ERROR(persisted.status());
+    header.template_name = std::move(persisted->template_name);
+    header.state = std::move(persisted->state);
   }
   return obs::LineageExportJsonl(header, records);
 }
@@ -3003,133 +2187,8 @@ Result<obs::RunLineage> Engine::BuildRunLineage(const std::string& instance_id,
 Status Engine::RecoverInstance(
     const std::string& instance_id,
     std::vector<std::pair<std::string, std::string>> rows) {
-  // Load all records of this instance into a key -> parsed-map index.
-  std::map<std::string, Value::Map> records;
-  for (const auto& [key, text] : rows) {
-    BIOPERA_ASSIGN_OR_RETURN(Value v, DecodeValueRecord(text));
-    if (!v.is_map()) {
-      return Status::Corruption("bad record " + key + " in " + instance_id);
-    }
-    // Copy the key rather than move it: the scanned key still holds its
-    // unstripped buffer, which the index would pin through the rebuild.
-    records[key] = std::move(v.AsMap());
-  }
-  // Release the raw rows before the rebuild grows the tree.
-  std::vector<std::pair<std::string, std::string>>().swap(rows);
-  auto header_it = records.find("header");
-  if (header_it == records.end()) {
-    return Status::Corruption("instance " + instance_id + " has no header");
-  }
-  const Value::Map& header = header_it->second;
-  BIOPERA_ASSIGN_OR_RETURN(const ProcessDef* def,
-                           ResolveTemplate(RecString(header, "template")));
-  auto inst = std::make_unique<ProcessInstance>(instance_id, def);
-  BIOPERA_ASSIGN_OR_RETURN(
-      InstanceState state, InstanceStateFromName(RecString(header, "state")));
-  SetInstanceState(inst.get(), state);
-  inst->set_priority(static_cast<int>(RecInt(header, "priority", 0)));
-  inst->stats().cpu_seconds = RecDouble(header, "cpu_seconds", 0);
-  inst->stats().activities_completed =
-      static_cast<uint64_t>(RecInt(header, "completed", 0));
-  inst->stats().activities_failed =
-      static_cast<uint64_t>(RecInt(header, "failed", 0));
-  inst->stats().started =
-      TimePoint::FromMicros(RecInt(header, "started_us", 0));
-  inst->stats().finished =
-      TimePoint::FromMicros(RecInt(header, "finished_us", 0));
-  auto lin = header.find("lineage");
-  if (lin != header.end() && lin->second.is_map()) {
-    for (const auto& [var, writer] : lin->second.AsMap()) {
-      if (writer.is_string()) inst->lineage()[var] = writer.AsString();
-    }
-  }
-  auto events = header.find("events");
-  if (events != header.end() && events->second.is_list()) {
-    for (const auto& event : events->second.AsList()) {
-      if (event.is_string()) inst->raised_events().insert(event.AsString());
-    }
-  }
-  // Root whiteboard.
-  auto wb_it = records.find("wb");
-  if (wb_it != records.end()) {
-    *inst->root()->own_whiteboard = wb_it->second;
-  }
-
-  // Recursively rebuild the tree. Returns the restored node state.
-  std::function<Status(TaskNode*)> rebuild = [&](TaskNode* node) -> Status {
-    auto rec_it = records.find(TaskRecordKey(node->path));
-    if (rec_it == records.end()) return Status::OK();  // still inactive
-    const Value::Map& rec = rec_it->second;
-    BIOPERA_ASSIGN_OR_RETURN(TaskState state,
-                             TaskStateFromName(RecString(rec, "state")));
-    inst->SetTaskState(node, state);
-    node->attempts = static_cast<int>(RecInt(rec, "attempts", 0));
-    node->binding_used = RecString(rec, "binding");
-    node->cost = Duration::Micros(RecInt(rec, "cost_us", 0));
-    node->started = TimePoint::FromMicros(RecInt(rec, "started_us", 0));
-    node->finished = TimePoint::FromMicros(RecInt(rec, "finished_us", 0));
-    auto out_it = rec.find("outputs");
-    if (out_it != rec.end() && out_it->second.is_map()) {
-      node->outputs = out_it->second.AsMap();
-    }
-    if (node->state == TaskState::kInactive ||
-        node->state == TaskState::kSkipped) {
-      return Status::OK();
-    }
-    // Expand composites the way the original activation did.
-    switch (node->kind()) {
-      case TaskKind::kActivity:
-        break;
-      case TaskKind::kBlock: {
-        node->connectors = &node->def->connectors;
-        for (const TaskDef& sub : node->def->subtasks) {
-          AddChildNode(inst.get(), node, &sub, node->path + "." + sub.name);
-        }
-        break;
-      }
-      case TaskKind::kParallel: {
-        auto exp_it = rec.find("expansion");
-        if (exp_it == rec.end() || !exp_it->second.is_list()) {
-          return Status::Corruption(node->path + ": missing expansion");
-        }
-        node->expansion = exp_it->second;
-        const auto& items = node->expansion.AsList();
-        for (size_t i = 0; i < items.size(); ++i) {
-          TaskNode* child = AddChildNode(
-              inst.get(), node, &node->def->body[0],
-              StrFormat("%s[%zu]", node->path.c_str(), i));
-          child->item = items[i];
-          child->index = static_cast<int64_t>(i);
-        }
-        break;
-      }
-      case TaskKind::kSubprocess: {
-        BIOPERA_ASSIGN_OR_RETURN(const ProcessDef* sub,
-                                 ResolveTemplate(RecString(rec, "sub")));
-        node->sub_def = sub;
-        node->connectors = &sub->connectors;
-        node->own_whiteboard = std::make_unique<Value::Map>();
-        auto sub_wb = records.find("wb/" + node->path);
-        if (sub_wb != records.end()) {
-          *node->own_whiteboard = sub_wb->second;
-        }
-        for (const TaskDef& sub_task : sub->tasks) {
-          AddChildNode(inst.get(), node, &sub_task,
-                       node->path + "/" + sub_task.name);
-        }
-        break;
-      }
-    }
-    for (auto& child : node->children) {
-      BIOPERA_RETURN_IF_ERROR(rebuild(child.get()));
-    }
-    return Status::OK();
-  };
-  // Root children were created by the ProcessInstance constructor.
-  for (auto& child : inst->root()->children) {
-    BIOPERA_RETURN_IF_ERROR(rebuild(child.get()));
-  }
-
+  BIOPERA_ASSIGN_OR_RETURN(std::unique_ptr<ProcessInstance> inst,
+                           navigator_.Rebuild(instance_id, std::move(rows)));
   ProcessInstance* raw = inst.get();
   instances_[instance_id] = std::move(inst);
 
@@ -3144,23 +2203,8 @@ Status Engine::RecoverInstance(
                       /*link=*/0, instance_id);
   }
 
-  // Re-queue interrupted work: activities that were queued, running (their
-  // job died with the server or node), or waiting out a retry backoff
-  // (the timer did not survive the crash).
   WriteBatch batch;
-  size_t requeued = 0;
-  raw->ForEachNode([&](TaskNode* node) {
-    if (node->kind() != TaskKind::kActivity) return;
-    if (node->state == TaskState::kRunning ||
-        node->state == TaskState::kRetryWait) {
-      raw->SetTaskState(node, TaskState::kReady);
-      PersistTask(raw, node, &batch);
-    }
-    if (node->state == TaskState::kReady) {
-      EnqueueReady(raw, node);
-      ++requeued;
-    }
-  });
+  size_t requeued = navigator_.RequeueInterrupted(raw, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
   if (raw->state() == InstanceState::kRunning) {
     AppendHistory(instance_id, "recovered; interrupted work re-queued");

@@ -15,6 +15,7 @@
 #include "common/result.h"
 #include "core/activity.h"
 #include "core/instance.h"
+#include "core/navigator.h"
 #include "monitor/adaptive_monitor.h"
 #include "monitor/awareness.h"
 #include "obs/lineage.h"
@@ -69,12 +70,6 @@ struct EngineOptions {
   /// restart. 0 disables the watchdog.
   double job_timeout_factor = 0;
   Duration job_timeout_slack = Duration::Hours(1);
-  /// Degraded-mode retry backoff (store IOError survival): the first
-  /// retry of the failed commit fires after `degraded_retry_initial`,
-  /// doubling up to `degraded_retry_max` until the disk accepts writes.
-  Duration degraded_retry_initial = Duration::Seconds(1);
-  Duration degraded_retry_max = Duration::Minutes(5);
-  monitor::AdaptiveMonitorOptions monitor_options;
   /// Control-plane channel between the engine and the PECs. When null the
   /// engine uses the cluster's channel (ClusterSim::channel(): by default
   /// the cluster's own plain comms::Channel, lossless and synchronous), so
@@ -96,15 +91,6 @@ struct EngineOptions {
   Duration heartbeat_interval = Duration::Zero();
   int lease_misses_to_suspect = 3;
   Duration lease_condemn_grace = Duration::Minutes(2);
-  /// Kill-command retry policy: a kKill that cannot be delivered (link
-  /// down, injected drop) is retried with exponential backoff
-  /// (`kill_retry_base` doubling to `kill_retry_max`, plus deterministic
-  /// per-(node,job,attempt) jitter — comms::RetryBackoff) at most
-  /// `kill_retry_limit` times; undeliverable kills are also flushed
-  /// immediately when the command link comes back.
-  Duration kill_retry_base = Duration::Seconds(2);
-  Duration kill_retry_max = Duration::Minutes(4);
-  int kill_retry_limit = 8;
   /// Deterministic seed for engine-internal randomness (random policy).
   uint64_t seed = 1;
   /// Optional observability context. When set, the engine emits spans
@@ -151,15 +137,18 @@ struct InstanceSummary {
   size_t tasks_failed = 0;
 };
 
-/// The BioOpera server: navigator + dispatcher + recovery manager over the
-/// persistent spaces, driving processes across the simulated cluster
-/// (paper §3.2, Figure 2).
+/// The BioOpera server: dispatcher + recovery manager over the persistent
+/// spaces, driving processes across the simulated cluster (paper §3.2,
+/// Figure 2). The navigator (core/navigator.h) moves each instance's OCR
+/// graph forward; the engine acts on what it reports.
 ///
 /// Every state transition is committed to the record store *before* it
 /// takes effect in memory, so Crash() + Startup() at any point resumes the
 /// computation without losing completed activities — the paper's central
 /// dependability property.
-class Engine : public cluster::ClusterListener, public comms::ReportHandler {
+class Engine : public cluster::ClusterListener,
+               public comms::ReportHandler,
+               private NavigatorHost {
  public:
   Engine(Simulator* sim, cluster::ClusterSim* cluster, RecordStore* store,
          ActivityRegistry* registry, const EngineOptions& options = {});
@@ -254,8 +243,8 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   // --- Provenance / lineage --------------------------------------------------
   /// All lineage records of an instance, read back from the provenance
   /// space (so they survive crashes and are recovered with the instance),
-  /// ordered by (task path, attempt). Records exist only for dispatches
-  /// made while an Observability context was attached.
+  /// ordered by (task path, attempt). Every dispatch and outcome writes
+  /// its record, with or without an Observability context.
   Result<std::vector<obs::LineageRecord>> GetTaskLineage(
       const std::string& instance_id) const;
   /// The instance's full lineage export: one header line plus one line
@@ -371,8 +360,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   comms::Channel* channel() const { return channel_; }
 
  private:
-  friend class OutagePlanner;
-
   /// Dispatch order: priority descending, then enqueue sequence (FIFO).
   /// Used as the key of the ready map and the parked queues, so a parked
   /// entry re-enters the scan exactly where the old sort-every-pump deque
@@ -409,7 +396,7 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
     /// (0 when spans are not enabled).
     uint64_t attempt_span = 0;
     /// Input descriptors captured when the activity first executed (empty
-    /// until then, and always empty when spans are not enabled).
+    /// until then).
     std::vector<std::pair<std::string, std::string>> input_desc;
     /// Speculative execution handed back by the thread pool, consumed by
     /// the scan only if the freshly built input still matches the one it
@@ -445,47 +432,22 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
     std::vector<std::pair<std::string, std::string>> params;
   };
 
-  // -- Navigation --
-  /// Builds children of a composite node when it activates.
-  Status ExpandComposite(ProcessInstance* inst, TaskNode* node,
-                         WriteBatch* batch);
-  /// Runs connector evaluation in `scope` until fixpoint, activating and
-  /// skipping children; checks scope completion.
-  Status EvaluateScope(ProcessInstance* inst, TaskNode* scope,
-                       WriteBatch* batch);
-  Status ActivateTask(ProcessInstance* inst, TaskNode* node,
-                      WriteBatch* batch);
-  Status SkipTask(ProcessInstance* inst, TaskNode* node, WriteBatch* batch);
-  /// Marks a task done, applies the mapping phase, bubbles completion
-  /// upward and re-evaluates the surrounding scope.
-  Status CompleteTask(ProcessInstance* inst, TaskNode* node,
-                      ocr::Value::Map outputs, Duration cost,
-                      WriteBatch* batch);
-  Status HandleTaskFailure(ProcessInstance* inst, TaskNode* node,
-                           const std::string& reason, WriteBatch* batch);
-  /// Checks whether all children of `scope` are terminal and finishes the
-  /// composite (collection, output mapping, instance completion).
-  Status MaybeCompleteScope(ProcessInstance* inst, TaskNode* scope,
-                            WriteBatch* batch);
-  /// Applies output mappings of `node` into its scope whiteboard.
-  Status ApplyOutputMappings(ProcessInstance* inst, TaskNode* node,
-                             WriteBatch* batch);
-  /// Re-runs navigation over all active scopes (after Restart resets).
-  Status ReevaluateAll(ProcessInstance* inst, WriteBatch* batch);
-  /// Sphere-of-atomicity failure handling: run compensation bindings of
-  /// completed activities in reverse completion order, discard the
-  /// sphere's state, and re-run it (bounded by its failure policy).
-  Status CompensateSphere(ProcessInstance* inst, TaskNode* scope,
-                          WriteBatch* batch);
-  /// Deletes a node's children (records, index entries and nodes); kills
-  /// outstanding jobs and queue entries under it.
-  void DiscardSubtree(ProcessInstance* inst, TaskNode* node,
-                      WriteBatch* batch);
-  /// Assembles the ActivityInput of a task from its input mappings.
-  Result<ActivityInput> BuildInput(TaskNode* node);
+  // -- NavigatorHost --
+  void TaskReady(ProcessInstance* inst, TaskNode* node) override;
+  void RetryDue(ProcessInstance* inst, TaskNode* node,
+                Duration backoff) override;
+  /// Kills `inst`'s outstanding jobs (only those under `subtree` when it
+  /// is not null), in JobId order.
+  void KillJobs(ProcessInstance* inst, const TaskNode* subtree) override;
+  void InstanceStateWritten(ProcessInstance* inst) override;
+  void AppendHistory(const std::string& instance_id,
+                     const std::string& event) override;
+  void TaskFailed(ProcessInstance* inst, TaskNode* node) override;
 
   // -- Dispatching --
-  void EnqueueReady(ProcessInstance* inst, TaskNode* node);
+  /// Queues a fresh attempt of activity `node`; `entry` may carry a
+  /// cached result, its input descriptors and a node to avoid.
+  void EnqueueReady(ProcessInstance* inst, TaskNode* node, ReadyEntry entry);
   /// Routes an entry into the ready map — or, during a pump, into the
   /// pump-local overflow queue (scanned at the tail of the running pump,
   /// in enqueue order, mirroring the old deque's mid-pump appends).
@@ -510,9 +472,9 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   void RequeueLostJob(PendingJob pending, std::string_view outcome);
 
   // -- Control plane (comms seam) --
-  /// Applies a verified completion/failure (fence already checked).
-  void ApplyJobFinished(cluster::JobId id);
-  void ApplyJobFailed(cluster::JobId id, const std::string& reason);
+  /// Applies a verified completion or failure (fence already checked).
+  void ApplyJobOutcome(cluster::JobId id, bool failed,
+                       const std::string& reason);
   /// Sends a kKill for (node, job, fence) — the first send, every backoff
   /// retry and every link-up flush. A delivered kill (OK, or NotFound: the
   /// job is already gone) settles the job's pending entry; an
@@ -566,23 +528,15 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
                      std::string_view outcome);
 
   // -- Persistence --
-  void PersistTask(ProcessInstance* inst, const TaskNode* node,
-                   WriteBatch* batch);
-  void PersistWhiteboard(ProcessInstance* inst, const TaskNode* scope_owner,
-                         WriteBatch* batch);
-  void PersistHeader(ProcessInstance* inst, WriteBatch* batch);
   Status Commit(WriteBatch* batch);
   /// Store to group commits on: the record store when group commit is
   /// enabled, nullptr (a no-op CommitScope) otherwise.
   RecordStore* GroupTarget();
-  void AppendHistory(const std::string& instance_id, const std::string& event);
   /// Rebuilds one instance from its records (key order, "<id>/" prefix
   /// stripped, as Spaces::ScanInstances groups them); re-queues
   /// interrupted work.
   Status RecoverInstance(const std::string& instance_id,
                          std::vector<std::pair<std::string, std::string>> rows);
-
-  Result<const ocr::ProcessDef*> ResolveTemplate(const std::string& name);
 
   // -- Degraded mode & fencing --
   /// Store flush failed at a commit barrier: decide between fencing
@@ -624,7 +578,7 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   /// Closes an attempt span with its terminal outcome.
   void EndAttemptSpan(uint64_t attempt_span, std::string_view outcome);
 
-  // -- Provenance (all no-ops when spans_ == nullptr) --
+  // -- Provenance --
   /// Writes the attempt's in-row (inputs, params, node, binding, dispatch
   /// time) into the dispatch commit's batch.
   void RecordLineageDispatch(const ReadyEntry& entry, const TaskNode* node,
@@ -643,6 +597,7 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   ActivityRegistry* registry_;
   EngineOptions options_;
   Rng rng_;
+  Navigator navigator_;
 
   bool up_ = false;
   bool degraded_ = false;
@@ -652,12 +607,6 @@ class Engine : public cluster::ClusterListener, public comms::ReportHandler {
   monitor::AwarenessModel awareness_;
   std::unique_ptr<sched::SchedulingPolicy> policy_;
   std::map<std::string, std::unique_ptr<monitor::AdaptiveMonitor>> monitors_;
-
-  /// Parsed template cache; pointers into it stay valid for the engine's
-  /// life (recovered instances reference these definitions).
-  std::map<std::string, std::unique_ptr<ocr::ProcessDef>> template_cache_;
-  /// Superseded parses kept alive because instances may still point at them.
-  std::vector<std::unique_ptr<ocr::ProcessDef>> retired_defs_;
 
   std::map<std::string, std::unique_ptr<ProcessInstance>> instances_;
   /// Bumped whenever instances_ loses an element (Archive, Crash, fenced

@@ -95,14 +95,6 @@ ProcessInstance::ProcessInstance(std::string id, const ocr::ProcessDef* def)
   for (const ocr::DataObjectDef& d : def_->whiteboard) {
     (*root_.own_whiteboard)[d.name] = d.initial;
   }
-  for (const ocr::TaskDef& task : def_->tasks) {
-    auto child = std::make_unique<TaskNode>();
-    child->def = &task;
-    child->parent = &root_;
-    child->path = task.name;
-    IndexNode(child.get());
-    root_.children.push_back(std::move(child));
-  }
 }
 
 void ProcessInstance::ForEachNode(const std::function<void(TaskNode*)>& fn) {

@@ -86,7 +86,7 @@ struct TaskNode {
   std::vector<std::unique_ptr<TaskNode>> children;
   /// Connectors scoping the children (null for parallel).
   const std::vector<ocr::ControlConnector>* connectors = nullptr;
-  /// Late-bound subprocess definition (owned by the engine's template
+  /// Late-bound subprocess definition (owned by the navigator's template
   /// cache) and its private whiteboard.
   const ocr::ProcessDef* sub_def = nullptr;
   std::unique_ptr<ocr::Value::Map> own_whiteboard;
@@ -127,10 +127,11 @@ struct InstanceStats {
 
 /// One executing (or recovered) process: the instance tree plus the
 /// process whiteboard, statistics and lineage records. Pure state — all
-/// navigation logic lives in the Engine; all persistence in the engine's
-/// persist/rebuild helpers.
+/// navigation logic and persistence live in the Navigator.
 class ProcessInstance {
  public:
+  /// The pseudo-root with the process whiteboard's defaults; the
+  /// navigator creates the task nodes under it.
   ProcessInstance(std::string id, const ocr::ProcessDef* def);
 
   const std::string& id() const { return id_; }

@@ -16,13 +16,6 @@ Duration CostModel::PairCost(size_t len_a, size_t len_b) const {
   return Duration::Seconds(cells * options_.sw_cell_seconds);
 }
 
-Duration CostModel::RefineCost(size_t len_a, size_t len_b) const {
-  double cells = static_cast<double>(len_a) * static_cast<double>(len_b);
-  return Duration::Seconds(cells * options_.sw_cell_seconds *
-                               options_.refine_evaluations +
-                           options_.match_io_seconds);
-}
-
 void CostModel::Prepare(const std::vector<uint32_t>& lengths) {
   lengths_ = lengths;
   suffix_len_.assign(lengths.size() + 1, 0.0);

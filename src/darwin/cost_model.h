@@ -55,9 +55,6 @@ class CostModel {
   /// CPU cost of one fixed-PAM pairwise alignment.
   Duration PairCost(size_t len_a, size_t len_b) const;
 
-  /// CPU cost of refining one match (several SW evaluations).
-  Duration RefineCost(size_t len_a, size_t len_b) const;
-
   /// CPU cost of a TEU that aligns each entry in [first, last) of a
   /// dataset with `lengths` against all entries with larger index
   /// (triangular all-vs-all with redundant comparisons ruled out),
@@ -69,18 +66,12 @@ class CostModel {
   /// Precomputes suffix sums for repeated TeuCost queries on one dataset.
   void Prepare(const std::vector<uint32_t>& lengths);
 
-  /// Darwin startup overhead alone.
-  Duration InitCost() const {
-    return Duration::Seconds(options_.darwin_init_seconds);
-  }
-
   /// Extracts the residue lengths of a dataset.
   static std::vector<uint32_t> Lengths(const Dataset& dataset);
 
  private:
   CostModelOptions options_;
   std::vector<double> suffix_len_;   // suffix_len_[i] = sum of lengths[i..)
-  std::vector<double> suffix_sq_;    // unused lengths kept for clarity
   std::vector<uint32_t> lengths_;
 };
 

@@ -11,8 +11,6 @@ namespace {
 
 uint64_t (*g_fake_now_ns)() = nullptr;
 
-const char* const kBucketNames[WallProfile::kNumBuckets] = {"pump", "kernel",
-                                                            "store"};
 const char* const kCauseNames[BarrierProfiler::kNumCauses] = {
     "pump", "kernel", "store", "idle", "wait"};
 
@@ -26,10 +24,6 @@ std::string TsMicros(uint64_t ns) {
 }
 
 }  // namespace
-
-const char* WallProfile::BucketName(int bucket) {
-  return bucket >= 0 && bucket < kNumBuckets ? kBucketNames[bucket] : "?";
-}
 
 uint64_t WallProfile::NowNs() {
   if (g_fake_now_ns != nullptr) return g_fake_now_ns();

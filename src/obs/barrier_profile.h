@@ -25,7 +25,6 @@ class WallProfile {
  public:
   enum Bucket { kPump = 0, kKernel = 1, kStore = 2 };
   static constexpr int kNumBuckets = 3;
-  static const char* BucketName(int bucket);
 
   /// RAII self-time scope. A null profile reduces both constructor and
   /// destructor to a single branch — the null-check-only detached path

@@ -9,10 +9,10 @@
 namespace biopera::obs {
 
 /// One attempt's provenance: which inputs a task execution consumed,
-/// where it ran, and what it produced. The engine emits these at the
-/// span instrumentation sites (dispatch / completion) and persists them
-/// in the store's provenance space, so a record survives crashes along
-/// with the instance it describes.
+/// where it ran, and what it produced. The engine writes these in the
+/// dispatch and outcome commits, with or without spans, to the store's
+/// provenance space, so a record survives crashes along with the
+/// instance it describes.
 ///
 /// Descriptors are flat (key, value) string pairs:
 ///  - `inputs`  — the activity's bound input parameters, summarized

@@ -1,5 +1,7 @@
 #include "service/router.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "obs/json.h"
 
@@ -29,10 +31,9 @@ uint64_t Mix64(uint64_t z) {
 
 }  // namespace
 
-Router::Router(int shards, PlacementMode mode, int virtual_nodes)
-    : shards_(shards < 1 ? 1 : shards), mode_(mode) {
-  for (int s = 0; s < shards_; ++s) {
-    for (int v = 0; v < virtual_nodes; ++v) {
+Router::Router(int shards) {
+  for (int s = 0; s < std::max(shards, 1); ++s) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
       uint64_t pos = Mix64(obs::Fnv1a64(StrFormat("shard-%d#%d", s, v)));
       // Collisions resolve to the lower shard id deterministically.
       ring_.emplace(pos, s);
@@ -40,18 +41,11 @@ Router::Router(int shards, PlacementMode mode, int virtual_nodes)
   }
 }
 
-int Router::HashShard(const std::string& key) const {
+int Router::Place(const std::string& key) const {
   uint64_t h = Mix64(obs::Fnv1a64(key));
   auto it = ring_.lower_bound(h);
   if (it == ring_.end()) it = ring_.begin();  // wrap around the ring
   return it->second;
-}
-
-int Router::Place(const std::string& key) {
-  if (mode_ == PlacementMode::kRoundRobin) {
-    return static_cast<int>(rr_cursor_++ % static_cast<uint64_t>(shards_));
-  }
-  return HashShard(key);
 }
 
 }  // namespace biopera::service

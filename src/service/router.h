@@ -4,53 +4,32 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace biopera::service {
-
-/// How the front door maps a placement key (instance id, or a caller-
-/// supplied affinity key) to an engine shard.
-enum class PlacementMode {
-  /// Consistent hashing over a ring of virtual nodes: changing the shard
-  /// count by one moves only ~1/N of future placements, so a resize does
-  /// not reshuffle the whole keyspace.
-  kConsistentHash = 0,
-  /// Strict rotation, ignoring the key: perfectly even but placement-
-  /// history dependent (used by the saturation bench for exact balance).
-  kRoundRobin,
-};
 
 /// Deterministic per-shard RNG stream: SplitMix64 over (base seed, shard),
 /// so shard i's engine randomness is independent of — but fully determined
 /// by — the service seed, and adding shards never perturbs existing ones.
 uint64_t ShardSeed(uint64_t base_seed, int shard);
 
-/// The placement half of the admission/routing front door. Stateless
-/// except for the round-robin cursor; the service owns the authoritative
-/// instance -> shard map (placements are sticky once made).
+/// The placement half of the admission/routing front door: consistent
+/// hashing over a ring of virtual nodes, so changing the shard count by
+/// one moves only ~1/N of future placements instead of reshuffling the
+/// whole keyspace. The service owns the authoritative instance -> shard
+/// map (placements are sticky once made).
 class Router {
  public:
-  /// `virtual_nodes` ring points per shard; more points = smoother
-  /// balance, linearly slower resize.
-  Router(int shards, PlacementMode mode, int virtual_nodes = 64);
+  explicit Router(int shards);
 
-  /// Shard for a fresh placement of `key`. Round-robin advances the
-  /// cursor; consistent hashing is pure.
-  int Place(const std::string& key);
-
-  /// Pure lookup (no cursor advance): where consistent hashing would put
-  /// `key`. Round-robin mode falls back to hashing too, so the answer is
-  /// stable for tests.
-  int HashShard(const std::string& key) const;
-
-  int shards() const { return shards_; }
-  PlacementMode mode() const { return mode_; }
+  /// Shard for a fresh placement of `key`.
+  int Place(const std::string& key) const;
 
  private:
-  int shards_;
-  PlacementMode mode_;
-  uint64_t rr_cursor_ = 0;
-  /// Ring position -> shard, sorted by position (consistent hashing).
+  /// Ring points per shard: more points give smoother balance and a
+  /// linearly slower resize.
+  static constexpr int kVirtualNodes = 64;
+
+  /// Ring position -> shard, sorted by position.
   std::map<uint64_t, int> ring_;
 };
 

@@ -104,8 +104,7 @@ Status ShardedService::Startup() {
     BIOPERA_RETURN_IF_ERROR(shard->engine->Startup());
     shards_.push_back(std::move(shard));
   }
-  router_ = std::make_unique<Router>(options_.shards, options_.placement,
-                                     options_.virtual_nodes);
+  router_ = std::make_unique<Router>(options_.shards);
   barrier_profiler_ = std::make_unique<obs::BarrierProfiler>(
       hosted, &fleet_obs_->metrics, options_.barrier_profile_records);
   step_sensors_.resize(hosted);

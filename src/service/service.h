@@ -33,8 +33,6 @@ struct ServiceOptions {
   int shards = 1;
   /// Service-wide seed; shard i's engine runs on ShardSeed(seed, i).
   uint64_t seed = 1;
-  PlacementMode placement = PlacementMode::kConsistentHash;
-  int virtual_nodes = 64;
   /// Lockstep barrier quantum: every barrier advances all shards to
   /// (earliest pending event across shards with regular work) + quantum.
   /// Larger quanta amortize barrier overhead; any value yields the same

@@ -19,10 +19,6 @@ EventId Simulator::ScheduleDaemon(Duration delay, std::function<void()> fn) {
   return ScheduleInternal(now_ + delay, std::move(fn), /*daemon=*/true);
 }
 
-EventId Simulator::ScheduleDaemonAt(TimePoint t, std::function<void()> fn) {
-  return ScheduleInternal(t, std::move(fn), /*daemon=*/true);
-}
-
 EventId Simulator::ScheduleInternal(TimePoint t, std::function<void()> fn,
                                     bool daemon) {
   if (t < now_) t = now_;

@@ -46,7 +46,6 @@ class Simulator : public Clock {
   /// Daemon variants: the event fires normally but does not keep Run()
   /// alive on its own.
   EventId ScheduleDaemon(Duration delay, std::function<void()> fn);
-  EventId ScheduleDaemonAt(TimePoint t, std::function<void()> fn);
 
   /// Cancels a pending event. Returns false if it already ran, was already
   /// cancelled, or never existed.

@@ -220,4 +220,25 @@ Result<ocr::Value> DecodeValueRecord(std::string_view record) {
   return v;
 }
 
+int64_t RecordInt(const ocr::Value::Map& rec, const std::string& key,
+                  int64_t dflt) {
+  auto it = rec.find(key);
+  if (it == rec.end() || !it->second.is_number()) return dflt;
+  return it->second.is_int() ? it->second.AsInt()
+                             : static_cast<int64_t>(it->second.AsDouble());
+}
+
+double RecordDouble(const ocr::Value::Map& rec, const std::string& key,
+                    double dflt) {
+  auto it = rec.find(key);
+  if (it == rec.end() || !it->second.is_number()) return dflt;
+  return it->second.AsDouble();
+}
+
+std::string RecordString(const ocr::Value::Map& rec, const std::string& key) {
+  auto it = rec.find(key);
+  return it != rec.end() && it->second.is_string() ? it->second.AsString()
+                                                   : std::string();
+}
+
 }  // namespace biopera

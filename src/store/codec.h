@@ -59,6 +59,15 @@ std::string EncodeValueRecord(const ocr::Value& v);
 /// binary body is malformed or has trailing bytes, is Corruption.
 Result<ocr::Value> DecodeValueRecord(std::string_view record);
 
+/// Field readers for a decoded record map: the value at `key`, or the
+/// default when it is absent or of another type (a number of the other
+/// kind converts).
+int64_t RecordInt(const ocr::Value::Map& rec, const std::string& key,
+                  int64_t dflt);
+double RecordDouble(const ocr::Value::Map& rec, const std::string& key,
+                    double dflt);
+std::string RecordString(const ocr::Value::Map& rec, const std::string& key);
+
 }  // namespace biopera
 
 #endif  // BIOPERA_STORE_CODEC_H_

@@ -102,8 +102,6 @@ class FaultFs : public Fs {
   /// (1-based). The op does not reach the base fs; later ops are fine.
   void ArmError(const std::string& point, uint64_t at_hit);
 
-  void Disarm() { armed_.reset(); }
-
   /// ENOSPC mode: space-consuming ops (open/create/append/flush/sync)
   /// fail; renames, removes, and reads still work — like a full disk.
   void SetDiskFull(bool full) { disk_full_ = full; }
@@ -116,12 +114,10 @@ class FaultFs : public Fs {
   size_t PendingRenames() const { return pending_renames_.size(); }
 
   bool dead() const { return dead_; }
-  void Revive() { dead_ = false; }
 
   /// Hit counts per fault point, armed or not — a plain recording pass
   /// enumerates every fault point a workload exercises.
   const std::map<std::string, uint64_t>& Hits() const { return hits_; }
-  void ResetHits() { hits_.clear(); }
 
  private:
   friend class FaultFile;

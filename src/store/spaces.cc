@@ -107,11 +107,6 @@ void Spaces::BatchPutProvenance(WriteBatch* batch,
   batch->Put(kProvenanceTable, InstanceKey(instance_id, key), value);
 }
 
-Result<std::string> Spaces::GetProvenance(std::string_view instance_id,
-                                          std::string_view key) const {
-  return store_->Get(kProvenanceTable, InstanceKey(instance_id, key));
-}
-
 std::vector<std::pair<std::string, std::string>> Spaces::ScanProvenance(
     std::string_view instance_id) const {
   std::string prefix(instance_id);

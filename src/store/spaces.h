@@ -61,8 +61,6 @@ class Spaces {
   /// state transition it explains and is recovered with the instance.
   void BatchPutProvenance(WriteBatch* batch, std::string_view instance_id,
                           std::string_view key, std::string_view value);
-  Result<std::string> GetProvenance(std::string_view instance_id,
-                                    std::string_view key) const;
   /// All of an instance's lineage records in key order, "<id>/" prefix
   /// stripped.
   std::vector<std::pair<std::string, std::string>> ScanProvenance(

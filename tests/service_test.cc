@@ -22,7 +22,6 @@ namespace biopera {
 namespace {
 
 using core::InstanceState;
-using service::PlacementMode;
 using service::ServiceOptions;
 using service::ShardedService;
 using service::Submission;
@@ -574,23 +573,6 @@ TEST(ShardedServiceTest, ReopenCountsRecoveredInstancesPerTenant) {
   }
   ASSERT_OK_AND_ASSIGN(InstanceState state, svc.GetState(queued.global_id));
   EXPECT_EQ(state, InstanceState::kDone);
-}
-
-TEST(ShardedServiceTest, RoundRobinPlacementAlternates) {
-  testing::TempDir dir;
-  core::ActivityRegistry registry;
-  RegisterJobActivities(&registry);
-  ServiceOptions options = BaseOptions(3, 23);
-  options.placement = PlacementMode::kRoundRobin;
-  ShardedService svc(dir.path(), &registry, options);
-  ASSERT_OK(svc.Startup());
-  ASSERT_OK(svc.RegisterTemplate(JobProcess()));
-  for (int i = 0; i < 9; ++i) {
-    ASSERT_OK_AND_ASSIGN(Ticket t, svc.Submit(MakeJob(i)));
-    EXPECT_EQ(t.shard, i % 3);
-  }
-  svc.RunUntilQuiescent(100000);
-  EXPECT_EQ(svc.GetStats().live, 0u);
 }
 
 }  // namespace
