@@ -134,9 +134,8 @@ BENCHMARK(BM_BatchedCommit)->Arg(1)->Arg(16)->Arg(256);
 
 void BM_Checkpoint(benchmark::State& state) {
   // A large, quiescent instance table plus a small hot "meta" table: each
-  // iteration dirties one record and checkpoints. Incremental checkpoints
-  // serialize only the dirty table into a delta segment (with a periodic
-  // full compaction folded into the mean).
+  // iteration changes one record and checkpoints. The delta segment holds
+  // that one record (with the rare full compaction folded into the mean).
   std::string dir = FreshDir();
   auto store = RecordStore::Open(dir);
   if (!store.ok()) state.SkipWithError("open failed");
@@ -156,16 +155,50 @@ void BM_Checkpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_Checkpoint)->Arg(1000)->Arg(10000);
 
+// Rows changed between two checkpoints in BM_CheckpointDelta.
+constexpr int kChangedRows = 100;
+
+void BM_CheckpointDelta(benchmark::State& state) {
+  // The engine's steady state: a checkpoint after a burst of task-record
+  // rewrites spread over a large instance table. A delta segment carries
+  // just the changed rows, so the cost should stay flat as the table
+  // grows; the compactions the default ratio triggers (once the deltas
+  // reach the full segment's bytes) are folded into the mean.
+  std::string dir = FreshDir();
+  auto store = RecordStore::Open(dir);
+  if (!store.ok()) state.SkipWithError("open failed");
+  DisableAutoCheckpoint(store->get());
+  const int rows = static_cast<int>(state.range(0));
+  std::vector<std::string> keys;
+  keys.reserve(rows);
+  for (int k = 0; k < rows; ++k) {
+    keys.push_back(StrFormat("inst-%06d/task/state", k));
+    (*store)->Put("instance", keys.back(), "some value text");
+  }
+  benchmark::DoNotOptimize((*store)->Checkpoint());  // the full segment
+  uint64_t next = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < kChangedRows; ++k) {
+      (*store)->Put("instance", keys[next++ % rows], "a rewritten value");
+    }
+    benchmark::DoNotOptimize((*store)->Checkpoint());
+  }
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["changed"] = kChangedRows;
+  store->reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointDelta)->Arg(1000)->Arg(10000)->Arg(100000);
+
 void BM_CheckpointFull(benchmark::State& state) {
-  // The pre-incremental behavior (and the compaction cost): every
-  // checkpoint rewrites all tables. Dirtying a record in the big table
-  // forces the full serialization each iteration.
+  // The compaction cost: every checkpoint rewrites all tables into a full
+  // segment (ratio 0).
   std::string dir = FreshDir();
   auto store = RecordStore::Open(dir);
   if (!store.ok()) state.SkipWithError("open failed");
   RecordStore::CheckpointPolicy policy;
   policy.wal_bytes = 0;
-  policy.compact_after_segments = 1;  // always compact = always full
+  policy.compact_delta_ratio = 0;  // always compact = always full
   (*store)->SetCheckpointPolicy(policy);
   for (int k = 0; k < state.range(0); ++k) {
     (*store)->Put("instance", StrFormat("rec/%06d", k), "some value text");

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -234,7 +235,7 @@ Status Engine::Startup() {
       this, [this](const Status& cause) { OnStoreFlushFailure(cause); });
   // Startup writes many config records and recovery markers; group them
   // into one WAL record.
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
 
   // Discover the cluster topology (the PECs re-register with the server).
   for (const cluster::NodeConfig& node : cluster_->Nodes()) {
@@ -496,7 +497,7 @@ Result<std::string> Engine::ScrubStore() {
 
 Status Engine::RegisterTemplate(const ProcessDef& def) {
   BIOPERA_RETURN_IF_ERROR(ocr::ValidateProcess(def));
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   Status st = navigator_.StoreTemplate(def);
   if (!st.ok()) MaybeHandleFenced(st);
   return st;
@@ -514,7 +515,7 @@ Result<std::string> Engine::StartProcess(const std::string& template_name,
                                          const Value::Map& args,
                                          int priority) {
   if (!up_) return Status::Unavailable("server is down");
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   BIOPERA_ASSIGN_OR_RETURN(const ProcessDef* def,
                            navigator_.ResolveTemplate(template_name));
   std::string id = StrFormat("%s-%06llu", template_name.c_str(),
@@ -537,8 +538,17 @@ Result<std::string> Engine::StartProcess(const std::string& template_name,
   }
 
   WriteBatch batch;
-  BIOPERA_RETURN_IF_ERROR(navigator_.Start(raw, &batch));
-  BIOPERA_RETURN_IF_ERROR(Commit(&batch));
+  Status st = navigator_.Start(raw, &batch);
+  if (st.ok()) st = Commit(&batch);
+  if (!st.ok()) {
+    // Nothing of the instance was committed, so nothing of it may stay in
+    // memory: a restart would not bring it back.
+    DropQueuedForInstance(id);
+    if (spans_ != nullptr) spans_->End(raw->span_id(), "failed");
+    instances_.erase(id);
+    ++instance_generation_;
+    return st;
+  }
   AppendHistory(id, "started template=" + template_name);
   PumpDispatch();
   return id;
@@ -551,7 +561,7 @@ Status Engine::Suspend(const std::string& instance_id) {
     return Status::FailedPrecondition("instance not running");
   }
   SetInstanceState(inst, InstanceState::kSuspended);
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   navigator_.PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
@@ -566,7 +576,7 @@ Status Engine::Resume(const std::string& instance_id) {
     return Status::FailedPrecondition("instance not suspended");
   }
   SetInstanceState(inst, InstanceState::kRunning);
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   navigator_.PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
@@ -586,7 +596,7 @@ Status Engine::Abort(const std::string& instance_id) {
     spans_->End(inst->span_id(), "aborted");
     inst->set_span_id(0);
   }
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   navigator_.PersistHeader(inst, &batch);
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
@@ -599,7 +609,7 @@ Status Engine::Restart(const std::string& instance_id) {
   ProcessInstance* inst = FindInstance(instance_id);
   if (inst == nullptr) return Status::NotFound("no instance " + instance_id);
   SetInstanceState(inst, InstanceState::kRunning);
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   // Re-queue permanently failed and stuck work; completed activities keep
   // their checkpointed results. Outstanding jobs of this instance are
@@ -646,7 +656,7 @@ Status Engine::Invalidate(const std::string& instance_id,
   if (inst->root()->FindChild(task_name) == nullptr) {
     return Status::NotFound("no top-level task " + task_name);
   }
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   BIOPERA_RETURN_IF_ERROR(navigator_.Invalidate(inst, task_name, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
@@ -662,7 +672,7 @@ Status Engine::Archive(const std::string& instance_id) {
     return Status::FailedPrecondition(
         "instance still active; abort or let it finish first");
   }
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   BIOPERA_RETURN_IF_ERROR(spaces_.DeleteInstance(instance_id));
   AppendHistory(instance_id, "archived");
   instances_.erase(instance_id);
@@ -678,7 +688,7 @@ Status Engine::RaiseEvent(const std::string& instance_id,
   ProcessInstance* inst = FindInstance(instance_id);
   if (inst == nullptr) return Status::NotFound("no instance " + instance_id);
   if (inst->raised_events().contains(event)) return Status::OK();
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   BIOPERA_RETURN_IF_ERROR(navigator_.RaiseEvent(inst, event, &batch));
   BIOPERA_RETURN_IF_ERROR(Commit(&batch));
@@ -805,7 +815,7 @@ void Engine::RetryDue(ProcessInstance* inst, TaskNode* node,
     if (inst2 == nullptr) return;
     TaskNode* node2 = inst2->FindByPath(path);
     if (node2 == nullptr || node2->state != TaskState::kRetryWait) return;
-    RecordStore::CommitScope commit_group(GroupTarget());
+    RecordStore::CommitScope commit_group(spaces_.store());
     WriteBatch retry_batch;
     navigator_.MarkReady(inst2, node2, &retry_batch);
     Status st = Commit(&retry_batch);
@@ -905,6 +915,16 @@ void Engine::DropParkedForInstance(const std::string& instance_id) {
   // Entries in ready_/parked_by_class_ are dropped lazily: the next scan
   // sees the instance gone (or not running) and discards them — ending
   // their attempt spans as it goes.
+}
+
+void Engine::DropQueuedForInstance(const std::string& instance_id) {
+  auto drop = [&](const ReadyEntry& entry) {
+    if (entry.instance_id != instance_id) return false;
+    EndAttemptSpan(entry.attempt_span, "stale");
+    return true;
+  };
+  std::erase_if(ready_, [&](const auto& item) { return drop(item.second); });
+  std::erase_if(pump_overflow_, drop);
 }
 
 size_t Engine::NumParkedStarved() const {
@@ -1109,7 +1129,7 @@ void Engine::PumpDispatch() {
   // One commit group per pump: state transitions for all entries handled
   // in this pass coalesce into (at most) a few WAL records, bounded by
   // the pre-dispatch flush barriers below.
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   if (pump_runs_metric_ != nullptr) pump_runs_metric_->Increment();
   // Real-thread execution beneath virtual time: run all ready activity
   // kernels concurrently and join before the scan consumes anything, so
@@ -1244,24 +1264,21 @@ void Engine::PumpDispatch() {
     }
     // Flush barrier: dispatching the job makes state externally visible,
     // so everything committed so far must be durable first.
-    if (RecordStore* group_store = GroupTarget(); group_store != nullptr) {
-      Status flush_status = group_store->Flush();
-      if (!flush_status.ok()) {
-        BIOPERA_LOG(kError) << "pre-dispatch flush failed: "
-                            << flush_status.ToString();
-        ReadyKey key = entry.key();
-        ready_.emplace(key, std::move(entry));
-        if (MaybeHandleFenced(flush_status)) return Verdict::kStopFenced;
-        if (flush_status.IsIOError()) {
-          // Stop dispatching entirely: the store is degraded. The entries
-          // (and their cached results) stay queued; the degraded retry
-          // pumps again once writes succeed.
-          EnterDegraded(flush_status);
-          return Verdict::kStopDegraded;
-        }
-        starved = true;
-        return Verdict::kContinue;
+    if (Status flush_status = spaces_.store()->Flush(); !flush_status.ok()) {
+      BIOPERA_LOG(kError) << "pre-dispatch flush failed: "
+                          << flush_status.ToString();
+      ReadyKey key = entry.key();
+      ready_.emplace(key, std::move(entry));
+      if (MaybeHandleFenced(flush_status)) return Verdict::kStopFenced;
+      if (flush_status.IsIOError()) {
+        // Stop dispatching entirely: the store is degraded. The entries
+        // (and their cached results) stay queued; the degraded retry
+        // pumps again once writes succeed.
+        EnterDegraded(flush_status);
+        return Verdict::kStopDegraded;
       }
+      starved = true;
+      return Verdict::kContinue;
     }
     cluster::JobId job_id = next_job_id_++;
     // Fence this attempt: reports are applied only when they echo the
@@ -1422,7 +1439,7 @@ void Engine::RequeueLostJob(PendingJob pending, std::string_view outcome) {
   if (inst == nullptr) return;
   TaskNode* node = inst->FindByPath(pending.path);
   if (node == nullptr || node->state != TaskState::kRunning) return;
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   navigator_.MarkReady(inst, node, &batch);
   RecordLineageOutcome(pending, outcome, /*with_outputs=*/false, &batch);
@@ -1498,7 +1515,7 @@ Result<std::vector<Engine::TaskRow>> Engine::ListTasks(
 
 void Engine::CheckMigrations() {
   if (!options_.migration_enabled || !up_) return;
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   // Saturation is a per-node property: use the node index so only jobs on
   // saturated nodes are examined, then probe placements in JobId order
   // (stateful policies — round-robin, random — see the same call sequence
@@ -1581,7 +1598,7 @@ void Engine::ApplyJobOutcome(cluster::JobId id, bool failed,
     completed_metric_->Increment();
     task_cost_metric_->Observe(pending.cost.ToSeconds());
   }
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   WriteBatch batch;
   RecordLineageOutcome(pending, outcome, /*with_outputs=*/!failed, &batch);
   Status st = failed ? navigator_.Fail(inst, node, reason, &batch)
@@ -1660,7 +1677,7 @@ void Engine::OnConfigChanged(const cluster::NodeConfig& config) {
   awareness_.UpdateConfig(config);
   // Served classes or CPU counts may have changed in any direction.
   WakeAllClasses();
-  RecordStore::CommitScope commit_group(GroupTarget());
+  RecordStore::CommitScope commit_group(spaces_.store());
   Status st = spaces_.PutConfig("node/" + config.name, NodeConfigRow(config));
   if (!st.ok()) {
     BIOPERA_LOG(kError) << "config update failed: " << st.ToString();
@@ -1976,10 +1993,6 @@ Status Engine::Commit(WriteBatch* batch) {
   return Status::OK();
 }
 
-RecordStore* Engine::GroupTarget() {
-  return options_.group_commit ? spaces_.store() : nullptr;
-}
-
 void Engine::AppendHistory(const std::string& instance_id,
                            const std::string& event) {
   std::string line =
@@ -2058,10 +2071,16 @@ Result<std::vector<obs::LineageRecord>> Engine::GetTaskLineage(
       navigator_.ReadHeader(instance_id).status().IsNotFound()) {
     return Status::NotFound("no instance " + instance_id);
   }
+  return LineageFromRows(instance_id, spaces_.ScanProvenance(instance_id));
+}
+
+Result<std::vector<obs::LineageRecord>> Engine::LineageFromRows(
+    const std::string& instance_id,
+    const std::vector<std::pair<std::string, std::string>>& rows) {
   std::vector<obs::LineageRecord> out;
   // Provenance keys sort as (path, attempt, in-before-out), so one pass
   // pairs each attempt's rows.
-  for (const auto& [key, text] : spaces_.ScanProvenance(instance_id)) {
+  for (const auto& [key, text] : rows) {
     bool is_in = false;
     std::string_view base(key);
     if (base.size() > 3 && base.substr(base.size() - 3) == "/in") {
@@ -2126,6 +2145,34 @@ Result<std::string> Engine::ExportLineageJsonl(
     const std::string& instance_id) const {
   BIOPERA_ASSIGN_OR_RETURN(std::vector<obs::LineageRecord> records,
                            GetTaskLineage(instance_id));
+  return LineageJsonl(instance_id, records);
+}
+
+std::string Engine::ExportAllLineageJsonl() const {
+  // One ordered pass over the provenance space, split by id. Key order is
+  // not id order ("a-b/" sorts before "a/"), so the groups are looked up
+  // by id while the export walks instances_ in id order.
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  std::unordered_map<std::string, Rows> rows_by_id;
+  for (Spaces::InstanceRecords& group : spaces_.ScanProvenanceByInstance()) {
+    rows_by_id.emplace(std::move(group.id), std::move(group.rows));
+  }
+  const Rows no_rows;
+  std::string out;
+  for (const auto& [id, inst] : instances_) {
+    auto it = rows_by_id.find(id);
+    Result<std::vector<obs::LineageRecord>> records =
+        LineageFromRows(id, it == rows_by_id.end() ? no_rows : it->second);
+    if (!records.ok()) continue;
+    Result<std::string> jsonl = LineageJsonl(id, *records);
+    if (jsonl.ok()) out += *jsonl;
+  }
+  return out;
+}
+
+Result<std::string> Engine::LineageJsonl(
+    const std::string& instance_id,
+    const std::vector<obs::LineageRecord>& records) const {
   obs::LineageHeader header;
   header.instance = instance_id;
   header.seed = options_.seed;

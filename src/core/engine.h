@@ -46,12 +46,6 @@ struct EngineOptions {
   bool migration_enabled = false;
   /// How often to re-try dispatching when no placement was possible.
   Duration dispatch_retry = Duration::Minutes(5);
-  /// Coalesce every store commit inside one engine action (an entry
-  /// point, cluster callback, or timer lambda) into a single WAL
-  /// append+flush, with a flush barrier before any externally visible
-  /// action (job dispatch, console reply, checkpoint). Recovered state is
-  /// byte-identical with or without coalescing; see docs/STORE.md.
-  bool group_commit = true;
   /// Checkpoint the store after this many commits (snapshot + WAL trim).
   /// Enforced by the store itself (RecordStore::CheckpointPolicy), so
   /// non-engine commits cannot skew the cadence. 0 disables.
@@ -145,7 +139,10 @@ struct InstanceSummary {
 /// Every state transition is committed to the record store *before* it
 /// takes effect in memory, so Crash() + Startup() at any point resumes the
 /// computation without losing completed activities — the paper's central
-/// dependability property.
+/// dependability property. Each engine action (entry point, cluster
+/// callback, timer) runs inside one RecordStore::CommitScope, so its
+/// commits reach the WAL as one record, flushed before any externally
+/// visible action such as a job dispatch (docs/STORE.md).
 class Engine : public cluster::ClusterListener,
                public comms::ReportHandler,
                private NavigatorHost {
@@ -251,6 +248,11 @@ class Engine : public cluster::ClusterListener,
   /// per attempt, flat JSONL (see docs/PROVENANCE.md). Byte-identical
   /// across same-seed runs.
   Result<std::string> ExportLineageJsonl(const std::string& instance_id) const;
+  /// ExportLineageJsonl of every instance in memory, concatenated in id
+  /// order (instances whose export fails are left out), from one scan of
+  /// the provenance space: O(rows), where one call per id is
+  /// O(instances x rows).
+  std::string ExportAllLineageJsonl() const;
   /// In-memory run view for differencing two instances of this engine
   /// (console DIFF). Outage windows come from the span sink when present.
   Result<obs::RunLineage> BuildRunLineage(const std::string& instance_id,
@@ -508,6 +510,10 @@ class Engine : public cluster::ClusterListener,
   /// RESTART).
   void WakeInstance(const std::string& instance_id);
   void DropParkedForInstance(const std::string& instance_id);
+  /// Erases the instance's entries from the ready map and the pump's
+  /// overflow now, ending their attempt spans (a start that failed after
+  /// its navigation queued work).
+  void DropQueuedForInstance(const std::string& instance_id);
   size_t NumParkedStarved() const;
   size_t NumParkedSuspended() const;
 
@@ -529,9 +535,14 @@ class Engine : public cluster::ClusterListener,
 
   // -- Persistence --
   Status Commit(WriteBatch* batch);
-  /// Store to group commits on: the record store when group commit is
-  /// enabled, nullptr (a no-op CommitScope) otherwise.
-  RecordStore* GroupTarget();
+  /// Decodes an instance's provenance rows (key order, "<id>/" stripped).
+  static Result<std::vector<obs::LineageRecord>> LineageFromRows(
+      const std::string& instance_id,
+      const std::vector<std::pair<std::string, std::string>>& rows);
+  /// Header line plus one line per attempt.
+  Result<std::string> LineageJsonl(
+      const std::string& instance_id,
+      const std::vector<obs::LineageRecord>& records) const;
   /// Rebuilds one instance from its records (key order, "<id>/" prefix
   /// stripped, as Spaces::ScanInstances groups them); re-queues
   /// interrupted work.

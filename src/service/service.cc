@@ -760,17 +760,8 @@ std::string ShardedService::ExportFleetChrome() const {
 std::string ShardedService::ExportFleetLineage() const {
   std::vector<std::pair<int, std::string>> sources;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    std::vector<std::string> ids;
-    for (const auto& summary : shards_[i]->engine->ListInstances()) {
-      ids.push_back(summary.id);
-    }
-    std::sort(ids.begin(), ids.end());
-    std::string shard_lineage;
-    for (const std::string& id : ids) {
-      auto jsonl = shards_[i]->engine->ExportLineageJsonl(id);
-      if (jsonl.ok()) shard_lineage += *jsonl;
-    }
-    sources.emplace_back(static_cast<int>(i), std::move(shard_lineage));
+    sources.emplace_back(static_cast<int>(i),
+                         shards_[i]->engine->ExportAllLineageJsonl());
   }
   return obs::MergeJsonlByShard(sources);
 }

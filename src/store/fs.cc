@@ -1,6 +1,7 @@
 #include "store/fs.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -80,12 +81,23 @@ class RealFs : public Fs {
       return Status::IOError(
           StrFormat("open %s: %s", path.c_str(), std::strerror(errno)));
     }
-    std::string data;
-    char chunk[1 << 16];
-    size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      data.append(chunk, got);
+    // One read into a buffer sized from the file, one byte over so that
+    // EOF shows without growing it. Appending in chunks copied and
+    // faulted in every segment and WAL several times over.
+    struct stat info;
+    size_t capacity = 1 << 16;
+    if (::fstat(::fileno(f), &info) == 0 && info.st_size > 0) {
+      capacity = static_cast<size_t>(info.st_size) + 1;
     }
+    std::string data(capacity, '\0');
+    size_t size = 0;
+    size_t got;
+    while ((got = std::fread(data.data() + size, 1, data.size() - size, f)) >
+           0) {
+      size += got;
+      if (size == data.size()) data.resize(2 * size);  // grew since fstat
+    }
+    data.resize(size);
     bool read_error = std::ferror(f) != 0;
     std::fclose(f);
     if (read_error) {

@@ -15,6 +15,10 @@ namespace biopera {
 namespace {
 constexpr char kOpPut = 1;
 constexpr char kOpDelete = 2;
+// First payload byte of a segment. A delta's rows carry the op tags
+// above: a put with its value, a delete (tombstone) without.
+constexpr char kSegmentFull = 'F';
+constexpr char kSegmentDelta = 'D';
 // Per-record WAL framing overhead: crc32 + length (store/wal.cc).
 constexpr uint64_t kWalRecordHeaderBytes = 8;
 // Config-table key holding the current writer epoch (fencing token).
@@ -128,6 +132,14 @@ Result<std::unique_ptr<RecordStore>> RecordStore::Open(const std::string& dir,
   Result<std::string> manifest = ReadSnapshot(store->ManifestPath(), fs);
   if (manifest.ok()) {
     BIOPERA_RETURN_IF_ERROR(store->LoadManifest(*manifest));
+  } else if (manifest.status().IsFailedPrecondition()) {
+    // An intact MANIFEST of the older snapshot version: its segments
+    // replace tables wholesale and carry no segment kind, so they cannot
+    // be read as full + delta segments.
+    return Status::FailedPrecondition(
+        "record store " + dir +
+        ": table-replacing segment layout is not supported (" +
+        manifest.status().message() + ")");
   } else if (!manifest.status().IsNotFound()) {
     return manifest.status();
   } else if (fs->Exists(dir + "/snapshot.dat")) {
@@ -138,8 +150,8 @@ Result<std::unique_ptr<RecordStore>> RecordStore::Open(const std::string& dir,
   }
 
   // 2. Replay the WAL over the snapshot image: one pass, applied in
-  // place (replayed tables count as dirty — their records are not yet in
-  // any segment).
+  // place (replayed rows count as changed: they are not yet in any
+  // segment).
   BIOPERA_RETURN_IF_ERROR(
       ReadWalInto(
           store->WalPath(),
@@ -319,7 +331,7 @@ Status RecordStore::ApplyPayloadToImage(std::string_view payload) {
   std::string_view v = payload;
   // Seed from the cross-call cache: consecutive commits (and consecutive
   // WAL records during replay) overwhelmingly touch the same table, so
-  // this skips the tables_ lookup and the dirty-set check entirely.
+  // this skips the tables_ lookup entirely.
   Table* table = cached_table_;
   std::string_view table_name = cached_table_name_;
   while (!v.empty()) {
@@ -349,30 +361,37 @@ Status RecordStore::ApplyPayloadToImage(std::string_view payload) {
         // incremental rehashes (each recomputing every key's hash)
         // otherwise dominate. ~128 KiB per table, and stores hold a
         // handful of tables.
-        it->second.reserve(16384);
+        it->second.rows.reserve(16384);
       }
       table = it == tables_.end() ? nullptr : &it->second;
-      if (table != nullptr && !dirty_tables_.contains(t)) {
-        dirty_tables_.insert(std::string(t));
-      }
     }
     if (table == nullptr) continue;  // delete in a nonexistent table
+    // Change tracking rides on the lookup the write does anyway: a row
+    // joins `changed` once per checkpoint interval, and a delete moves the
+    // erased node's key into `tombstones` instead of copying it.
     if (is_put) {
-      auto it = table->find(key);
-      if (it != table->end()) {
-        it->second.assign(value);
+      auto it = table->rows.find(key);
+      if (it != table->rows.end()) {
+        it->second.value.assign(value);
       } else {
-        table->emplace(std::string(key), std::string(value));
+        it = table->rows
+                 .emplace(std::string(key), Row{std::string(value), kClean})
+                 .first;
+      }
+      if (it->second.dirty == kClean) {
+        it->second.dirty = table->changed.size();
+        table->changed.push_back(&*it);
       }
     } else {
-      auto it = table->find(key);
-      if (it != table->end()) table->erase(it);
+      auto it = table->rows.find(key);
+      if (it == table->rows.end()) continue;
+      if (it->second.dirty != kClean) {
+        table->changed[it->second.dirty] = nullptr;
+      }
+      table->tombstones.push_back(std::move(table->rows.extract(it).key()));
     }
   }
   if (table != nullptr) {
-    // Remember the resolved table for the next call. Invariant: a cached
-    // table is already in dirty_tables_ (Checkpoint resets the cache when
-    // it clears the dirty set).
     cached_table_ = table;
     cached_table_name_.assign(table_name);
   }
@@ -387,19 +406,19 @@ Result<std::string> RecordStore::Get(std::string_view table,
                                       static_cast<int>(table.size()),
                                       table.data()));
   }
-  auto r = t->second.find(key);
-  if (r == t->second.end()) {
+  auto r = t->second.rows.find(key);
+  if (r == t->second.rows.end()) {
     return Status::NotFound(StrFormat("no key '%.*s'",
                                       static_cast<int>(key.size()),
                                       key.data()));
   }
-  return r->second;
+  return r->second.value;
 }
 
 bool RecordStore::Contains(std::string_view table,
                            std::string_view key) const {
   auto t = tables_.find(table);
-  return t != tables_.end() && t->second.contains(key);
+  return t != tables_.end() && t->second.rows.contains(key);
 }
 
 std::vector<std::pair<std::string, std::string>> RecordStore::Scan(
@@ -407,8 +426,8 @@ std::vector<std::pair<std::string, std::string>> RecordStore::Scan(
   std::vector<std::pair<std::string, std::string>> out;
   auto t = tables_.find(table);
   if (t == tables_.end()) return out;
-  for (const auto& [key, value] : t->second) {
-    if (StartsWith(key, prefix)) out.emplace_back(key, value);
+  for (const auto& [key, row] : t->second.rows) {
+    if (StartsWith(key, prefix)) out.emplace_back(key, row.value);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -417,72 +436,164 @@ std::vector<std::pair<std::string, std::string>> RecordStore::Scan(
 
 size_t RecordStore::TableSize(std::string_view table) const {
   auto t = tables_.find(table);
-  return t == tables_.end() ? 0 : t->second.size();
+  return t == tables_.end() ? 0 : t->second.rows.size();
 }
 
-std::string RecordStore::SerializeTables(bool dirty_only,
-                                         size_t* table_count) const {
-  std::string out;
-  size_t count = 0;
-  for (const auto& [name, records] : tables_) {
-    if (dirty_only && !dirty_tables_.contains(name)) continue;
-    ++count;
-  }
-  // A dirty table that became empty is still serialized: on load it
-  // replaces the stale table wholesale, so deleted records cannot
-  // resurrect from an older segment.
-  PutVarint64(&out, count);
-  for (const auto& [name, records] : tables_) {
-    if (dirty_only && !dirty_tables_.contains(name)) continue;
+std::string RecordStore::SerializeFull(size_t* table_count) const {
+  std::string out(1, kSegmentFull);
+  PutVarint64(&out, tables_.size());
+  std::vector<const Rows::value_type*> sorted;
+  for (const auto& [name, table] : tables_) {
     PutLengthPrefixed(&out, name);
-    PutVarint64(&out, records.size());
+    PutVarint64(&out, table.rows.size());
     // Hash-map iteration order is arbitrary; sort so that logically equal
     // stores always serialize to identical bytes.
-    std::vector<const std::pair<const std::string, std::string>*> sorted;
-    sorted.reserve(records.size());
-    for (const auto& record : records) sorted.push_back(&record);
+    sorted.clear();
+    sorted.reserve(table.rows.size());
+    for (const auto& row : table.rows) sorted.push_back(&row);
     std::sort(sorted.begin(), sorted.end(),
               [](const auto* a, const auto* b) { return a->first < b->first; });
-    for (const auto* record : sorted) {
-      PutLengthPrefixed(&out, record->first);
-      PutLengthPrefixed(&out, record->second);
+    for (const auto* row : sorted) {
+      PutLengthPrefixed(&out, row->first);
+      PutLengthPrefixed(&out, row->second.value);
     }
   }
-  if (table_count != nullptr) *table_count = count;
+  *table_count = tables_.size();
   return out;
 }
 
-Status RecordStore::LoadImageSegment(std::string_view payload) {
+std::string RecordStore::SerializeDelta(size_t* table_count) const {
+  // One entry per key: the row's value, or null for a tombstone.
+  using Entry = std::pair<std::string_view, const std::string*>;
+  std::vector<std::pair<std::string_view, std::vector<Entry>>> sections;
+  for (const auto& [name, table] : tables_) {
+    std::vector<Entry> entries;
+    entries.reserve(table.changed.size() + table.tombstones.size());
+    for (const Rows::value_type* row : table.changed) {
+      if (row != nullptr) entries.emplace_back(row->first, &row->second.value);
+    }
+    for (const std::string& key : table.tombstones) {
+      // A key put again after its delete is a put (it is in `changed`).
+      if (!table.rows.contains(key)) entries.emplace_back(key, nullptr);
+    }
+    if (entries.empty()) continue;
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.first < b.first; });
+    // Only tombstones can repeat a key (a key deleted, put, deleted).
+    entries.erase(std::unique(entries.begin(), entries.end(),
+                              [](const Entry& a, const Entry& b) {
+                                return a.first == b.first;
+                              }),
+                  entries.end());
+    sections.emplace_back(name, std::move(entries));
+  }
+  std::string out(1, kSegmentDelta);
+  PutVarint64(&out, sections.size());
+  for (const auto& [name, entries] : sections) {
+    PutLengthPrefixed(&out, name);
+    PutVarint64(&out, entries.size());
+    for (const auto& [key, value] : entries) {
+      out.push_back(value != nullptr ? kOpPut : kOpDelete);
+      PutLengthPrefixed(&out, key);
+      if (value != nullptr) PutLengthPrefixed(&out, *value);
+    }
+  }
+  *table_count = sections.size();
+  return out;
+}
+
+bool RecordStore::HasChanges() const {
+  for (const auto& [name, table] : tables_) {
+    if (!table.changed.empty() || !table.tombstones.empty()) return true;
+  }
+  return false;
+}
+
+void RecordStore::ClearChanges() {
+  for (auto& [name, table] : tables_) {
+    for (Rows::value_type* row : table.changed) {
+      if (row != nullptr) row->second.dirty = kClean;
+    }
+    table.changed.clear();
+    table.tombstones.clear();
+  }
+}
+
+Status RecordStore::LoadSegment(
+    std::string_view payload, bool head,
+    std::map<std::string, uint64_t, std::less<>>* puts) {
   std::string_view v = payload;
+  if (v.empty()) return Status::Corruption("segment: empty");
+  const char kind = v.front();
+  v.remove_prefix(1);
+  if (kind != kSegmentFull && kind != kSegmentDelta) {
+    return Status::Corruption("segment: bad kind");
+  }
+  if ((kind == kSegmentFull) != head) {
+    return Status::Corruption(head ? "segment: manifest head is a delta"
+                                   : "segment: full segment after the head");
+  }
   uint64_t num_tables;
   if (!GetVarint64(&v, &num_tables)) {
-    return Status::Corruption("image: bad table count");
+    return Status::Corruption("segment: bad table count");
   }
   for (uint64_t i = 0; i < num_tables; ++i) {
     std::string_view name;
     uint64_t n;
     if (!GetLengthPrefixed(&v, &name) || !GetVarint64(&v, &n)) {
-      return Status::Corruption("image: bad table header");
+      return Status::Corruption("segment: bad table header");
     }
-    // Each segment entry replaces the table wholesale.
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      it = tables_.try_emplace(std::string(name)).first;
-    } else {
-      it->second.clear();
+    auto it = tables_.end();
+    if (puts == nullptr) {
+      it = kind == kSegmentFull ? tables_.try_emplace(std::string(name)).first
+                                : tables_.find(name);
     }
-    Table& table = it->second;
-    // CRC-checked self-written file, but clamp the pre-size anyway.
-    table.reserve(static_cast<size_t>(std::min<uint64_t>(n, 1u << 20)));
+    uint64_t table_puts = 0;
     for (uint64_t k = 0; k < n; ++k) {
-      std::string_view key, value;
-      if (!GetLengthPrefixed(&v, &key) || !GetLengthPrefixed(&v, &value)) {
-        return Status::Corruption("image: bad record");
+      char tag = kOpPut;
+      if (kind == kSegmentDelta) {
+        if (v.empty()) return Status::Corruption("segment: truncated row");
+        tag = v.front();
+        v.remove_prefix(1);
+        if (tag != kOpPut && tag != kOpDelete) {
+          return Status::Corruption("segment: bad row tag");
+        }
       }
-      table.insert_or_assign(std::string(key), std::string(value));
+      std::string_view key, value;
+      if (!GetLengthPrefixed(&v, &key) ||
+          (tag == kOpPut && !GetLengthPrefixed(&v, &value))) {
+        return Status::Corruption("segment: bad row");
+      }
+      if (puts != nullptr) {
+        table_puts += tag == kOpPut;
+        continue;
+      }
+      if (kind == kSegmentFull) {  // one hash lookup per row
+        it->second.rows.insert_or_assign(std::string(key),
+                                         Row{std::string(value), kClean});
+        continue;
+      }
+      if (it == tables_.end()) {
+        if (tag == kOpDelete) continue;  // nothing to delete from
+        it = tables_.try_emplace(std::string(name)).first;
+      }
+      Rows& rows = it->second.rows;
+      auto row = rows.find(key);
+      if (tag == kOpDelete) {
+        if (row != rows.end()) rows.erase(row);
+      } else if (row != rows.end()) {
+        row->second.value.assign(value);
+      } else {
+        rows.emplace(std::string(key), Row{std::string(value), kClean});
+      }
+    }
+    if (table_puts > 0) {
+      auto slot = puts->find(name);
+      if (slot == puts->end()) slot = puts->emplace(name, 0).first;
+      slot->second += table_puts;
     }
   }
-  if (!v.empty()) return Status::Corruption("image: trailing bytes");
+  if (!v.empty()) return Status::Corruption("segment: trailing bytes");
   return Status::OK();
 }
 
@@ -492,6 +603,7 @@ Status RecordStore::LoadManifest(std::string_view payload) {
   if (!GetVarint64(&v, &count)) {
     return Status::Corruption("manifest: bad segment count");
   }
+  std::vector<std::string> segments;
   for (uint64_t i = 0; i < count; ++i) {
     std::string_view name;
     if (!GetLengthPrefixed(&v, &name) || name.empty()) {
@@ -499,7 +611,8 @@ Status RecordStore::LoadManifest(std::string_view payload) {
     }
     BIOPERA_ASSIGN_OR_RETURN(
         std::string segment, ReadSnapshot(dir_ + "/" + std::string(name), fs_));
-    BIOPERA_RETURN_IF_ERROR(LoadImageSegment(segment));
+    (i == 0 ? base_bytes_ : delta_bytes_) += segment.size();
+    segments.push_back(std::move(segment));
     manifest_.emplace_back(name);
     unsigned long long seq = 0;
     if (std::sscanf(std::string(name).c_str(), "seg_%llu.dat", &seq) == 1) {
@@ -508,6 +621,20 @@ Status RecordStore::LoadManifest(std::string_view payload) {
     }
   }
   if (!v.empty()) return Status::Corruption("manifest: trailing bytes");
+  // Size each table once for every put of the chain: a table that
+  // outgrows its reservation while the deltas apply rehashes every row.
+  std::map<std::string, uint64_t, std::less<>> puts;
+  for (size_t i = 0; i < segments.size(); ++i) {
+    BIOPERA_RETURN_IF_ERROR(LoadSegment(segments[i], i == 0, &puts));
+  }
+  for (const auto& [name, n] : puts) {
+    // CRC-checked self-written files, but clamp the pre-size anyway.
+    tables_[name].rows.reserve(
+        static_cast<size_t>(std::min<uint64_t>(n, 1u << 20)));
+  }
+  for (size_t i = 0; i < segments.size(); ++i) {
+    BIOPERA_RETURN_IF_ERROR(LoadSegment(segments[i], i == 0, nullptr));
+  }
   return Status::OK();
 }
 
@@ -534,14 +661,23 @@ Status RecordStore::CheckpointImpl(bool force_full) {
   obs::WallProfile::Scope store_scope(wall_profile_,
                                       obs::WallProfile::kStore);
   BIOPERA_RETURN_IF_ERROR(Flush());
-  if (!force_full && dirty_tables_.empty() && live_wal_bytes_ == 0) {
+  if (!force_full && !HasChanges() && live_wal_bytes_ == 0) {
     return Status::OK();  // nothing changed since the last checkpoint
   }
   uint64_t wal_trimmed = live_wal_bytes_;
-  const bool compact =
-      force_full || manifest_.size() >= policy_.compact_after_segments;
+  // Compact when there is no full segment yet, or when the deltas, this
+  // one included, would reach the ratio of the full segment's bytes.
+  const double limit =
+      policy_.compact_delta_ratio * static_cast<double>(base_bytes_);
+  bool compact = force_full || manifest_.empty() ||
+                 static_cast<double>(delta_bytes_) >= limit;
   size_t table_count = 0;
-  std::string image = SerializeTables(/*dirty_only=*/!compact, &table_count);
+  std::string image;
+  if (!compact) {
+    image = SerializeDelta(&table_count);
+    compact = static_cast<double>(delta_bytes_ + image.size()) >= limit;
+  }
+  if (compact) image = SerializeFull(&table_count);
   std::string name = StrFormat(
       "seg_%06llu.dat", static_cast<unsigned long long>(next_segment_seq_));
   BIOPERA_RETURN_IF_ERROR(WriteSnapshot(dir_ + "/" + name, image, fs_));
@@ -550,6 +686,10 @@ Status RecordStore::CheckpointImpl(bool force_full) {
   if (compact) {
     obsolete = std::move(manifest_);
     manifest_.clear();
+    base_bytes_ = image.size();
+    delta_bytes_ = 0;
+  } else {
+    delta_bytes_ += image.size();
   }
   manifest_.push_back(name);
   BIOPERA_RETURN_IF_ERROR(WriteManifest());
@@ -582,10 +722,7 @@ Status RecordStore::CheckpointImpl(bool force_full) {
   }
   live_wal_bytes_ = 0;
   BIOPERA_ASSIGN_OR_RETURN(wal_, WalWriter::Open(WalPath(), fs_));
-  dirty_tables_.clear();
-  // The cache's invariant (cached table is dirty) no longer holds.
-  cached_table_ = nullptr;
-  cached_table_name_.clear();
+  ClearChanges();
   last_checkpoint_commits_ = commits_;
   if (obs_ != nullptr) {
     checkpoints_metric_->Increment();

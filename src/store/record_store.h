@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,10 +68,14 @@ class WriteBatch {
 ///    written as one WAL record at the next flush barrier — Flush(),
 ///    Checkpoint(), or the outermost scope's end. A group is one record,
 ///    so it remains crash-atomic.
-///  - Checkpoints are incremental: only tables dirtied since the last
-///    checkpoint are serialized into a delta segment listed in a
-///    manifest; a periodic compaction rewrites everything into one
-///    segment.
+///  - Checkpoints are record-granular: every image row knows whether it
+///    changed since the last checkpoint, and every delete leaves a
+///    tombstone, so a checkpoint writes a delta segment of just those
+///    keys (puts and tombstones, sorted) and costs what changed, not
+///    what the tables hold. The manifest lists one full segment followed
+///    by deltas; a checkpoint whose delta would bring the deltas to the
+///    full segment's size (times CheckpointPolicy::compact_delta_ratio)
+///    writes a new full segment instead.
 ///
 /// All disk I/O flows through an `Fs` (store/fs.h): production uses the
 /// real disk, tests interpose a FaultFs to inject torn writes, ENOSPC,
@@ -88,9 +91,14 @@ class RecordStore {
     /// Legacy cadence: checkpoint after this many commits since the last
     /// checkpoint. 0 disables.
     uint64_t every_commits = 0;
-    /// Rewrite all tables into one full segment once the manifest holds
-    /// this many segments.
-    size_t compact_after_segments = 8;
+    /// Rewrite all tables into one full segment once the delta segments
+    /// after the current full one, the new delta included, would reach
+    /// this multiple of the full segment's bytes. At 1.0 a compaction
+    /// writes at most about twice the delta bytes written since the last
+    /// one (the new full segment holds no more than the old one and the
+    /// deltas), and a reopen reads less than twice the full segment. 0
+    /// makes every checkpoint full.
+    double compact_delta_ratio = 1.0;
   };
 
   /// RAII commit group. Scopes nest; the WAL flush happens when the
@@ -112,7 +120,7 @@ class RecordStore {
   /// What a Scrub() pass found (and did).
   struct ScrubReport {
     size_t segments_checked = 0;
-    /// Corrupt delta segments renamed aside to `<name>.quarantined`.
+    /// Corrupt segments renamed aside to `<name>.quarantined`.
     std::vector<std::string> quarantined;
     uint64_t wal_records = 0;
     bool wal_torn_tail = false;
@@ -123,9 +131,12 @@ class RecordStore {
   };
 
   /// Opens (or creates) a store rooted at directory `dir`: loads the
-  /// snapshot chain the MANIFEST lists, then replays the WAL. A torn WAL
-  /// tail from a crash is silently discarded. A directory that holds the
-  /// pre-manifest snapshot.dat but no MANIFEST is FailedPrecondition.
+  /// segment chain the MANIFEST lists (one full segment, then deltas in
+  /// order), then replays the WAL. A torn WAL tail from a crash is
+  /// silently discarded. A directory in an older layout is
+  /// FailedPrecondition: one that holds the pre-manifest snapshot.dat but
+  /// no MANIFEST, or one whose MANIFEST and segments use the table-
+  /// replacing segment format that preceded put/tombstone deltas.
   /// `fs` defaults to the real disk and must outlive the store.
   static Result<std::unique_ptr<RecordStore>> Open(const std::string& dir,
                                                    Fs* fs = nullptr);
@@ -164,9 +175,9 @@ class RecordStore {
   /// action — job dispatch, console reply, checkpoint.
   Status Flush();
 
-  /// Writes the tables dirtied since the last checkpoint into a delta
-  /// segment (or compacts everything into a full segment), updates the
-  /// manifest, and truncates the WAL. A no-op when nothing changed.
+  /// Writes the records put or deleted since the last checkpoint into a
+  /// delta segment (or compacts everything into a full segment), updates
+  /// the manifest, and truncates the WAL. A no-op when nothing changed.
   Status Checkpoint();
 
   /// Store self-check: verifies every manifest segment and the WAL
@@ -229,19 +240,36 @@ class RecordStore {
       return std::hash<std::string_view>{}(s);
     }
   };
+  /// One image row. `dirty` is the row's slot in its table's `changed`
+  /// list, or kClean while the segment chain already holds the row.
+  struct Row {
+    std::string value;
+    size_t dirty;
+  };
+  static constexpr size_t kClean = static_cast<size_t>(-1);
   /// The in-memory image of one table is a hash map: the commit path pays
   /// O(1) per record instead of a pointer-chasing tree walk. Ordered views
-  /// (Scan, checkpoint serialization) walk the whole table and sort on
-  /// demand, which keeps their output deterministic. A prefix scan is
-  /// therefore O(table), not O(matches), and a loop of per-id scans is
-  /// quadratic; that is why restart reads the instance space in one scan.
-  using Table = std::unordered_map<std::string, std::string, StringHash,
-                                   std::equal_to<>>;
+  /// (Scan, checkpoint serialization) sort on demand, which keeps their
+  /// output deterministic. A prefix scan is therefore O(table), not
+  /// O(matches), and a loop of per-id scans is quadratic; that is why
+  /// restart and the fleet lineage export read a table in one scan.
+  using Rows = std::unordered_map<std::string, Row, StringHash,
+                                  std::equal_to<>>;
+  struct Table {
+    Rows rows;
+    /// Rows put since the last checkpoint, each once (its `dirty` slot).
+    /// A delete nulls the slot. Node pointers survive rehashing.
+    std::vector<Rows::value_type*> changed;
+    /// Keys deleted since the last checkpoint, in delete order; a key may
+    /// repeat or have been put again since.
+    std::vector<std::string> tombstones;
+  };
 
   RecordStore(std::string dir, Fs* fs) : dir_(std::move(dir)), fs_(fs) {}
 
   /// Single-pass decode-and-apply of a batch payload (no Op
-  /// materialization); marks touched tables dirty.
+  /// materialization); marks each put row dirty and records each delete
+  /// of a present row as a tombstone.
   Status ApplyPayloadToImage(std::string_view payload);
   Status MaybeAutoCheckpoint();
   /// Checkpoint body; `force_full` skips the nothing-changed early-out
@@ -249,11 +277,19 @@ class RecordStore {
   Status CheckpointImpl(bool force_full);
   /// Reopens the WAL writer if a failed checkpoint left it closed.
   Status EnsureWal();
-  /// Serializes either the dirty tables or all of them (compaction).
-  std::string SerializeTables(bool dirty_only, size_t* table_count) const;
-  /// Merges one snapshot segment: each table in the payload replaces the
-  /// in-memory table of the same name wholesale.
-  Status LoadImageSegment(std::string_view payload);
+  /// A full segment: every table and all of its rows.
+  std::string SerializeFull(size_t* table_count) const;
+  /// A delta segment: per table, the changed rows as puts and the
+  /// tombstones of rows deleted since the last checkpoint, sorted by key.
+  std::string SerializeDelta(size_t* table_count) const;
+  bool HasChanges() const;
+  /// Marks every row clean and drops the tombstones (after a checkpoint).
+  void ClearChanges();
+  /// Applies one segment to the image, or with `puts` only validates it
+  /// and adds its puts per table. The manifest's head must be a full
+  /// segment and every later one a delta.
+  Status LoadSegment(std::string_view payload, bool head,
+                     std::map<std::string, uint64_t, std::less<>>* puts);
   Status LoadManifest(std::string_view payload);
   Status WriteManifest();
   std::string WalPath() const;
@@ -263,18 +299,19 @@ class RecordStore {
   Fs* fs_;
   std::map<std::string, Table, std::less<>> tables_;  // node-stable
   // Cross-call cache of the last table ApplyPayloadToImage resolved.
-  // Non-null only while that table is in dirty_tables_. Pointer stability
-  // comes from tables_ being node-based.
+  // Pointer stability comes from tables_ being node-based; tables are
+  // never removed.
   Table* cached_table_ = nullptr;
   std::string cached_table_name_;
   std::unique_ptr<WalWriter> wal_;
   uint64_t commits_ = 0;
   uint64_t fence_epoch_ = 0;
 
-  // Incremental-checkpoint state.
+  // Checkpoint state.
   CheckpointPolicy policy_;
-  std::set<std::string, std::less<>> dirty_tables_;
   std::vector<std::string> manifest_;  // segment files, in apply order
+  uint64_t base_bytes_ = 0;   // payload bytes of the manifest's full segment
+  uint64_t delta_bytes_ = 0;  // payload bytes of the deltas after it
   uint64_t next_segment_seq_ = 1;
   uint64_t last_checkpoint_commits_ = 0;
 

@@ -1,6 +1,7 @@
 #include "store/snapshot.h"
 
 #include <memory>
+#include <utility>
 
 #include "common/crc32.h"
 #include "store/codec.h"
@@ -9,7 +10,10 @@ namespace biopera {
 
 namespace {
 constexpr uint32_t kSnapshotMagic = 0x42694f70;  // "BiOp"
-constexpr uint32_t kSnapshotVersion = 1;
+// Version 2 marks the full/delta segment layout (docs/STORE.md). Version 1
+// framed the older table-replacing segments and their MANIFEST.
+constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kTableSegmentVersion = 1;
 }  // namespace
 
 Status WriteSnapshot(const std::string& path, std::string_view payload,
@@ -47,14 +51,15 @@ Result<std::string> ReadSnapshot(const std::string& path, Fs* fs) {
     }
     return read.status();
   }
-  std::string_view v = *read;
+  std::string data = std::move(*read);
+  std::string_view v = data;
   uint32_t magic = 0, version = 0, crc = 0;
   uint64_t len = 0;
   if (!GetFixed32(&v, &magic) || magic != kSnapshotMagic) {
     return Status::Corruption("snapshot bad magic: " + path);
   }
-  if (!GetFixed32(&v, &version) || version != kSnapshotVersion) {
-    return Status::Corruption("snapshot bad version: " + path);
+  if (!GetFixed32(&v, &version)) {
+    return Status::Corruption("snapshot truncated: " + path);
   }
   if (!GetFixed32(&v, &crc) || !GetFixed64(&v, &len) || v.size() != len) {
     return Status::Corruption("snapshot truncated: " + path);
@@ -62,7 +67,15 @@ Result<std::string> ReadSnapshot(const std::string& path, Fs* fs) {
   if (Crc32c(v) != crc) {
     return Status::Corruption("snapshot checksum mismatch: " + path);
   }
-  return std::string(v);
+  // Checked after the CRC, so only an intact older file reads as one.
+  if (version == kTableSegmentVersion) {
+    return Status::FailedPrecondition("snapshot version 1: " + path);
+  }
+  if (version != kSnapshotVersion) {
+    return Status::Corruption("snapshot bad version: " + path);
+  }
+  data.erase(0, data.size() - v.size());  // drop the header in place
+  return data;
 }
 
 }  // namespace biopera

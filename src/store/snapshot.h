@@ -19,7 +19,9 @@ Status WriteSnapshot(const std::string& path, std::string_view payload,
                      Fs* fs = nullptr);
 
 /// Reads and verifies a snapshot. NotFound if the file does not exist,
-/// Corruption if the framing or checksum is bad.
+/// Corruption if the framing or checksum is bad, FailedPrecondition if an
+/// intact file carries the older framing version 1 (table-replacing
+/// segments, refused by RecordStore::Open).
 Result<std::string> ReadSnapshot(const std::string& path, Fs* fs = nullptr);
 
 }  // namespace biopera

@@ -19,6 +19,33 @@ std::string InstanceKey(std::string_view instance_id, std::string_view key) {
   out.append(key);
   return out;
 }
+
+/// Splits one ordered scan of an instance-keyed table into per-id groups.
+/// Keys are "<id>/<record>", so an id's rows are contiguous in key order.
+std::vector<Spaces::InstanceRecords> GroupByInstance(
+    std::vector<std::pair<std::string, std::string>> rows) {
+  auto id_of = [](std::string_view key) {
+    return key.substr(0, key.find('/'));
+  };
+  std::vector<Spaces::InstanceRecords> out;
+  for (auto begin = rows.begin(); begin != rows.end();) {
+    // Each group is allocated once, at its exact size: growing it row by
+    // row left enough heap slack to raise peak RSS.
+    Spaces::InstanceRecords& group = out.emplace_back();
+    group.id = id_of(begin->first);
+    auto end = std::find_if(begin, rows.end(), [&](const auto& row) {
+      return id_of(row.first) != group.id;
+    });
+    group.rows.reserve(end - begin);
+    for (; begin != end; ++begin) {
+      begin->first.erase(0, group.id.size() + 1);  // strip "<id>/"
+      group.rows.emplace_back(std::move(begin->first),
+                              std::move(begin->second));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Status Spaces::PutTemplate(std::string_view name, std::string_view ocr_text) {
@@ -61,29 +88,7 @@ Result<std::string> Spaces::GetInstanceRecord(std::string_view instance_id,
 }
 
 std::vector<Spaces::InstanceRecords> Spaces::ScanInstances() const {
-  auto id_of = [](std::string_view key) {
-    return key.substr(0, key.find('/'));
-  };
-  std::vector<std::pair<std::string, std::string>> rows =
-      store_->Scan(kInstanceTable);
-  std::vector<InstanceRecords> out;
-  for (auto begin = rows.begin(); begin != rows.end();) {
-    // Keys are "<id>/<record>", so an id's rows are contiguous in key
-    // order. Each group is allocated once, at its exact size: growing it
-    // row by row left enough heap slack to raise peak RSS.
-    InstanceRecords& group = out.emplace_back();
-    group.id = id_of(begin->first);
-    auto end = std::find_if(begin, rows.end(), [&](const auto& row) {
-      return id_of(row.first) != group.id;
-    });
-    group.rows.reserve(end - begin);
-    for (; begin != end; ++begin) {
-      begin->first.erase(0, group.id.size() + 1);  // strip "<id>/"
-      group.rows.emplace_back(std::move(begin->first),
-                              std::move(begin->second));
-    }
-  }
-  return out;
+  return GroupByInstance(store_->Scan(kInstanceTable));
 }
 
 Status Spaces::DeleteInstance(std::string_view instance_id) {
@@ -114,6 +119,11 @@ std::vector<std::pair<std::string, std::string>> Spaces::ScanProvenance(
   auto rows = store_->Scan(kProvenanceTable, prefix);
   for (auto& [k, v] : rows) k = k.substr(prefix.size());
   return rows;
+}
+
+std::vector<Spaces::InstanceRecords> Spaces::ScanProvenanceByInstance()
+    const {
+  return GroupByInstance(store_->Scan(kProvenanceTable));
 }
 
 Status Spaces::PutConfig(std::string_view key, std::string_view value) {

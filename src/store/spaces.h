@@ -65,6 +65,10 @@ class Spaces {
   /// stripped.
   std::vector<std::pair<std::string, std::string>> ScanProvenance(
       std::string_view instance_id) const;
+  /// Every instance's lineage records from one ordered pass, grouped as
+  /// ScanInstances groups the instance space (key order, which is not id
+  /// order: "a-b/" sorts before "a/").
+  std::vector<InstanceRecords> ScanProvenanceByInstance() const;
 
   // --- Configuration space ------------------------------------------------
   Status PutConfig(std::string_view key, std::string_view value);

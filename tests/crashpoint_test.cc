@@ -78,7 +78,7 @@ struct World {
     engine = std::make_unique<Engine>(&sim, cluster.get(), store.get(),
                                       &registry, options);
     RecordStore::CheckpointPolicy policy = store->checkpoint_policy();
-    policy.compact_after_segments = 2;
+    policy.compact_delta_ratio = 0.5;  // compact often: prune segments
     store->SetCheckpointPolicy(policy);
     if (!(status = engine->Startup()).ok()) return;
     if (!(status = engine->RegisterTemplate(workloads::BuildAllVsAllProcess()))
@@ -253,7 +253,7 @@ void BuildPristineStore(const std::string& dir) {
   RecordStore::CheckpointPolicy policy;
   policy.wal_bytes = 0;
   policy.every_commits = 0;
-  policy.compact_after_segments = 100;  // keep several segments around
+  policy.compact_delta_ratio = 100;  // keep several segments around
   store->SetCheckpointPolicy(policy);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 8; ++i) {

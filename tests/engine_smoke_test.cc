@@ -4,6 +4,7 @@
 
 #include "cluster/cluster.h"
 #include "core/engine.h"
+#include "obs/trace.h"
 #include "ocr/builder.h"
 #include "sim/simulator.h"
 #include "store/record_store.h"
@@ -106,6 +107,61 @@ TEST(EngineSmoke, RunsTinyProcessToCompletion) {
   // Lineage recorded.
   ASSERT_OK_AND_ASSIGN(std::string writer, w.engine->GetLineage(id, "z"));
   EXPECT_EQ(writer, "consume");
+}
+
+TEST(EngineSmoke, FailedStartLeavesNoInstance) {
+  testing::TempDir dir;
+  obs::Observability obs;
+  EngineOptions options;
+  options.observability = &obs;
+  World w(dir.path(), options);
+  int calls = 0;
+  ASSERT_OK(w.registry.Register(
+      "test.count", [&calls](const ActivityInput&) -> Result<ActivityOutput> {
+        ++calls;
+        ActivityOutput out;
+        out.cost = Duration::Seconds(5);
+        return out;
+      }));
+  ASSERT_OK(w.cluster->AddNode({.name = "n1", .num_cpus = 2, .speed = 1.0}));
+  ASSERT_OK(w.engine->Startup());
+  // "first" is ready at start and queued before "fan" fails to expand:
+  // its LIST input is an int.
+  auto def = ProcessBuilder("bad")
+                 .Data("items", Value(5))
+                 .Data("results")
+                 .Task(TaskBuilder::Activity("first", "test.count"))
+                 .Task(TaskBuilder::Parallel(
+                           "fan", "wb.items",
+                           TaskBuilder::Activity("body", "test.count")
+                               .Input("item", "in.x"))
+                           .Collect("wb.results"))
+                 .Build();
+  ASSERT_TRUE(def.ok()) << def.status().ToString();
+  ASSERT_OK(w.engine->RegisterTemplate(*def));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Result<std::string> id = w.engine->StartProcess("bad");
+    ASSERT_FALSE(id.ok());
+    EXPECT_TRUE(id.status().IsInvalidArgument()) << id.status().ToString();
+    EXPECT_TRUE(w.engine->ListInstances().empty());
+  }
+  w.sim.RunFor(Duration::Hours(1));
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(w.cluster->NumRunningJobs(), 0u);
+  EXPECT_EQ(obs.metrics.GetCounter("engine_tasks_dispatched_total")->value(),
+            0u);
+  EXPECT_EQ(w.engine->QueueDepth(), 0u);
+  int failed_instance_spans = 0;
+  obs.spans.ForEach([&](const obs::Span& span) {
+    if (span.kind != obs::SpanKind::kInstance) return;
+    EXPECT_FALSE(span.open) << span.name;
+    if (span.outcome == "failed") ++failed_instance_spans;
+  });
+  EXPECT_EQ(failed_instance_spans, 2);
+  // A restart finds what memory held: nothing.
+  w.engine->Crash();
+  ASSERT_OK(w.engine->Startup());
+  EXPECT_TRUE(w.engine->ListInstances().empty());
 }
 
 TEST(EngineSmoke, SurvivesServerCrashMidProcess) {

@@ -33,7 +33,6 @@ using ocr::Value;
 struct RunExports {
   std::string timeline_csv;
   std::string metrics_json;
-  std::string store_state;  // serialized instance + history tables
   std::string spans_jsonl;
   std::string chrome_json;
   std::string report_text;
@@ -62,7 +61,7 @@ uint64_t CounterValue(const obs::MetricsSnapshot& snap,
 /// with a node crash mid-run (task failures), a server crash plus recovery
 /// (WAL replay re-queues work) and frequent checkpoints. Every disturbance
 /// is scheduled at a fixed virtual time, so the run is fully deterministic.
-RunExports RunScriptedChaos(uint64_t seed, bool group_commit = true) {
+RunExports RunScriptedChaos(uint64_t seed) {
   Rng data_rng(seed);
   darwin::GeneratorOptions gen;
   gen.num_sequences = 400;
@@ -85,7 +84,6 @@ RunExports RunScriptedChaos(uint64_t seed, bool group_commit = true) {
   EngineOptions options;
   options.dispatch_retry = Duration::Minutes(1);
   options.checkpoint_every_commits = 25;
-  options.group_commit = group_commit;
   options.observability = &obs;
   Engine engine(&sim, &cluster, store.get(), &registry, options);
   EXPECT_TRUE(engine.Startup().ok());
@@ -142,16 +140,6 @@ RunExports RunScriptedChaos(uint64_t seed, bool group_commit = true) {
             InstanceState::kDone);
 
   RunExports out;
-  for (const char* table : {"instance", "history"}) {
-    for (const auto& [k, v] : store->Scan(table)) {
-      out.store_state += table;
-      out.store_state += '/';
-      out.store_state += k;
-      out.store_state += '=';
-      out.store_state += v;
-      out.store_state += '\n';
-    }
-  }
   out.timeline_csv = obs::TimelineCsv(obs::BuildTimeline(obs.spans));
   out.spans_jsonl = obs.spans.ExportJsonl();
   out.chrome_json = obs.spans.ExportChromeTrace();
@@ -270,25 +258,6 @@ TEST(ObsDeterminismTest, EngineCountersReflectTheChaoticLifecycle) {
   // Every completion stems from a dispatch (retries mean dispatched can
   // exceed completions, never the reverse).
   EXPECT_GE(run.dispatched, run.completed);
-}
-
-TEST(ObsDeterminismTest, GroupCommitDoesNotChangeExecution) {
-  RunExports grouped = RunScriptedChaos(7, /*group_commit=*/true);
-  RunExports ungrouped = RunScriptedChaos(7, /*group_commit=*/false);
-  // Group commit is a durability batching strategy: the persisted state
-  // and the engine-visible execution must be byte-identical with it on or
-  // off, through node crashes, a server crash, and WAL-replay recovery.
-  EXPECT_EQ(grouped.store_state, ungrouped.store_state);
-  EXPECT_FALSE(grouped.store_state.empty());
-  // Every job runs on the same node over the same interval to the same
-  // outcome. (The span log itself differs: commit batches and checkpoint
-  // cadence are what group commit legitimately changes.)
-  EXPECT_EQ(grouped.timeline_csv, ungrouped.timeline_csv);
-  EXPECT_NE(grouped.timeline_csv.find(",failed\n"), std::string::npos);
-  EXPECT_EQ(grouped.dispatched, ungrouped.dispatched);
-  EXPECT_EQ(grouped.completed, ungrouped.completed);
-  EXPECT_EQ(grouped.failed, ungrouped.failed);
-  EXPECT_EQ(grouped.recovered, ungrouped.recovered);
 }
 
 TEST(ObsDeterminismTest, StoreMetricsAreExported) {

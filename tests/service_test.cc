@@ -13,6 +13,7 @@
 #include "common/strings.h"
 #include "core/engine.h"
 #include "exec/thread_pool.h"
+#include "obs/fleet.h"
 #include "ocr/builder.h"
 #include "service/service.h"
 #include "service/service_console.h"
@@ -29,9 +30,9 @@ using service::Ticket;
 
 /// prepare (30 virtual minutes) -> run (1 virtual hour); `run` copies its
 /// bound input to the whiteboard so results are checkable per instance.
-ocr::ProcessDef JobProcess() {
+ocr::ProcessDef JobProcess(const std::string& name = "svc_job") {
   auto def =
-      ocr::ProcessBuilder("svc_job")
+      ocr::ProcessBuilder(name)
           .Data("payload")
           .Task(ocr::TaskBuilder::Activity("prepare", "svc.prepare"))
           .Task(ocr::TaskBuilder::Activity("run", "svc.run")
@@ -164,6 +165,59 @@ TEST(ShardedServiceTest, SameSeedRunsAreByteIdenticalPerShard) {
   ShardExports pooled = RunOnce(c_dir.path(), 17, &pool);
   EXPECT_EQ(a.spans, pooled.spans);
   EXPECT_EQ(a.lineage, pooled.lineage);
+}
+
+TEST(ShardedServiceTest, FleetLineageMatchesPerInstanceExports) {
+  // One scan per shard, split by id, must export exactly what one
+  // ExportLineageJsonl per id does. The first four instances share a shard
+  // and alternate templates, so neighbouring ids of two templates
+  // (svc_job-000001, svc_job_b-000002) sit side by side in both orders.
+  // Spaces.ProvenanceByInstanceKeepsNeighbouringIdsApart covers ids whose
+  // key order differs from id order, which template names cannot produce.
+  testing::TempDir dir;
+  core::ActivityRegistry registry;
+  RegisterJobActivities(&registry);
+  ShardedService svc(dir.path(), &registry, BaseOptions(2, 11));
+  ASSERT_OK(svc.Startup());
+  ASSERT_OK(svc.RegisterTemplate(JobProcess()));
+  ASSERT_OK(svc.RegisterTemplate(JobProcess("svc_job_b")));
+  for (int i = 0; i < 12; ++i) {
+    Submission sub = MakeJob(i);
+    if (i % 2 == 1) sub.template_name = "svc_job_b";
+    if (i < 4) sub.key = "neighbours";  // the first four share a shard
+    ASSERT_OK(svc.Submit(sub).status());
+  }
+  auto per_instance_exports = [&svc] {
+    std::vector<std::pair<int, std::string>> sources;
+    for (int s = 0; s < svc.hosted_shards(); ++s) {
+      const core::Engine* engine = svc.shard(s)->engine.get();
+      std::vector<std::string> ids;
+      for (const auto& info : engine->ListInstances()) ids.push_back(info.id);
+      std::sort(ids.begin(), ids.end());
+      std::string lineage;
+      for (const std::string& id : ids) {
+        lineage += engine->ExportLineageJsonl(id).value_or("");
+      }
+      sources.emplace_back(s, std::move(lineage));
+    }
+    return obs::MergeJsonlByShard(sources);
+  };
+  bool neighbours = false;
+  for (int s = 0; s < svc.hosted_shards(); ++s) {
+    const core::Engine* engine = svc.shard(s)->engine.get();
+    neighbours |= engine->GetInstanceState("svc_job-000001").ok() &&
+                  engine->GetInstanceState("svc_job_b-000002").ok();
+  }
+  EXPECT_TRUE(neighbours);
+  // Mid-run (some attempts dispatched, none finished) and at quiescence.
+  svc.AdvanceUntil(svc.VirtualNow() + Duration::Minutes(45));
+  std::string mid_run = svc.ExportFleetLineage();
+  EXPECT_EQ(mid_run, per_instance_exports());
+  svc.RunUntilQuiescent(/*max_barriers=*/100000);
+  std::string done = svc.ExportFleetLineage();
+  EXPECT_EQ(done, per_instance_exports());
+  EXPECT_NE(done, mid_run);
+  EXPECT_NE(done.find("svc_job_b-000002"), std::string::npos);
 }
 
 TEST(ShardedServiceTest, PlacementSpreadsAndAffinityKeysStick) {

@@ -426,7 +426,7 @@ TEST(ScrubTest, QuarantinesCorruptSegmentAndSalvagesTheRest) {
   store->SetObservability(&obs);
   RecordStore::CheckpointPolicy policy;
   policy.wal_bytes = 0;
-  policy.compact_after_segments = 100;
+  policy.compact_delta_ratio = 100;  // keep every segment
   store->SetCheckpointPolicy(policy);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 6; ++i) {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <limits>
 
+#include "common/crc32.h"
 #include "common/strings.h"
 #include "store/codec.h"
 #include "store/fs.h"
@@ -767,9 +768,20 @@ TEST(RecordStoreTest, GroupIsAtomicAtEveryWalTruncation) {
 
 // --- Incremental checkpoints -----------------------------------------------
 
+/// A policy that never compacts and never checkpoints on its own, so a
+/// test decides every segment. (A one-record store's delta is about as
+/// large as its full segment, which would compact at the default ratio.)
+RecordStore::CheckpointPolicy KeepEverySegment() {
+  RecordStore::CheckpointPolicy policy;
+  policy.wal_bytes = 0;
+  policy.compact_delta_ratio = 100;
+  return policy;
+}
+
 TEST(RecordStoreTest, IncrementalCheckpointWritesDeltaSegments) {
   testing::TempDir dir;
   ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
+  store->SetCheckpointPolicy(KeepEverySegment());
   ASSERT_OK(store->Put("alpha", "a", "1"));
   ASSERT_OK(store->Checkpoint());
   ASSERT_OK(store->Put("beta", "b", "2"));
@@ -780,8 +792,8 @@ TEST(RecordStoreTest, IncrementalCheckpointWritesDeltaSegments) {
                                       "/seg_000001.dat"));
   std::string seg2 = SlurpFile(dir.path() + "/seg_000002.dat");
   ASSERT_FALSE(seg2.empty());
-  // The second segment is a delta: it carries the table dirtied after the
-  // first checkpoint, not the quiescent one.
+  // The second segment is a delta: it carries the record put after the
+  // first checkpoint, not the quiescent table.
   EXPECT_NE(seg2.find("beta"), std::string::npos);
   EXPECT_EQ(seg2.find("alpha"), std::string::npos);
 
@@ -805,14 +817,16 @@ TEST(RecordStoreTest, CompactionFoldsSegmentsAndPrunesFiles) {
   ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
   RecordStore::CheckpointPolicy policy;
   policy.wal_bytes = 0;
-  policy.compact_after_segments = 2;
+  // Each one-record delta is about as large as the one-record full
+  // segment, so the second delta brings the deltas to twice the base.
+  policy.compact_delta_ratio = 2;
   store->SetCheckpointPolicy(policy);
   for (int i = 0; i < 3; ++i) {
     ASSERT_OK(store->Put("t", StrFormat("k%d", i), "v"));
     ASSERT_OK(store->Checkpoint());
   }
-  // The third checkpoint found two segments, so it compacted: one full
-  // segment remains and the older files are gone.
+  // The third checkpoint's delta would have reached the ratio, so it
+  // compacted: one full segment remains and the older files are gone.
   EXPECT_FALSE(std::filesystem::exists(std::string(dir.path()) +
                                        "/seg_000001.dat"));
   EXPECT_FALSE(std::filesystem::exists(std::string(dir.path()) +
@@ -827,13 +841,98 @@ TEST(RecordStoreTest, EmptiedTableDoesNotResurrectFromOlderSegment) {
   testing::TempDir dir;
   {
     ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
+    store->SetCheckpointPolicy(KeepEverySegment());
     ASSERT_OK(store->Put("t", "k", "v"));
     ASSERT_OK(store->Checkpoint());  // segment 1 holds t/k
     ASSERT_OK(store->Delete("t", "k"));
-    ASSERT_OK(store->Checkpoint());  // delta must record t as emptied
+    ASSERT_OK(store->Checkpoint());  // delta must carry k's tombstone
   }
+  EXPECT_TRUE(std::filesystem::exists(std::string(dir.path()) +
+                                      "/seg_000002.dat"));
   ASSERT_OK_AND_ASSIGN(auto reopened, RecordStore::Open(dir.path()));
   EXPECT_FALSE(reopened->Contains("t", "k"));
+}
+
+TEST(RecordStoreTest, DeltaOfTenChangedRowsIsUnderOnePercentOfFull) {
+  testing::TempDir dir;
+  ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
+  store->SetCheckpointPolicy(KeepEverySegment());
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_OK(store->Put("instance", StrFormat("inst-%06d/header", i),
+                         StrFormat("state=running;priority=%d", i % 7)));
+  }
+  ASSERT_OK(store->Checkpoint());  // the full segment
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_OK(store->Put("instance", StrFormat("inst-%06d/header", i * 997),
+                         "state=done"));
+  }
+  ASSERT_OK(store->Checkpoint());  // a delta of ten puts
+  long long full = testing::FileSizeOf(dir.path() + "/seg_000001.dat");
+  long long delta = testing::FileSizeOf(dir.path() + "/seg_000002.dat");
+  ASSERT_GT(full, 0);
+  ASSERT_GT(delta, 0);
+  EXPECT_LT(delta * 100, full) << "delta " << delta << " B, full " << full
+                               << " B";
+  ASSERT_OK_AND_ASSIGN(auto reopened, RecordStore::Open(dir.path()));
+  EXPECT_EQ(reopened->TableSize("instance"), 10000u);
+  ASSERT_OK_AND_ASSIGN(std::string v,
+                       reopened->Get("instance", "inst-001994/header"));
+  EXPECT_EQ(v, "state=done");
+}
+
+TEST(RecordStoreTest, DeleteThenPutInOneIntervalKeepsThePut) {
+  testing::TempDir dir;
+  {
+    ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
+    store->SetCheckpointPolicy(KeepEverySegment());
+    ASSERT_OK(store->Put("t", "k", "old"));
+    ASSERT_OK(store->Checkpoint());
+    ASSERT_OK(store->Delete("t", "k"));
+    ASSERT_OK(store->Put("t", "k", "new"));
+    ASSERT_OK(store->Delete("t", "gone"));  // never existed
+    ASSERT_OK(store->Checkpoint());
+  }
+  ASSERT_OK_AND_ASSIGN(auto reopened, RecordStore::Open(dir.path()));
+  ASSERT_OK_AND_ASSIGN(std::string v, reopened->Get("t", "k"));
+  EXPECT_EQ(v, "new");
+  EXPECT_EQ(reopened->TableSize("t"), 1u);
+}
+
+/// Frames `payload` as the older snapshot version 1 did (magic, version,
+/// CRC, length), which is how the table-replacing layout wrote MANIFEST
+/// and its segments.
+std::string FrameAsVersion1(std::string_view payload) {
+  std::string framed;
+  PutFixed32(&framed, 0x42694f70);  // "BiOp"
+  PutFixed32(&framed, 1);
+  PutFixed32(&framed, Crc32c(payload));
+  PutFixed64(&framed, payload.size());
+  framed.append(payload);
+  return framed;
+}
+
+TEST(RecordStoreTest, TableSegmentStoreIsRefused) {
+  // A store in the older table-replacing layout: its segment begins with
+  // a varint table count, which a kind byte would misread.
+  testing::TempDir dir;
+  std::string image;
+  PutVarint64(&image, 1);  // one table
+  PutLengthPrefixed(&image, "t");
+  PutVarint64(&image, 1);  // one record
+  PutLengthPrefixed(&image, "old_key");
+  PutLengthPrefixed(&image, "old_value");
+  std::string manifest;
+  PutVarint64(&manifest, 1);
+  PutLengthPrefixed(&manifest, "seg_000001.dat");
+  DumpFile(dir.path() + "/seg_000001.dat", FrameAsVersion1(image));
+  DumpFile(dir.path() + "/MANIFEST", FrameAsVersion1(manifest));
+  std::string before = SlurpFile(dir.path() + "/MANIFEST");
+  Result<std::unique_ptr<RecordStore>> opened = RecordStore::Open(dir.path());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsFailedPrecondition())
+      << opened.status().ToString();
+  // Refused, not rewritten.
+  EXPECT_EQ(SlurpFile(dir.path() + "/MANIFEST"), before);
 }
 
 TEST(RecordStoreTest, PreManifestStoreIsRefused) {
@@ -872,6 +971,32 @@ TEST(RecordStoreTest, WalBytesPolicyTriggersCheckpoint) {
   EXPECT_TRUE(
       std::filesystem::exists(std::string(dir.path()) + "/MANIFEST"));
   EXPECT_LT(store->WalBytes(), 64u);
+}
+
+TEST(SpacesTest, ProvenanceByInstanceKeepsNeighbouringIdsApart) {
+  // "a-b/..." sorts before "a/..." ('-' < '/') although id "a" sorts
+  // before "a-b": the one-pass split follows key order and keeps each
+  // id's rows apart, exactly as the per-id prefix scan returns them.
+  testing::TempDir dir;
+  ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
+  Spaces spaces(store.get());
+  WriteBatch batch;
+  for (const char* id : {"a", "a-b", "a_b", "b"}) {
+    for (const char* key : {"t1/a0001/in", "t1/a0001/out", "t2/a0001/in"}) {
+      spaces.BatchPutProvenance(&batch, id, key, std::string(id) + ":" + key);
+    }
+  }
+  spaces.BatchPutInstanceRecord(&batch, "a", "header", "h");  // other table
+  ASSERT_OK(spaces.Apply(batch));
+  std::vector<Spaces::InstanceRecords> groups =
+      spaces.ScanProvenanceByInstance();
+  std::vector<std::string> ids;
+  for (const auto& group : groups) {
+    ids.push_back(group.id);
+    EXPECT_EQ(group.rows, spaces.ScanProvenance(group.id)) << group.id;
+    EXPECT_EQ(group.rows.size(), 3u) << group.id;
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"a-b", "a", "a_b", "b"}));
 }
 
 TEST(SpacesTest, ConfigSpace) {
