@@ -62,7 +62,9 @@ Status ClusterSim::AddNode(const NodeConfig& config) {
 Status ClusterSim::RemoveNode(const std::string& name) {
   Node* node = Find(name);
   if (node == nullptr) return Status::NotFound("node " + name);
-  // Treat as a crash first so running jobs are reported lost.
+  // Treat as a crash first so running jobs are reported lost; the crash
+  // also cancels the node's completion and heartbeat events, whose
+  // closures hold `node`.
   if (node->up) BIOPERA_RETURN_IF_ERROR(CrashNode(name));
   nodes_.erase(name);
   UpdateTrace();
@@ -129,11 +131,10 @@ void ClusterSim::Reschedule(Node* node) {
     if (rate > 0) {
       Duration eta = Duration::Seconds(job.remaining_seconds / rate);
       JobId id = job.id;
-      std::string name = node->config.name;
-      job.completion = sim_->Schedule(eta, [this, name, id] {
-        Node* n = Find(name);
-        if (n != nullptr) CompleteJob(n, id);
-      });
+      // Node addresses are stable in nodes_, and every path that drops a
+      // job or erases its node cancels this event first.
+      job.completion =
+          sim_->Schedule(eta, [this, node, id] { CompleteJob(node, id); });
     }
   }
 }
@@ -454,15 +455,12 @@ void ClusterSim::ArmHeartbeat(Node* node) {
       node->heartbeat != kInvalidEventId) {
     return;
   }
-  // A daemon: heartbeats alone never keep the simulation alive.
-  std::string name = node->config.name;
-  node->heartbeat = sim_->ScheduleDaemon(heartbeat_interval_, [this, name] {
-    Node* n = Find(name);
-    if (n == nullptr) return;
-    n->heartbeat = kInvalidEventId;
-    if (!n->up) return;
-    SendHeartbeat(n);
-    ArmHeartbeat(n);
+  // A daemon: heartbeats alone never keep the simulation alive. CrashNode
+  // (and so RemoveNode) cancels it, so it only fires on an up node.
+  node->heartbeat = sim_->ScheduleDaemon(heartbeat_interval_, [this, node] {
+    node->heartbeat = kInvalidEventId;
+    SendHeartbeat(node);
+    ArmHeartbeat(node);
   });
 }
 

@@ -17,7 +17,10 @@ Duration CostModel::PairCost(size_t len_a, size_t len_b) const {
 }
 
 void CostModel::Prepare(const std::vector<uint32_t>& lengths) {
-  lengths_ = lengths;
+  prefix_len_.assign(lengths.size() + 1, 0.0);
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    prefix_len_[i + 1] = prefix_len_[i] + static_cast<double>(lengths[i]);
+  }
   suffix_len_.assign(lengths.size() + 1, 0.0);
   for (size_t i = lengths.size(); i > 0; --i) {
     suffix_len_[i - 1] =
@@ -25,12 +28,21 @@ void CostModel::Prepare(const std::vector<uint32_t>& lengths) {
   }
 }
 
+double CostModel::PrefixResidues(size_t i) const {
+  assert(i < prefix_len_.size());
+  return prefix_len_[i];
+}
+
+double CostModel::SuffixResidues(size_t i) const {
+  assert(i < suffix_len_.size());
+  return suffix_len_[i];
+}
+
 Duration CostModel::TeuCost(const std::vector<uint32_t>& lengths,
                             size_t first, size_t last) const {
   assert(first <= last && last <= lengths.size());
   // If Prepare() was called with this dataset, reuse the suffix sums.
-  const bool prepared =
-      lengths_.size() == lengths.size() && !suffix_len_.empty();
+  const bool prepared = suffix_len_.size() == lengths.size() + 1;
   double cell_total = 0;
   for (size_t i = first; i < last; ++i) {
     double partners;

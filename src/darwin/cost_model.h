@@ -63,16 +63,24 @@ class CostModel {
   Duration TeuCost(const std::vector<uint32_t>& lengths, size_t first,
                    size_t last) const;
 
-  /// Precomputes suffix sums for repeated TeuCost queries on one dataset.
+  /// Precomputes prefix and suffix sums of `lengths` for repeated TeuCost
+  /// and residue queries on one dataset.
   void Prepare(const std::vector<uint32_t>& lengths);
+
+  /// Residues of entries [0, i) of the prepared dataset, summed front to
+  /// back. Requires Prepare().
+  double PrefixResidues(size_t i) const;
+  /// Residues of entries [i, n) of the prepared dataset, summed back to
+  /// front. Requires Prepare().
+  double SuffixResidues(size_t i) const;
 
   /// Extracts the residue lengths of a dataset.
   static std::vector<uint32_t> Lengths(const Dataset& dataset);
 
  private:
   CostModelOptions options_;
+  std::vector<double> prefix_len_;   // prefix_len_[i] = sum of lengths[..i)
   std::vector<double> suffix_len_;   // suffix_len_[i] = sum of lengths[i..)
-  std::vector<uint32_t> lengths_;
 };
 
 }  // namespace biopera::darwin

@@ -22,55 +22,104 @@ EventId Simulator::ScheduleDaemon(Duration delay, std::function<void()> fn) {
 EventId Simulator::ScheduleInternal(TimePoint t, std::function<void()> fn,
                                     bool daemon) {
   if (t < now_) t = now_;
-  EventId id = next_id_++;
-  queue_.push(Entry{t, id, std::move(fn)});
-  live_.emplace(id, daemon);
+  uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.fn = std::move(fn);
+  slot.daemon = daemon;
   if (!daemon) ++regular_pending_;
-  return id;
+  heap_.push_back(Key{t, next_seq_++, index});
+  SiftUp(heap_.size() - 1);
+  // The low half is slot + 1, so no valid id is kInvalidEventId.
+  return (static_cast<EventId>(slot.generation) << 32) | (index + 1);
 }
 
 bool Simulator::Cancel(EventId id) {
-  // Only events that are still pending can be cancelled; erase from the
-  // live map and let PopNext drop the stale heap entry lazily.
-  auto it = live_.find(id);
-  if (it == live_.end()) return false;
-  if (!it->second) --regular_pending_;
-  live_.erase(it);
+  const uint64_t index = id & 0xffffffffu;
+  if (index == 0 || index > slots_.size()) return false;
+  const Slot& slot = slots_[index - 1];
+  if (slot.generation != (id >> 32) || slot.heap_pos == kNotQueued) {
+    return false;
+  }
+  Remove(slot.heap_pos);  // the callable dies here, not at a later pop
   return true;
 }
 
-bool Simulator::NextEventTime(TimePoint* t) {
-  while (!queue_.empty() && live_.find(queue_.top().id) == live_.end()) {
-    queue_.pop();  // cancelled; drop the stale heap entry
+std::function<void()> Simulator::Remove(size_t pos) {
+  const uint32_t index = heap_[pos].slot;
+  Slot& slot = slots_[index];
+  std::function<void()> fn = std::move(slot.fn);
+  slot.fn = nullptr;
+  if (!slot.daemon) --regular_pending_;
+  slot.heap_pos = kNotQueued;
+  ++slot.generation;  // retires every id issued for this slot so far
+  free_slots_.push_back(index);
+  // Fill the hole with the last key, then restore the heap order around
+  // it: it may belong above the hole (a cancel deep in the heap) or below.
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    Place(pos, last);
+    if (pos > 0 && Before(last, heap_[(pos - 1) / 2])) {
+      SiftUp(pos);
+    } else {
+      SiftDown(pos);
+    }
   }
-  if (queue_.empty()) return false;
-  *t = queue_.top().time;
+  return fn;
+}
+
+void Simulator::SiftUp(size_t pos) {
+  const Key key = heap_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (!Before(key, heap_[parent])) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, key);
+}
+
+void Simulator::SiftDown(size_t pos) {
+  const Key key = heap_[pos];
+  const size_t n = heap_.size();
+  while (true) {
+    size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+    if (!Before(heap_[child], key)) break;
+    Place(pos, heap_[child]);
+    pos = child;
+  }
+  Place(pos, key);
+}
+
+bool Simulator::NextEventTime(TimePoint* t) const {
+  if (heap_.empty()) return false;
+  *t = heap_.front().time;
   return true;
 }
 
-bool Simulator::PopNext(Entry* out, bool* daemon) {
-  while (!queue_.empty()) {
-    Entry e = std::move(const_cast<Entry&>(queue_.top()));
-    queue_.pop();
-    auto it = live_.find(e.id);
-    if (it == live_.end()) continue;  // cancelled
-    *daemon = it->second;
-    if (!it->second) --regular_pending_;
-    live_.erase(it);
-    *out = std::move(e);
-    return true;
-  }
-  return false;
+void Simulator::FireNext() {
+  const TimePoint time = heap_.front().time;
+  // The slot is freed before the callable runs, so the callable may
+  // schedule into it and a Cancel of its own id returns false.
+  std::function<void()> fn = Remove(0);
+  assert(time >= now_);
+  now_ = time;
+  ++executed_;
+  fn();
 }
 
 bool Simulator::Step() {
-  Entry e;
-  bool daemon = false;
-  if (!PopNext(&e, &daemon)) return false;
-  assert(e.time >= now_);
-  now_ = e.time;
-  ++executed_;
-  e.fn();
+  if (heap_.empty()) return false;
+  FireNext();
   return true;
 }
 
@@ -80,21 +129,7 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(TimePoint t) {
-  while (true) {
-    Entry e;
-    bool daemon = false;
-    if (!PopNext(&e, &daemon)) break;
-    if (e.time > t) {
-      // Fires after the horizon; re-insert (the id becomes live again).
-      live_.emplace(e.id, daemon);
-      if (!daemon) ++regular_pending_;
-      queue_.push(std::move(e));
-      break;
-    }
-    now_ = e.time;
-    ++executed_;
-    e.fn();
-  }
+  while (!heap_.empty() && heap_.front().time <= t) FireNext();
   if (t > now_) now_ = t;
 }
 

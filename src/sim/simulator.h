@@ -3,9 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <string>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "common/time.h"
@@ -28,6 +26,13 @@ inline constexpr EventId kInvalidEventId = 0;
 /// events (periodic monitors, background load generators — anything that
 /// reschedules itself forever) execute normally but do not prevent Run()
 /// from returning once all regular work has drained.
+///
+/// Each pending event owns a slot of a slab (its callable, daemon flag and
+/// heap position) and one key in an indexed binary heap ordered by (time,
+/// scheduling order). Cancel removes the key at once, so the heap holds
+/// exactly the pending events. An id names a slot and the slot's
+/// generation, which moves on whenever the slot's event fires or is
+/// cancelled: a stale id never matches the slot's next event.
 class Simulator : public Clock {
  public:
   Simulator() = default;
@@ -47,7 +52,8 @@ class Simulator : public Clock {
   /// alive on its own.
   EventId ScheduleDaemon(Duration delay, std::function<void()> fn);
 
-  /// Cancels a pending event. Returns false if it already ran, was already
+  /// Cancels a pending event in O(log n) and destroys its callable.
+  /// Returns false if it already ran (or is running), was already
   /// cancelled, or never existed.
   bool Cancel(EventId id);
 
@@ -66,13 +72,12 @@ class Simulator : public Clock {
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
   /// Time of the earliest pending event (daemons included). Returns false
-  /// when nothing is scheduled. Prunes cancelled entries off the heap
-  /// head, so it is not const; it never executes or reorders anything.
-  /// The sharded service uses it to pick lockstep barrier targets.
-  bool NextEventTime(TimePoint* t);
+  /// when nothing is scheduled. The sharded service uses it to pick
+  /// lockstep barrier targets.
+  bool NextEventTime(TimePoint* t) const;
 
-  /// Number of pending (non-cancelled) events, daemons included.
-  size_t NumPending() const { return live_.size(); }
+  /// Number of pending events, daemons included.
+  size_t NumPending() const { return heap_.size(); }
   /// Pending regular (non-daemon) events.
   size_t NumPendingRegular() const { return regular_pending_; }
 
@@ -80,31 +85,48 @@ class Simulator : public Clock {
   uint64_t NumExecuted() const { return executed_; }
 
  private:
-  struct Entry {
+  /// Heap key. `seq` is the scheduling order, so equal times fire in the
+  /// order they were scheduled.
+  struct Key {
     TimePoint time;
-    EventId id;
+    uint64_t seq;
+    uint32_t slot;
+  };
+  static constexpr uint32_t kNotQueued = std::numeric_limits<uint32_t>::max();
+  struct Slot {
     std::function<void()> fn;
+    uint32_t generation = 0;
+    /// Index of the slot's key in heap_, kNotQueued while the slot is free.
+    uint32_t heap_pos = kNotQueued;
+    bool daemon = false;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;
-    }
-  };
+
+  static bool Before(const Key& a, const Key& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
 
   EventId ScheduleInternal(TimePoint t, std::function<void()> fn,
                            bool daemon);
-  // Pops the next non-cancelled event, or returns false. `*daemon`
-  // receives the event's daemon flag.
-  bool PopNext(Entry* out, bool* daemon);
+  /// Takes the key at heap position `pos` out of the heap, frees its slot
+  /// and hands back the callable.
+  std::function<void()> Remove(size_t pos);
+  /// Fires the earliest pending event.
+  void FireNext();
+  void Place(size_t pos, const Key& key) {
+    heap_[pos] = key;
+    slots_[key.slot].heap_pos = static_cast<uint32_t>(pos);
+  }
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
 
   TimePoint now_;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   size_t regular_pending_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  /// Live (pending) events: id -> is_daemon.
-  std::unordered_map<EventId, bool> live_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace biopera

@@ -80,14 +80,23 @@ uint64_t AllVsAllContext::SyntheticMatchCount(uint32_t first,
 }
 
 double AllVsAllContext::OldPartnerResidues() const {
-  double total = 0;
-  for (uint32_t j = 0; j < update_from && j < lengths.size(); ++j) {
-    total += lengths[j];
-  }
-  return total;
+  return cost_model.PrefixResidues(
+      std::min<size_t>(update_from, lengths.size()));
 }
 
-uint64_t AllVsAllContext::PairCountFor(const std::vector<uint32_t>& entries,
+double AllVsAllContext::PartnerResiduesAfter(const QueueEntries& entries,
+                                             uint32_t last) const {
+  const size_t n = entries.size();
+  if (entries.is_range() && entries.first() + n == lengths.size()) {
+    return cost_model.SuffixResidues(entries.first() +
+                                     std::min<size_t>(last, n));
+  }
+  double suffix = 0;
+  for (size_t j = n; j > last; --j) suffix += lengths[entries[j - 1]];
+  return suffix;
+}
+
+uint64_t AllVsAllContext::PairCountFor(const QueueEntries& entries,
                                        uint32_t first, uint32_t last) const {
   uint64_t count = 0;
   for (uint32_t p = first; p < last && p < entries.size(); ++p) {
@@ -99,9 +108,9 @@ uint64_t AllVsAllContext::PairCountFor(const std::vector<uint32_t>& entries,
   return count;
 }
 
-uint64_t AllVsAllContext::SyntheticMatchCountFor(
-    const std::vector<uint32_t>& entries, uint32_t first,
-    uint32_t last) const {
+uint64_t AllVsAllContext::SyntheticMatchCountFor(const QueueEntries& entries,
+                                                  uint32_t first,
+                                                  uint32_t last) const {
   uint64_t matches = 0;
   for (uint32_t p = first; p < last && p < entries.size(); ++p) {
     uint32_t i = entries[p];
@@ -255,17 +264,12 @@ ProcessDef BuildAlignPartitionProcess() {
 
 namespace {
 
-/// Decodes a queue-file value: either a map {"count": N} standing for the
-/// implicit full range [0, N), or an explicit list of entry indexes.
-Result<std::vector<uint32_t>> DecodeQueue(const Value& queue,
-                                          size_t dataset_size) {
-  std::vector<uint32_t> entries;
+/// Decodes a queue-file value: a map {"count": N, "first": F} standing
+/// for the range [F, F + N) (F defaults to 0), an explicit list of entry
+/// indexes, or null for the whole dataset.
+Result<QueueEntries> DecodeQueue(const Value& queue, size_t dataset_size) {
   if (queue.is_null()) {
-    entries.reserve(dataset_size);
-    for (size_t i = 0; i < dataset_size; ++i) {
-      entries.push_back(static_cast<uint32_t>(i));
-    }
-    return entries;
+    return QueueEntries::Range(0, static_cast<uint32_t>(dataset_size));
   }
   if (queue.is_map()) {
     auto it = queue.AsMap().find("count");
@@ -278,17 +282,15 @@ Result<std::vector<uint32_t>> DecodeQueue(const Value& queue,
     if (first_it != queue.AsMap().end() && first_it->second.is_int()) {
       start = first_it->second.AsInt();
     }
-    if (n < 0 || start < 0 ||
-        static_cast<size_t>(start + n) > dataset_size) {
+    if (n < 0 || start < 0 || static_cast<uint64_t>(start) > dataset_size ||
+        static_cast<uint64_t>(n) > dataset_size - start) {
       return Status::InvalidArgument("queue range out of bounds");
     }
-    entries.reserve(static_cast<size_t>(n));
-    for (int64_t i = start; i < start + n; ++i) {
-      entries.push_back(static_cast<uint32_t>(i));
-    }
-    return entries;
+    return QueueEntries::Range(static_cast<uint32_t>(start),
+                               static_cast<uint32_t>(n));
   }
   if (queue.is_list()) {
+    std::vector<uint32_t> entries;
     for (const Value& v : queue.AsList()) {
       if (!v.is_int() || v.AsInt() < 0 ||
           static_cast<size_t>(v.AsInt()) >= dataset_size) {
@@ -296,52 +298,56 @@ Result<std::vector<uint32_t>> DecodeQueue(const Value& queue,
       }
       entries.push_back(static_cast<uint32_t>(v.AsInt()));
     }
-    return entries;
+    return QueueEntries(std::move(entries));
   }
   return Status::InvalidArgument("queue file must be a map or a list");
 }
 
-/// Queue-position lengths for cost estimation / partitioning.
+/// Queue-position lengths for partitioning.
 std::vector<uint32_t> QueueLengths(const AllVsAllContext& ctx,
-                                   const std::vector<uint32_t>& entries) {
+                                   const QueueEntries& entries) {
   std::vector<uint32_t> out;
   out.reserve(entries.size());
-  for (uint32_t e : entries) out.push_back(ctx.lengths[e]);
+  for (size_t p = 0; p < entries.size(); ++p) {
+    out.push_back(ctx.lengths[entries[p]]);
+  }
   return out;
 }
 
-Duration FixedPassCost(const AllVsAllContext& ctx,
-                       const std::vector<uint32_t>& lengths, uint32_t first,
-                       uint32_t last) {
-  const auto& opt = ctx.cost_model.options();
+/// DP cells of one pass over TEU [first, last): each TEU entry against
+/// every later queue entry and every old entry. O(TEU) for a range that
+/// ends at the dataset's end (full runs and update mode).
+double TeuCells(const AllVsAllContext& ctx, const QueueEntries& entries,
+                uint32_t first, uint32_t last) {
   // Walk backwards keeping the running suffix sum of partner lengths.
-  double suffix = 0;
-  for (size_t j = lengths.size(); j > last; --j) suffix += lengths[j - 1];
+  double suffix = ctx.PartnerResiduesAfter(entries, last);
   const double old_partners = ctx.OldPartnerResidues();
   double cells = 0;
-  for (size_t i = std::min<size_t>(last, lengths.size()); i > first; --i) {
-    cells += static_cast<double>(lengths[i - 1]) * (suffix + old_partners);
-    suffix += lengths[i - 1];
+  for (size_t i = std::min<size_t>(last, entries.size()); i > first; --i) {
+    const uint32_t length = ctx.lengths[entries[i - 1]];
+    cells += static_cast<double>(length) * (suffix + old_partners);
+    suffix += length;
   }
-  return Duration::Seconds(cells * opt.sw_cell_seconds *
+  return cells;
+}
+
+Duration FixedPassCost(const AllVsAllContext& ctx,
+                       const QueueEntries& entries, uint32_t first,
+                       uint32_t last) {
+  const auto& opt = ctx.cost_model.options();
+  return Duration::Seconds(TeuCells(ctx, entries, first, last) *
+                               opt.sw_cell_seconds *
                                ctx.NoiseFactor(0, first, last) +
                            opt.darwin_init_seconds);
 }
 
 Duration RefinePassCost(const AllVsAllContext& ctx,
-                        const std::vector<uint32_t>& lengths, uint32_t first,
+                        const QueueEntries& entries, uint32_t first,
                         uint32_t last) {
   const auto& opt = ctx.cost_model.options();
-  double suffix = 0;
-  for (size_t j = lengths.size(); j > last; --j) suffix += lengths[j - 1];
-  const double old_partners = ctx.OldPartnerResidues();
-  double cells = 0;
-  for (size_t i = std::min<size_t>(last, lengths.size()); i > first; --i) {
-    cells += static_cast<double>(lengths[i - 1]) * (suffix + old_partners);
-    suffix += lengths[i - 1];
-  }
-  double seconds = cells * opt.sw_cell_seconds * opt.match_rate *
-                       opt.refine_evaluations * ctx.NoiseFactor(1, first, last) +
+  double seconds = TeuCells(ctx, entries, first, last) * opt.sw_cell_seconds *
+                       opt.match_rate * opt.refine_evaluations *
+                       ctx.NoiseFactor(1, first, last) +
                    opt.darwin_init_seconds;
   return Duration::Seconds(seconds);
 }
@@ -381,7 +387,7 @@ Status RegisterAllVsAllActivities(ActivityRegistry* registry,
       "avsa.preprocess",
       [ctx = context](const ActivityInput& input) -> Result<ActivityOutput> {
         BIOPERA_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> entries,
+            QueueEntries entries,
             DecodeQueue(input.Get("queue_file"), ctx->lengths.size()));
         const Value& num_teus = input.Get("num_teus");
         if (!num_teus.is_int() || num_teus.AsInt() <= 0) {
@@ -411,14 +417,13 @@ Status RegisterAllVsAllActivities(ActivityRegistry* registry,
       [ctx = context](const ActivityInput& input) -> Result<ActivityOutput> {
         BIOPERA_ASSIGN_OR_RETURN(Teu teu, TeuFromValue(input.Get("partition")));
         BIOPERA_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> entries,
+            QueueEntries entries,
             DecodeQueue(input.Get("queue_file"), ctx->lengths.size()));
         if (teu.last > entries.size()) {
           return Status::InvalidArgument("fixed_pam: TEU beyond queue");
         }
-        std::vector<uint32_t> lengths = QueueLengths(*ctx, entries);
         ActivityOutput out;
-        out.cost = FixedPassCost(*ctx, lengths, teu.first, teu.last);
+        out.cost = FixedPassCost(*ctx, entries, teu.first, teu.last);
         out.provenance.emplace_back(
             "pam_matrix",
             StrFormat("%s/pam%d",
@@ -512,11 +517,10 @@ Status RegisterAllVsAllActivities(ActivityRegistry* registry,
       [ctx = context](const ActivityInput& input) -> Result<ActivityOutput> {
         BIOPERA_ASSIGN_OR_RETURN(Teu teu, TeuFromValue(input.Get("partition")));
         BIOPERA_ASSIGN_OR_RETURN(
-            std::vector<uint32_t> entries,
+            QueueEntries entries,
             DecodeQueue(input.Get("queue_file"), ctx->lengths.size()));
-        std::vector<uint32_t> lengths = QueueLengths(*ctx, entries);
         ActivityOutput out;
-        out.cost = RefinePassCost(*ctx, lengths, teu.first, teu.last);
+        out.cost = RefinePassCost(*ctx, entries, teu.first, teu.last);
         out.provenance.emplace_back(
             "pam_matrix", std::string(darwin::PamFamilyVersion()));
         out.provenance.emplace_back(

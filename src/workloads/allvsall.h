@@ -1,7 +1,9 @@
 #ifndef BIOPERA_WORKLOADS_ALLVSALL_H_
 #define BIOPERA_WORKLOADS_ALLVSALL_H_
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/activity.h"
@@ -11,6 +13,39 @@
 #include "ocr/model.h"
 
 namespace biopera::workloads {
+
+/// The dataset indexes of a queue file, by queue position. A
+/// {"count", "first"} queue is the range [first, first + count), read
+/// without copying; an explicit list keeps its own entries.
+class QueueEntries {
+ public:
+  /// The range of dataset indexes [first, first + count).
+  static QueueEntries Range(uint32_t first, uint32_t count) {
+    QueueEntries q;
+    q.first_ = first;
+    q.count_ = count;
+    return q;
+  }
+  /// An explicit list (implicit: a list of dataset indexes is a queue).
+  QueueEntries(std::vector<uint32_t> list)
+      : list_(std::move(list)), is_range_(false) {}
+
+  size_t size() const { return is_range_ ? count_ : list_.size(); }
+  uint32_t operator[](size_t pos) const {
+    return is_range_ ? first_ + static_cast<uint32_t>(pos) : list_[pos];
+  }
+  bool is_range() const { return is_range_; }
+  /// First dataset index of a range.
+  uint32_t first() const { return first_; }
+
+ private:
+  QueueEntries() = default;
+
+  uint32_t first_ = 0;
+  uint32_t count_ = 0;
+  std::vector<uint32_t> list_;
+  bool is_range_ = true;
+};
 
 /// Shared context for the all-vs-all activity implementations.
 ///
@@ -25,6 +60,9 @@ namespace biopera::workloads {
 struct AllVsAllContext {
   // Common: entry lengths of the dataset (drives cost estimation).
   std::vector<uint32_t> lengths;
+  /// Prepared for `lengths` by the Make*Context factories and
+  /// PrepareSynthetic; its residue tables serve OldPartnerResidues and
+  /// PartnerResiduesAfter.
   darwin::CostModel cost_model;
   /// Fixed evolutionary distance of the first alignment pass.
   int fixed_pam = 250;
@@ -69,7 +107,8 @@ struct AllVsAllContext {
   /// (tag 0 = fixed alignment, 1 = refinement).
   double NoiseFactor(uint64_t tag, uint32_t first, uint32_t last) const;
 
-  /// Builds the members-per-family index used by synthetic counting.
+  /// Builds the members-per-family index used by synthetic counting and
+  /// prepares `cost_model` for `lengths`.
   void PrepareSynthetic();
   /// Number of matches TEU [first, last) finds (pairs (i, j), i < j).
   /// Positions index the full dataset (full-run layout).
@@ -77,15 +116,22 @@ struct AllVsAllContext {
   /// Number of pairs TEU [first, last) aligns (full-run layout).
   uint64_t PairCount(uint32_t first, uint32_t last) const;
 
-  /// Generalized forms over an explicit queue: `entries` are dataset
-  /// indexes, [first, last) the TEU's queue positions. Honors
-  /// `update_from` (old-entry partners).
-  uint64_t SyntheticMatchCountFor(const std::vector<uint32_t>& entries,
-                                  uint32_t first, uint32_t last) const;
-  uint64_t PairCountFor(const std::vector<uint32_t>& entries, uint32_t first,
+  /// Generalized forms over a queue: [first, last) are the TEU's queue
+  /// positions. Honors `update_from` (old-entry partners).
+  uint64_t SyntheticMatchCountFor(const QueueEntries& entries, uint32_t first,
+                                  uint32_t last) const;
+  uint64_t PairCountFor(const QueueEntries& entries, uint32_t first,
                         uint32_t last) const;
-  /// Total residues of the old entries each new entry must scan.
+  /// Total residues of the old entries each new entry must scan, read
+  /// from `cost_model`'s prefix table.
   double OldPartnerResidues() const;
+  /// Residues of the queue entries at positions >= `last`, the partners
+  /// a TEU ending at `last` has after it, summed from the queue's end
+  /// back. A range that ends at the dataset's end reads the sum from
+  /// `cost_model`'s suffix table, which is summed in the same order, so
+  /// the result is bit-identical to the walk.
+  double PartnerResiduesAfter(const QueueEntries& entries,
+                              uint32_t last) const;
 
   std::map<uint32_t, std::vector<uint32_t>> family_members;
 };

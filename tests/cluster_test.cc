@@ -25,6 +25,7 @@ class RecordingListener : public ClusterListener, public comms::ReportHandler {
       loads[msg.node] = msg.load;
     } else if (msg.type == comms::MessageType::kHeartbeat) {
       ++heartbeats;
+      ++heartbeats_from[msg.node];
     }
   }
   void OnJobFailed(JobId id, const std::string& node,
@@ -48,6 +49,7 @@ class RecordingListener : public ClusterListener, public comms::ReportHandler {
   std::map<std::string, double> loads;
   std::vector<std::string> config_changes;
   int heartbeats = 0;
+  std::map<std::string, int> heartbeats_from;
 };
 
 struct Fixture {
@@ -229,6 +231,36 @@ TEST(ClusterTest, HeartbeatsSilenceCrashAndRepairNotifications) {
   // The repaired PEC heartbeats again.
   f.sim.RunFor(Duration::Seconds(95));
   EXPECT_EQ(f.listener.heartbeats, 6);
+}
+
+// Completion and heartbeat events hold their node's address. Removing an
+// up node must cancel them, so nothing fires into the erased node (the
+// sanitizer build turns a dangling one into a failure) and a new node of
+// the same name starts clean.
+TEST(ClusterTest, RemovedNodeLeavesNoEventsBehind) {
+  Fixture f;
+  ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 2}));
+  ASSERT_OK(f.cluster.AddNode({.name = "other", .num_cpus = 1}));
+  f.cluster.EnableHeartbeats(Duration::Seconds(30));
+  ASSERT_OK(f.commands.Launch(1, "n", Duration::Seconds(100)));
+  ASSERT_OK(f.commands.Launch(2, "n", Duration::Seconds(200)));
+  f.sim.RunFor(Duration::Seconds(45));
+  EXPECT_EQ(f.listener.heartbeats_from["n"], 1);
+  const size_t pending = f.sim.NumPending();
+  ASSERT_OK(f.cluster.RemoveNode("n"));
+  // Two completions and one heartbeat left the event loop at once.
+  EXPECT_EQ(f.sim.NumPending(), pending - 3);
+  EXPECT_EQ(f.cluster.NumRunningJobs(), 0u);
+
+  ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 1}));
+  ASSERT_OK(f.commands.Launch(3, "n", Duration::Seconds(50)));
+  f.sim.RunFor(Duration::Seconds(300));
+  // Only the new node's job completes (at t = 95), and only the new node
+  // heartbeats: every 30 s from its arrival at t = 45 until t = 345.
+  ASSERT_EQ(f.listener.finished.size(), 1u);
+  EXPECT_EQ(f.listener.finished[0].first, 3u);
+  EXPECT_EQ(f.listener.heartbeats_from["n"], 1 + 10);
+  EXPECT_EQ(f.listener.heartbeats_from["other"], 11);
 }
 
 TEST(ClusterTest, StartJobOnDownNodeFails) {

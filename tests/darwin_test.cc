@@ -468,6 +468,24 @@ TEST(CostModelTest, PreparedAndUnpreparedAgree) {
   EXPECT_NEAR(a.ToSeconds(), b.ToSeconds(), 1e-6);
 }
 
+TEST(CostModelTest, ResidueTablesMatchWalks) {
+  std::vector<uint32_t> lengths;
+  Rng rng(51);
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(static_cast<uint32_t>(rng.UniformInt(50, 800)));
+  }
+  CostModel model;
+  model.Prepare(lengths);
+  for (size_t i = 0; i <= lengths.size(); ++i) {
+    double prefix = 0;
+    for (size_t j = 0; j < i; ++j) prefix += lengths[j];
+    double suffix = 0;
+    for (size_t j = lengths.size(); j > i; --j) suffix += lengths[j - 1];
+    ASSERT_EQ(model.PrefixResidues(i), prefix) << i;
+    ASSERT_EQ(model.SuffixResidues(i), suffix) << i;
+  }
+}
+
 TEST(CostModelTest, FullDatasetCpuMatchesFig4Calibration) {
   // 532 entries at mean length ~360 must land near the paper's ~2750 s
   // serial CPU time (single TEU, both passes, one Darwin init each).

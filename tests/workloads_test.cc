@@ -264,6 +264,79 @@ TEST(SyntheticCountTest, UpdateRunThroughEngineMatchesGroundTruth) {
   EXPECT_EQ(static_cast<uint64_t>(total.AsInt()), expected);
 }
 
+// A {"count", "first"} queue is read as a range over the dataset; the
+// same entries as an explicit list take the per-entry path. Both must
+// give the same costs, counts and pairs to the microsecond, for a full run
+// (the range [0, n)) and for update mode (the range [update_from, n)).
+TEST(SyntheticCountTest, RangeQueueEqualsExplicitList) {
+  Rng rng(7);
+  darwin::GeneratorOptions gen;
+  gen.num_sequences = 400;
+  darwin::DatasetMeta meta = darwin::GenerateDatasetMeta(gen, &rng);
+  const uint32_t n = static_cast<uint32_t>(meta.lengths.size());
+  for (uint32_t update_from : {0u, 300u}) {
+    SCOPED_TRACE(update_from);
+    auto ctx = MakeSyntheticContext(meta.lengths, meta.family_of);
+    ctx->update_from = update_from;
+    core::ActivityRegistry registry;
+    ASSERT_OK(RegisterAllVsAllActivities(&registry, ctx));
+    ASSERT_OK_AND_ASSIGN(core::ActivityFn fixed_pam,
+                         registry.Find("darwin.fixed_pam"));
+    ASSERT_OK_AND_ASSIGN(core::ActivityFn refine,
+                         registry.Find("darwin.refine"));
+
+    Value::Map range;
+    range["first"] = Value(static_cast<int64_t>(update_from));
+    range["count"] = Value(static_cast<int64_t>(n - update_from));
+    Value::List list;
+    std::vector<uint32_t> entries;
+    for (uint32_t i = update_from; i < n; ++i) {
+      list.push_back(Value(static_cast<int64_t>(i)));
+      entries.push_back(i);
+    }
+    const QueueEntries as_range = QueueEntries::Range(update_from,
+                                                      n - update_from);
+    const QueueEntries as_list(entries);
+    for (uint32_t last = 0; last <= entries.size(); ++last) {
+      // The table's suffix and the per-entry walk agree to the bit.
+      ASSERT_EQ(ctx->PartnerResiduesAfter(as_range, last),
+                ctx->PartnerResiduesAfter(as_list, last))
+          << last;
+    }
+    double old_residues = 0;
+    for (uint32_t j = 0; j < update_from; ++j) old_residues += meta.lengths[j];
+    EXPECT_EQ(ctx->OldPartnerResidues(), old_residues);
+
+    std::vector<Teu> teus = PartitionByCount(entries.size(), 13);
+    for (const Teu& teu : teus) {
+      SCOPED_TRACE(teu.first);
+      core::ActivityInput by_range, by_list;
+      by_range.params["partition"] = TeusToValue({teu}).AsList()[0];
+      by_list.params["partition"] = by_range.params["partition"];
+      by_range.params["queue_file"] = Value(range);
+      by_list.params["queue_file"] = Value(list);
+      ASSERT_OK_AND_ASSIGN(core::ActivityOutput fixed_range,
+                           fixed_pam(by_range));
+      ASSERT_OK_AND_ASSIGN(core::ActivityOutput fixed_list,
+                           fixed_pam(by_list));
+      EXPECT_EQ(fixed_range.cost, fixed_list.cost);
+      EXPECT_EQ(fixed_range.fields["count"], fixed_list.fields["count"]);
+      EXPECT_EQ(fixed_range.fields["pairs"], fixed_list.fields["pairs"]);
+      EXPECT_EQ(fixed_range.fields["pairs"].AsInt(),
+                static_cast<int64_t>(ctx->PairCountFor(entries, teu.first,
+                                                       teu.last)));
+
+      by_range.params["count"] = fixed_range.fields["count"];
+      by_list.params["count"] = fixed_list.fields["count"];
+      ASSERT_OK_AND_ASSIGN(core::ActivityOutput refine_range,
+                           refine(by_range));
+      ASSERT_OK_AND_ASSIGN(core::ActivityOutput refine_list, refine(by_list));
+      EXPECT_EQ(refine_range.cost, refine_list.cost);
+      EXPECT_EQ(refine_range.fields["count"], refine_list.fields["count"]);
+    }
+  }
+}
+
 // --- Tower of information --------------------------------------------------------
 
 struct TowerWorld {
