@@ -314,6 +314,12 @@ double ClusterSim::ExternalLoad(const std::string& name) const {
   return node == nullptr ? 0 : node->external_busy;
 }
 
+double ClusterSim::ExternalLoadFraction(const std::string& name) const {
+  const Node* node = Find(name);
+  if (node == nullptr || node->config.num_cpus == 0) return 0;
+  return node->external_busy / node->config.num_cpus;
+}
+
 Status ClusterSim::SetConnected(const std::string& name, bool connected) {
   if (Find(name) == nullptr) return Status::NotFound("node " + name);
   // Symmetric outage on the channel; OnChannelLink flushes on reconnect.

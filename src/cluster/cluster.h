@@ -143,6 +143,10 @@ class ClusterSim : public comms::CommandHandler {
   /// fractional; clamped to [0, num_cpus]).
   Status SetExternalLoad(const std::string& name, double busy_cpus);
   double ExternalLoad(const std::string& name) const;
+  /// ExternalLoad as a fraction of the node's CPUs, from one lookup: what
+  /// a node's load monitor samples. 0 for an unknown node or one with no
+  /// CPUs.
+  double ExternalLoadFraction(const std::string& name) const;
   /// Disconnects / reconnects a node from the network (both channel
   /// links): commands are refused and completion reports queue at the
   /// node, flushing on reconnect.

@@ -1642,9 +1642,7 @@ void Engine::OnNodeUp(const std::string& node) {
   WakeClassesForNode(node);
   if (options_.adaptive_monitoring && !monitors_.contains(node)) {
     auto probe = [this, node]() {
-      Result<cluster::NodeConfig> config = cluster_->GetNode(node);
-      if (!config.ok() || config->num_cpus == 0) return 0.0;
-      return cluster_->ExternalLoad(node) / config->num_cpus;
+      return cluster_->ExternalLoadFraction(node);
     };
     auto report = [this, node](double load) {
       awareness_.UpdateLoad(node, load, sim_->Now());

@@ -1,65 +1,64 @@
 #include "obs/fleet.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/strings.h"
 #include "obs/json.h"
 
 namespace biopera::obs {
 
-namespace {
-
-std::string ShardLabel(int shard) {
-  return shard < 0 ? "front" : StrFormat("%d", shard);
-}
-
-}  // namespace
-
 uint64_t FleetSpanId(int shard, uint64_t local_id) {
   if (local_id == 0) return 0;  // "no span" stays "no span"
   return (static_cast<uint64_t>(shard + 1) << 40) | local_id;
 }
 
-std::vector<Span> FederateSpans(const std::vector<FleetSource>& sources) {
-  std::vector<Span> out;
-  size_t total = 0;
-  for (const FleetSource& source : sources) {
-    if (source.spans != nullptr) total += source.spans->size();
-  }
-  out.reserve(total);
-  for (const FleetSource& source : sources) {
-    if (source.spans == nullptr) continue;
-    source.spans->ForEach([&](const Span& span) {
-      Span copy = span;
-      copy.id = FleetSpanId(source.shard, span.id);
-      copy.parent = FleetSpanId(source.shard, span.parent);
-      copy.link = FleetSpanId(source.shard, span.link);
-      copy.attrs.insert(copy.attrs.begin(),
-                        {"shard", ShardLabel(source.shard)});
-      out.push_back(std::move(copy));
-    });
-  }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    if (a.start != b.start) return a.start < b.start;
-    return a.id < b.id;
-  });
-  return out;
-}
-
 std::string FederateSpansJsonl(const std::vector<FleetSource>& sources) {
+  // One small key per span, sorted by (start, fleet id). A sort, not a
+  // merge of the sinks: a sink's start times can go backwards in id
+  // order once a successor engine stamps it with its own clock.
+  struct Row {
+    int64_t start_us;
+    uint64_t fleet_id;
+    const Span* span;
+    size_t source;  // index into `sources`
+  };
+  std::vector<Row> rows;
+  std::vector<std::string> labels;  // each source's `shard` attribute
+  size_t total = 0;
   uint64_t dropped = 0;
   for (const FleetSource& source : sources) {
-    if (source.spans != nullptr) dropped += source.spans->dropped();
+    labels.push_back(source.shard < 0 ? "front"
+                                      : std::to_string(source.shard));
+    if (source.spans == nullptr) continue;
+    total += source.spans->size();
+    dropped += source.spans->dropped();
   }
+  rows.reserve(total);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    if (sources[i].spans == nullptr) continue;
+    const int shard = sources[i].shard;
+    sources[i].spans->ForEach([&](const Span& span) {
+      rows.push_back(
+          {span.start.micros(), FleetSpanId(shard, span.id), &span, i});
+    });
+  }
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.start_us != b.start_us) return a.start_us < b.start_us;
+    return a.fleet_id < b.fleet_id;
+  });
+
   std::string out;
   if (dropped > 0) {
-    out += StrFormat("{\"truncated\":true,\"spans_dropped\":%llu}\n",
-                     static_cast<unsigned long long>(dropped));
+    out += "{\"truncated\":true,\"spans_dropped\":";
+    AppendInt(&out, dropped);
+    out += "}\n";
   }
-  for (const Span& span : FederateSpans(sources)) {
-    out += span.ToJson();
-    out += "\n";
+  for (const Row& row : rows) {
+    const int shard = sources[row.source].shard;
+    AppendSpanJson(&out, *row.span, row.fleet_id,
+                   FleetSpanId(shard, row.span->parent),
+                   FleetSpanId(shard, row.span->link), labels[row.source]);
+    out += '\n';
   }
   return out;
 }
@@ -67,11 +66,9 @@ std::string FederateSpansJsonl(const std::vector<FleetSource>& sources) {
 std::string FederateChromeTrace(const std::vector<FleetSource>& sources) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  auto append = [&](const std::string& event) {
-    if (!first) out += ",";
+  auto next_event = [&] {
+    out += first ? "\n" : ",\n";
     first = false;
-    out += "\n";
-    out += event;
   };
 
   uint64_t dropped = 0;
@@ -79,68 +76,61 @@ std::string FederateChromeTrace(const std::vector<FleetSource>& sources) {
     if (source.spans == nullptr) continue;
     dropped += source.spans->dropped();
     const int pid = source.shard + 2;  // front door (-1) renders as pid 1
-    const std::string process =
-        source.shard < 0 ? "front door" : StrFormat("shard %d", source.shard);
-    append(StrFormat(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-        "\"args\":{\"name\":\"%s\"}}",
-        pid, process.c_str()));
-    append(StrFormat(
-        "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":%d,"
-        "\"args\":{\"sort_index\":%d}}",
-        pid, pid));
+    next_event();
+    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+    AppendInt(&out, pid);
+    out += ",\"args\":{\"name\":\"";
+    if (source.shard < 0) {
+      out += "front door";
+    } else {
+      out += "shard ";
+      AppendInt(&out, source.shard);
+    }
+    out += "\"}}";
+    next_event();
+    out += "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":";
+    AppendInt(&out, pid);
+    out += ",\"args\":{\"sort_index\":";
+    AppendInt(&out, pid);
+    out += "}}";
 
-    // Per-source track layout, tids by first appearance in id order —
-    // identical to the single-sink export, so the federated document is
-    // deterministic whenever the per-shard sinks are.
-    std::map<std::string, int> track_tids;
-    std::vector<std::string> tracks;
-    source.spans->ForEach([&](const Span& span) {
-      std::string track = ChromeTrackForSpan(span);
-      if (track_tids.emplace(track, static_cast<int>(tracks.size()) + 1)
-              .second) {
-        tracks.push_back(std::move(track));
-      }
-    });
-    for (size_t i = 0; i < tracks.size(); ++i) {
-      append(StrFormat(
-          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-          "\"args\":{\"name\":\"%s\"}}",
-          pid, static_cast<int>(i) + 1, JsonEscape(tracks[i]).c_str()));
+    // The source's own track layout, as in its single-sink export, so the
+    // federated document is deterministic whenever the per-shard sinks are.
+    const ChromeTracks tracks = LayoutChromeTracks(*source.spans);
+    for (size_t i = 0; i < tracks.names.size(); ++i) {
+      next_event();
+      out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
+      AppendInt(&out, pid);
+      out += ",\"tid\":";
+      AppendInt(&out, i + 1);
+      out += ",\"args\":{\"name\":\"";
+      AppendJsonEscaped(&out, tracks.names[i]);
+      out += "\"}}";
     }
     source.spans->ForEach([&](const Span& span) {
-      int64_t dur = span.open ? 0 : (span.end - span.start).micros();
-      std::string event = StrFormat(
-          "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%lld,"
-          "\"dur\":%lld,\"pid\":%d,\"tid\":%d,\"args\":{\"id\":\"%llu\"",
-          JsonEscape(span.name).c_str(),
-          std::string(SpanKindName(span.kind)).c_str(),
-          static_cast<long long>(span.start.micros()),
-          static_cast<long long>(std::max<int64_t>(0, dur)), pid,
-          track_tids[ChromeTrackForSpan(span)],
-          static_cast<unsigned long long>(
-              FleetSpanId(source.shard, span.id)));
+      next_event();
+      AppendChromeEventHead(&out, span, pid, tracks.tids[span.id - 1],
+                            FleetSpanId(source.shard, span.id));
       if (span.parent != 0) {
-        event += StrFormat(",\"parent\":\"%llu\"",
-                           static_cast<unsigned long long>(
-                               FleetSpanId(source.shard, span.parent)));
+        out += ",\"parent\":\"";
+        AppendInt(&out, FleetSpanId(source.shard, span.parent));
+        out += '"';
       }
       if (!span.instance.empty()) {
-        event += ",\"instance\":\"" + JsonEscape(span.instance) + "\"";
+        AppendJsonMember(&out, "instance", span.instance);
       }
       if (!span.outcome.empty()) {
-        event += ",\"outcome\":\"" + JsonEscape(span.outcome) + "\"";
+        AppendJsonMember(&out, "outcome", span.outcome);
       }
-      if (span.open) event += ",\"open\":\"true\"";
-      event += "}}";
-      append(event);
+      if (span.open) out += ",\"open\":\"true\"";
+      out += "}}";
     });
   }
   out += "\n]";
   if (dropped > 0) {
-    out += StrFormat(
-        ",\"otherData\":{\"truncated\":\"true\",\"spans_dropped\":\"%llu\"}",
-        static_cast<unsigned long long>(dropped));
+    out += ",\"otherData\":{\"truncated\":\"true\",\"spans_dropped\":\"";
+    AppendInt(&out, dropped);
+    out += "\"}";
   }
   out += "}\n";
   return out;

@@ -30,15 +30,12 @@ struct FleetSource {
   const SpanSink* spans = nullptr;
 };
 
-/// Merges the sources into one fleet timeline: ids, parents and links are
-/// rewritten to fleet-global ids (parents/links are intra-sink, so they
-/// stay consistent), every span gains a leading `shard` attribute, and
-/// rows are ordered by (start time, global id) — deterministic for
-/// same-seed runs.
-std::vector<Span> FederateSpans(const std::vector<FleetSource>& sources);
-
-/// The federated timeline as JSONL. When any source sink dropped spans,
-/// the first line is a truncation marker with the fleet-wide total.
+/// The sources merged into one fleet timeline, as JSONL: ids, parents and
+/// links are rewritten to fleet-global ids (parents/links are intra-sink,
+/// so they stay consistent), every row gains a leading `shard` attribute,
+/// and rows are ordered by (start time, global id) — deterministic for
+/// same-seed runs. When any source sink dropped spans, the first line is
+/// a truncation marker with the fleet-wide total.
 std::string FederateSpansJsonl(const std::vector<FleetSource>& sources);
 
 /// The federated timeline as one Chrome/Perfetto document: one process

@@ -1,28 +1,45 @@
 #include "obs/json.h"
 
-#include "common/strings.h"
-
 namespace biopera::obs {
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // first byte not yet copied
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+}
 
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  AppendJsonEscaped(&out, s);
   return out;
+}
+
+void AppendJsonMember(std::string* out, std::string_view key,
+                      std::string_view value) {
+  *out += ",\"";
+  AppendJsonEscaped(out, key);
+  *out += "\":\"";
+  AppendJsonEscaped(out, value);
+  *out += '"';
 }
 
 std::string JsonQuote(std::string_view s) {

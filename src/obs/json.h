@@ -1,6 +1,7 @@
 #ifndef BIOPERA_OBS_JSON_H_
 #define BIOPERA_OBS_JSON_H_
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -9,12 +10,30 @@
 
 namespace biopera::obs {
 
-/// Escapes `s` for embedding inside a JSON string literal (quotes,
-/// backslashes, control characters; non-ASCII bytes pass through as
-/// UTF-8). Shared by every JSON exporter — span JSONL, Chrome trace,
-/// run report, lineage and run-diff — so all artifacts escape
-/// identically.
+/// Appends `s` to `*out` escaped for embedding inside a JSON string
+/// literal (quotes, backslashes, control characters; non-ASCII bytes
+/// pass through as UTF-8). Runs that need no escape are copied whole.
+/// Shared by every JSON exporter — span JSONL, Chrome trace, run report,
+/// lineage and run-diff — so all artifacts escape identically.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
+/// `s` escaped as AppendJsonEscaped does, as a new string.
 std::string JsonEscape(std::string_view s);
+
+/// Appends `,"<key>":"<value>"` (both escaped): one string member of an
+/// object that already has a member before it.
+void AppendJsonMember(std::string* out, std::string_view key,
+                      std::string_view value);
+
+/// Appends the decimal digits of `value` to `*out` (std::to_chars: no
+/// format string, no locale, no temporary).
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char digits[24];  // any 64-bit value with its sign
+  const std::to_chars_result r =
+      std::to_chars(digits, digits + sizeof(digits), value);
+  out->append(digits, r.ptr);
+}
 
 /// `s` escaped and wrapped in double quotes — a complete JSON string
 /// literal.

@@ -1,9 +1,9 @@
 #include "obs/span.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
+#include <unordered_map>
 
-#include "common/strings.h"
 #include "obs/json.h"
 
 namespace biopera::obs {
@@ -29,33 +29,59 @@ constexpr struct {
     {SpanKind::kSloTransition, "slo_transition"},
 };
 
-}  // namespace
+// The Chrome track a span renders on: its node's, its instance's, or
+// one of the shared tracks, which come first and are named in
+// kSharedTracks.
+enum Track {
+  kStoreTrack,
+  kServerTrack,
+  kFrontDoorTrack,
+  kBarriersTrack,
+  kHealthTrack,
+  kOtherTrack,
+  kNodeTrack,
+  kInstanceTrack,
+};
+constexpr std::string_view kSharedTracks[] = {
+    "store", "server", "front door", "barriers", "health", "other"};
 
-std::string ChromeTrackForSpan(const Span& span) {
-  switch (span.kind) {
+Track TrackOf(SpanKind kind) {
+  switch (kind) {
     case SpanKind::kJob:
     case SpanKind::kNodeOutage:
     case SpanKind::kSuspicion:
-      return "node " + span.node;
+      return kNodeTrack;
     case SpanKind::kCommitBatch:
     case SpanKind::kCheckpoint:
     case SpanKind::kStoreDegraded:
-      return "store";
+      return kStoreTrack;
     case SpanKind::kServerDown:
-      return "server";
+      return kServerTrack;
     case SpanKind::kAdmission:
-      return "front door";
+      return kFrontDoorTrack;
     case SpanKind::kBarrier:
-      return "barriers";
+      return kBarriersTrack;
     case SpanKind::kSloTransition:
-      return "health";
+      return kHealthTrack;
     case SpanKind::kInstance:
     case SpanKind::kAttempt:
     case SpanKind::kRecovery:
-      return "instance " + span.instance;
+      return kInstanceTrack;
   }
-  return "other";
+  return kOtherTrack;
 }
+
+/// Appends `,"<key>":"<value>"` for a numeric id written as a string,
+/// the Chrome exporters' args form.
+void AppendQuotedId(std::string* out, std::string_view key, uint64_t id) {
+  *out += ",\"";
+  *out += key;
+  *out += "\":\"";
+  AppendInt(out, id);
+  *out += '"';
+}
+
+}  // namespace
 
 std::string_view SpanKindName(SpanKind kind) {
   for (const auto& entry : kSpanKindNames) {
@@ -75,37 +101,92 @@ bool SpanKindFromName(std::string_view name, SpanKind* kind) {
 }
 
 std::string Span::ToJson() const {
-  std::string out = StrFormat(
-      "{\"id\":%llu,\"kind\":\"%s\",\"start_us\":%lld",
-      static_cast<unsigned long long>(id),
-      std::string(SpanKindName(kind)).c_str(),
-      static_cast<long long>(start.micros()));
-  if (open) {
-    out += ",\"open\":true";
+  std::string out;
+  AppendSpanJson(&out, *this, id, parent, link);
+  return out;
+}
+
+void AppendSpanJson(std::string* out, const Span& span, uint64_t id,
+                    uint64_t parent, uint64_t link, std::string_view shard) {
+  *out += "{\"id\":";
+  AppendInt(out, id);
+  *out += ",\"kind\":\"";
+  *out += SpanKindName(span.kind);
+  *out += "\",\"start_us\":";
+  AppendInt(out, span.start.micros());
+  if (span.open) {
+    *out += ",\"open\":true";
   } else {
-    out += StrFormat(",\"end_us\":%lld,\"dur_us\":%lld",
-                     static_cast<long long>(end.micros()),
-                     static_cast<long long>((end - start).micros()));
+    *out += ",\"end_us\":";
+    AppendInt(out, span.end.micros());
+    *out += ",\"dur_us\":";
+    AppendInt(out, (span.end - span.start).micros());
   }
   if (parent != 0) {
-    out += StrFormat(",\"parent\":%llu",
-                     static_cast<unsigned long long>(parent));
+    *out += ",\"parent\":";
+    AppendInt(out, parent);
   }
   if (link != 0) {
-    out += StrFormat(",\"link\":%llu", static_cast<unsigned long long>(link));
+    *out += ",\"link\":";
+    AppendInt(out, link);
   }
-  if (!name.empty()) out += ",\"name\":\"" + JsonEscape(name) + "\"";
-  if (!instance.empty()) {
-    out += ",\"instance\":\"" + JsonEscape(instance) + "\"";
+  if (!span.name.empty()) AppendJsonMember(out, "name", span.name);
+  if (!span.instance.empty()) AppendJsonMember(out, "instance", span.instance);
+  if (!span.task.empty()) AppendJsonMember(out, "task", span.task);
+  if (!span.node.empty()) AppendJsonMember(out, "node", span.node);
+  if (!span.outcome.empty()) AppendJsonMember(out, "outcome", span.outcome);
+  if (!shard.empty()) AppendJsonMember(out, "shard", shard);
+  for (const auto& [key, value] : span.attrs) {
+    AppendJsonMember(out, key, value);
   }
-  if (!task.empty()) out += ",\"task\":\"" + JsonEscape(task) + "\"";
-  if (!node.empty()) out += ",\"node\":\"" + JsonEscape(node) + "\"";
-  if (!outcome.empty()) out += ",\"outcome\":\"" + JsonEscape(outcome) + "\"";
-  for (const auto& [key, value] : attrs) {
-    out += ",\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
-  }
-  out += "}";
-  return out;
+  *out += '}';
+}
+
+ChromeTracks LayoutChromeTracks(const SpanSink& sink) {
+  ChromeTracks layout;
+  layout.tids.reserve(sink.size());
+  // Keyed by views into the sink's spans; a track's name is built once,
+  // when the track first appears.
+  std::unordered_map<std::string_view, int> node_tids, instance_tids;
+  int shared_tids[std::size(kSharedTracks)] = {};
+  sink.ForEach([&](const Span& span) {
+    const Track track = TrackOf(span.kind);
+    int& tid = track == kNodeTrack       ? node_tids[span.node]
+               : track == kInstanceTrack ? instance_tids[span.instance]
+                                         : shared_tids[track];
+    if (tid == 0) {
+      if (track == kNodeTrack) {
+        layout.names.push_back("node " + span.node);
+      } else if (track == kInstanceTrack) {
+        layout.names.push_back("instance " + span.instance);
+      } else {
+        layout.names.emplace_back(kSharedTracks[track]);
+      }
+      tid = static_cast<int>(layout.names.size());
+    }
+    layout.tids.push_back(tid);
+  });
+  return layout;
+}
+
+void AppendChromeEventHead(std::string* out, const Span& span, int pid,
+                           int tid, uint64_t id) {
+  const int64_t dur = span.open ? 0 : (span.end - span.start).micros();
+  *out += "{\"name\":\"";
+  AppendJsonEscaped(out, span.name);
+  *out += "\",\"cat\":\"";
+  *out += SpanKindName(span.kind);
+  *out += "\",\"ph\":\"X\",\"ts\":";
+  AppendInt(out, span.start.micros());
+  *out += ",\"dur\":";
+  AppendInt(out, std::max<int64_t>(0, dur));
+  *out += ",\"pid\":";
+  AppendInt(out, pid);
+  *out += ",\"tid\":";
+  AppendInt(out, tid);
+  *out += ",\"args\":{\"id\":\"";
+  AppendInt(out, id);
+  *out += '"';
 }
 
 SpanSink::SpanSink(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
@@ -206,86 +287,55 @@ std::vector<Span> SpanSink::Tail(size_t n, const std::string& instance,
 std::string SpanSink::ExportJsonl() const {
   std::string out;
   if (truncated()) {
-    out += StrFormat("{\"truncated\":true,\"spans_dropped\":%llu}\n",
-                     static_cast<unsigned long long>(dropped_));
+    out += "{\"truncated\":true,\"spans_dropped\":";
+    AppendInt(&out, dropped_);
+    out += "}\n";
   }
   for (const Span& span : spans_) {
-    out += span.ToJson();
-    out += "\n";
+    AppendSpanJson(&out, span, span.id, span.parent, span.link);
+    out += '\n';
   }
   return out;
 }
 
 std::string SpanSink::ExportChromeTrace() const {
-  // Assign tids by first appearance in id order: deterministic across
-  // same-seed runs.
-  std::map<std::string, int> track_tids;
-  std::vector<std::string> tracks;
-  for (const Span& span : spans_) {
-    std::string track = ChromeTrackForSpan(span);
-    if (track_tids.emplace(track, static_cast<int>(tracks.size()) + 1).second) {
-      tracks.push_back(std::move(track));
-    }
-  }
-
+  const ChromeTracks tracks = LayoutChromeTracks(*this);
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto append = [&](const std::string& event) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n";
-    out += event;
-  };
-  for (size_t i = 0; i < tracks.size(); ++i) {
-    append(StrFormat(
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-        "\"args\":{\"name\":\"%s\"}}",
-        static_cast<int>(i) + 1, JsonEscape(tracks[i]).c_str()));
-    append(StrFormat(
-        "{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-        "\"args\":{\"sort_index\":%d}}",
-        static_cast<int>(i) + 1, static_cast<int>(i) + 1));
+  for (size_t i = 0; i < tracks.names.size(); ++i) {
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
+    AppendInt(&out, i + 1);
+    out += ",\"args\":{\"name\":\"";
+    AppendJsonEscaped(&out, tracks.names[i]);
+    out += "\"}},\n{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,"
+           "\"tid\":";
+    AppendInt(&out, i + 1);
+    out += ",\"args\":{\"sort_index\":";
+    AppendInt(&out, i + 1);
+    out += "}}";
   }
+  // Every span has a track, so its event always follows another.
   for (const Span& span : spans_) {
-    int64_t dur = span.open ? 0 : (span.end - span.start).micros();
-    std::string event = StrFormat(
-        "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%lld,"
-        "\"dur\":%lld,\"pid\":1,\"tid\":%d,\"args\":{\"id\":\"%llu\"",
-        JsonEscape(span.name).c_str(),
-        std::string(SpanKindName(span.kind)).c_str(),
-        static_cast<long long>(span.start.micros()),
-        static_cast<long long>(std::max<int64_t>(0, dur)),
-        track_tids[ChromeTrackForSpan(span)],
-        static_cast<unsigned long long>(span.id));
-    if (span.parent != 0) {
-      event += StrFormat(",\"parent\":\"%llu\"",
-                         static_cast<unsigned long long>(span.parent));
-    }
-    if (span.link != 0) {
-      event += StrFormat(",\"link\":\"%llu\"",
-                         static_cast<unsigned long long>(span.link));
-    }
+    out += ",\n";
+    AppendChromeEventHead(&out, span, 1, tracks.tids[span.id - 1], span.id);
+    if (span.parent != 0) AppendQuotedId(&out, "parent", span.parent);
+    if (span.link != 0) AppendQuotedId(&out, "link", span.link);
     if (!span.instance.empty()) {
-      event += ",\"instance\":\"" + JsonEscape(span.instance) + "\"";
+      AppendJsonMember(&out, "instance", span.instance);
     }
-    if (!span.task.empty()) {
-      event += ",\"task\":\"" + JsonEscape(span.task) + "\"";
-    }
-    if (!span.outcome.empty()) {
-      event += ",\"outcome\":\"" + JsonEscape(span.outcome) + "\"";
-    }
-    if (span.open) event += ",\"open\":\"true\"";
+    if (!span.task.empty()) AppendJsonMember(&out, "task", span.task);
+    if (!span.outcome.empty()) AppendJsonMember(&out, "outcome", span.outcome);
+    if (span.open) out += ",\"open\":\"true\"";
     for (const auto& [key, value] : span.attrs) {
-      event += ",\"" + JsonEscape(key) + "\":\"" + JsonEscape(value) + "\"";
+      AppendJsonMember(&out, key, value);
     }
-    event += "}}";
-    append(event);
+    out += "}}";
   }
   out += "\n]";
   if (truncated()) {
-    out += StrFormat(
-        ",\"otherData\":{\"truncated\":\"true\",\"spans_dropped\":\"%llu\"}",
-        static_cast<unsigned long long>(dropped_));
+    out += ",\"otherData\":{\"truncated\":\"true\",\"spans_dropped\":\"";
+    AppendInt(&out, dropped_);
+    out += "\"}";
   }
   out += "}\n";
   return out;

@@ -60,12 +60,6 @@ struct Span {
   std::string ToJson() const;
 };
 
-/// The Chrome-trace track a span renders on (execution slices on the
-/// node's track, causal spans on the instance's, store/server windows on
-/// shared tracks). Deterministic, shared by the per-sink export and the
-/// fleet federation (obs/fleet.h).
-std::string ChromeTrackForSpan(const Span& span);
-
 /// Bounded append-only span store. Ids are sequential and dense (span k
 /// lives at index k-1), so lookups are O(1); once `capacity` spans have
 /// been started, further Begin() calls are counted in `dropped()` and
@@ -150,6 +144,32 @@ class SpanSink {
   std::vector<Span> spans_;
   uint64_t dropped_ = 0;
 };
+
+// --- Export building blocks, shared by the per-sink exporters above and
+// the fleet federation (obs/fleet.h). Each appends to one output buffer.
+
+/// Appends the JSONL row of `span` (no newline) under the given ids —
+/// the span's own, or fleet-global ones. A non-empty `shard` is written
+/// as a leading `"shard"` attribute, ahead of the span's own.
+void AppendSpanJson(std::string* out, const Span& span, uint64_t id,
+                    uint64_t parent, uint64_t link,
+                    std::string_view shard = {});
+
+/// The Chrome-trace track layout of one sink. Execution slices render on
+/// their node's track, causal spans on their instance's, store and server
+/// windows on shared tracks; tids are 1-based and assigned by first
+/// appearance in id order, so the layout is deterministic.
+struct ChromeTracks {
+  std::vector<std::string> names;  // track name of tid k at names[k - 1]
+  std::vector<int> tids;           // tid of span id k at tids[k - 1]
+};
+ChromeTracks LayoutChromeTracks(const SpanSink& sink);
+
+/// Appends the head of the complete ("X") event of `span` on (`pid`,
+/// `tid`), through `"args":{"id":"<id>"`; the caller adds the remaining
+/// args and closes the event with `}}`.
+void AppendChromeEventHead(std::string* out, const Span& span, int pid,
+                           int tid, uint64_t id);
 
 }  // namespace biopera::obs
 

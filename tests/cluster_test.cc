@@ -468,5 +468,18 @@ TEST(ExternalLoadTest, HeavyPeriodSaturatesAllNodes) {
   EXPECT_DOUBLE_EQ(f.cluster.ExternalLoad("b"), 0);
 }
 
+TEST(ExternalLoadTest, FractionIsLoadOverCpusBitForBit) {
+  Fixture f;
+  ASSERT_OK(f.cluster.AddNode({.name = "n", .num_cpus = 3}));
+  ASSERT_OK(f.cluster.SetExternalLoad("n", 1.7));
+  // The monitor probe's sample: exactly the load over the CPU count.
+  EXPECT_EQ(f.cluster.ExternalLoadFraction("n"),
+            f.cluster.ExternalLoad("n") / 3);
+  ASSERT_OK(f.cluster.SetNodeCpus("n", 2));
+  EXPECT_EQ(f.cluster.ExternalLoadFraction("n"),
+            f.cluster.ExternalLoad("n") / 2);
+  EXPECT_EQ(f.cluster.ExternalLoadFraction("missing"), 0);
+}
+
 }  // namespace
 }  // namespace biopera::cluster

@@ -26,6 +26,7 @@
 #include "service/service.h"
 #include "service/service_console.h"
 #include "service/slo.h"
+#include "sim/simulator.h"
 #include "tests/test_util.h"
 
 namespace biopera {
@@ -272,6 +273,123 @@ TEST(MergeJsonlByShard, TagsEveryObjectLineWithItsShard) {
   EXPECT_EQ(merged,
             "{\"shard\":0,\"a\":1}\n{\"shard\":0,\"b\":2}\n"
             "{\"shard\":1,\"c\":3}\n");
+}
+
+// ---------------------------------------------------------------------------
+// Golden federated exports
+
+/// A front door and two shards. Spans at 60 s exist in all three sinks,
+/// so the fleet id breaks the start-time tie; shard 1 is truncated, holds
+/// open spans, and switches to a second clock that stands earlier (as a
+/// successor engine sharing the `Observability` does), so its start
+/// times go backwards in id order and federation has to sort, not merge.
+struct GoldenFleet {
+  Simulator front_clock, shard0_clock, shard1_clock, shard1_successor;
+  obs::SpanSink front, shard0;
+  obs::SpanSink shard1{/*capacity=*/6};
+
+  GoldenFleet() {
+    using obs::SpanKind;
+    front.SetClock(&front_clock);
+    shard0.SetClock(&shard0_clock);
+    shard1.SetClock(&shard1_clock);
+    const TimePoint minute = TimePoint::FromMicros(60000000);
+
+    uint64_t early = front.Begin(SpanKind::kAdmission, "submit", 0, 0, "", "",
+                                 "", {{"tenant", "t\"0"}});
+    front_clock.RunUntil(minute);
+    front.End(early, "admitted");
+    front.EmitInstant(SpanKind::kBarrier, "barrier 1", 0, "", "", "",
+                      {{"step", "1"}});
+    front.Begin(SpanKind::kAdmission, "submit", 0, 0, "", "", "",
+                {{"tenant", "caf\xc3\xa9"}});
+
+    shard0_clock.RunUntil(minute);
+    uint64_t inst = shard0.Begin(SpanKind::kInstance, "job\\1", 0, 0, "i-1");
+    uint64_t attempt = shard0.Begin(SpanKind::kAttempt, "run", inst, 0,
+                                    "i-1", "run");
+    shard0_clock.RunUntil(TimePoint::FromMicros(90000000));
+    uint64_t job = shard0.Begin(SpanKind::kJob, "run", attempt, 0, "i-1",
+                                "run", "s0\tn0");
+    shard0_clock.RunUntil(TimePoint::FromMicros(150000000));
+    shard0.End(job, "completed", {{"cpu", "1.5"}});
+    shard0.End(attempt, "completed");
+    shard0.End(inst, "done\n");
+
+    shard1_clock.RunUntil(minute);
+    uint64_t other = shard1.Begin(SpanKind::kInstance, "job\x01", 0, 0, "i-1");
+    uint64_t first = shard1.Begin(SpanKind::kAttempt, "run", other, 0, "i-1",
+                                  "run");
+    shard1_clock.RunUntil(TimePoint::FromMicros(120000000));
+    shard1.End(first, "failed");
+    shard1.Begin(SpanKind::kAttempt, "run", other, first, "i-1", "run");
+    shard1.SetClock(&shard1_successor);
+    shard1_successor.RunUntil(TimePoint::FromMicros(30000000));
+    shard1.EmitInstant(SpanKind::kServerDown, "server", 0, "", "", "", {},
+                       "fenced");
+    shard1.Begin(SpanKind::kRecovery, "replay", other, 0, "i-1");
+    for (int i = 0; i < 3; ++i) shard1.Begin(SpanKind::kCheckpoint, "lost");
+  }
+
+  std::vector<obs::FleetSource> Sources() const {
+    return {{-1, &front}, {0, &shard0}, {1, &shard1}, {2, nullptr}};
+  }
+};
+
+// clang-format off
+constexpr char kGoldenFleetJsonl[] =
+    R"({"truncated":true,"spans_dropped":2})" "\n"
+    R"({"id":1,"kind":"admission","start_us":0,"end_us":60000000,"dur_us":60000000,"name":"submit","outcome":"admitted","shard":"front","tenant":"t\"0"})" "\n"
+    R"({"id":2199023255556,"kind":"server_down","start_us":30000000,"end_us":30000000,"dur_us":0,"name":"server","outcome":"fenced","shard":"1"})" "\n"
+    R"({"id":2199023255557,"kind":"recovery","start_us":30000000,"open":true,"parent":2199023255553,"name":"replay","instance":"i-1","shard":"1"})" "\n"
+    R"({"id":2199023255558,"kind":"checkpoint","start_us":30000000,"open":true,"name":"lost","shard":"1"})" "\n"
+    R"({"id":2,"kind":"barrier","start_us":60000000,"end_us":60000000,"dur_us":0,"name":"barrier 1","outcome":"done","shard":"front","step":"1"})" "\n"
+    R"({"id":3,"kind":"admission","start_us":60000000,"open":true,"name":"submit","shard":"front","tenant":"caf)" "\xc3\xa9" R"("})" "\n"
+    R"({"id":1099511627777,"kind":"instance","start_us":60000000,"end_us":150000000,"dur_us":90000000,"name":"job\\1","instance":"i-1","outcome":"done\n","shard":"0"})" "\n"
+    R"({"id":1099511627778,"kind":"attempt","start_us":60000000,"end_us":150000000,"dur_us":90000000,"parent":1099511627777,"name":"run","instance":"i-1","task":"run","outcome":"completed","shard":"0"})" "\n"
+    R"({"id":2199023255553,"kind":"instance","start_us":60000000,"open":true,"name":"job\u0001","instance":"i-1","shard":"1"})" "\n"
+    R"({"id":2199023255554,"kind":"attempt","start_us":60000000,"end_us":120000000,"dur_us":60000000,"parent":2199023255553,"name":"run","instance":"i-1","task":"run","outcome":"failed","shard":"1"})" "\n"
+    R"({"id":1099511627779,"kind":"job","start_us":90000000,"end_us":150000000,"dur_us":60000000,"parent":1099511627778,"name":"run","instance":"i-1","task":"run","node":"s0\tn0","outcome":"completed","shard":"0","cpu":"1.5"})" "\n"
+    R"({"id":2199023255555,"kind":"attempt","start_us":120000000,"open":true,"parent":2199023255553,"link":2199023255554,"name":"run","instance":"i-1","task":"run","shard":"1"})" "\n";
+constexpr char kGoldenFleetChrome[] =
+    R"({"displayTimeUnit":"ms","traceEvents":[)" "\n"
+    R"({"name":"process_name","ph":"M","pid":1,"args":{"name":"front door"}},)" "\n"
+    R"({"name":"process_sort_index","ph":"M","pid":1,"args":{"sort_index":1}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"front door"}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"barriers"}},)" "\n"
+    R"({"name":"submit","cat":"admission","ph":"X","ts":0,"dur":60000000,"pid":1,"tid":1,"args":{"id":"1","outcome":"admitted"}},)" "\n"
+    R"({"name":"barrier 1","cat":"barrier","ph":"X","ts":60000000,"dur":0,"pid":1,"tid":2,"args":{"id":"2","outcome":"done"}},)" "\n"
+    R"({"name":"submit","cat":"admission","ph":"X","ts":60000000,"dur":0,"pid":1,"tid":1,"args":{"id":"3","open":"true"}},)" "\n"
+    R"({"name":"process_name","ph":"M","pid":2,"args":{"name":"shard 0"}},)" "\n"
+    R"({"name":"process_sort_index","ph":"M","pid":2,"args":{"sort_index":2}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"instance i-1"}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":2,"tid":2,"args":{"name":"node s0\tn0"}},)" "\n"
+    R"({"name":"job\\1","cat":"instance","ph":"X","ts":60000000,"dur":90000000,"pid":2,"tid":1,"args":{"id":"1099511627777","instance":"i-1","outcome":"done\n"}},)" "\n"
+    R"({"name":"run","cat":"attempt","ph":"X","ts":60000000,"dur":90000000,"pid":2,"tid":1,"args":{"id":"1099511627778","parent":"1099511627777","instance":"i-1","outcome":"completed"}},)" "\n"
+    R"({"name":"run","cat":"job","ph":"X","ts":90000000,"dur":60000000,"pid":2,"tid":2,"args":{"id":"1099511627779","parent":"1099511627778","instance":"i-1","outcome":"completed"}},)" "\n"
+    R"({"name":"process_name","ph":"M","pid":3,"args":{"name":"shard 1"}},)" "\n"
+    R"({"name":"process_sort_index","ph":"M","pid":3,"args":{"sort_index":3}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":3,"tid":1,"args":{"name":"instance i-1"}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":3,"tid":2,"args":{"name":"server"}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":3,"tid":3,"args":{"name":"store"}},)" "\n"
+    R"({"name":"job\u0001","cat":"instance","ph":"X","ts":60000000,"dur":0,"pid":3,"tid":1,"args":{"id":"2199023255553","instance":"i-1","open":"true"}},)" "\n"
+    R"({"name":"run","cat":"attempt","ph":"X","ts":60000000,"dur":60000000,"pid":3,"tid":1,"args":{"id":"2199023255554","parent":"2199023255553","instance":"i-1","outcome":"failed"}},)" "\n"
+    R"({"name":"run","cat":"attempt","ph":"X","ts":120000000,"dur":0,"pid":3,"tid":1,"args":{"id":"2199023255555","parent":"2199023255553","instance":"i-1","open":"true"}},)" "\n"
+    R"({"name":"server","cat":"server_down","ph":"X","ts":30000000,"dur":0,"pid":3,"tid":2,"args":{"id":"2199023255556","outcome":"fenced"}},)" "\n"
+    R"({"name":"replay","cat":"recovery","ph":"X","ts":30000000,"dur":0,"pid":3,"tid":1,"args":{"id":"2199023255557","parent":"2199023255553","instance":"i-1","open":"true"}},)" "\n"
+    R"({"name":"lost","cat":"checkpoint","ph":"X","ts":30000000,"dur":0,"pid":3,"tid":3,"args":{"id":"2199023255558","open":"true"}})" "\n"
+    R"(],"otherData":{"truncated":"true","spans_dropped":"2"}})" "\n";
+// clang-format on
+
+TEST(FleetFederationGolden, SpansJsonlIsExact) {
+  GoldenFleet fleet;
+  ASSERT_EQ(fleet.shard1.dropped(), 2u);
+  EXPECT_EQ(obs::FederateSpansJsonl(fleet.Sources()), kGoldenFleetJsonl);
+}
+
+TEST(FleetFederationGolden, ChromeTraceIsExact) {
+  GoldenFleet fleet;
+  EXPECT_EQ(obs::FederateChromeTrace(fleet.Sources()), kGoldenFleetChrome);
 }
 
 // ---------------------------------------------------------------------------

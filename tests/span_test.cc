@@ -238,6 +238,174 @@ TEST(SpanSinkTest, ChromeTraceRecordsTruncation) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden exports: the exact bytes every exporter writes for small sinks.
+
+/// Every span kind once or more (so every Chrome track family appears,
+/// some tracks more than once and not in first-appearance order), open
+/// and closed spans, zero and non-zero parent and link, empty and
+/// non-empty instance/task/node/outcome, and strings holding every
+/// escape class: `"`, `\`, `\n`, `\t`, `\r`, 0x01, 0x1f, 0x7f and UTF-8.
+/// A second clock set halfway, as a successor engine sharing the
+/// `Observability` does, makes start times go backwards in id order and
+/// closes one span before it started.
+void FillGoldenSink(Simulator* first, Simulator* second, SpanSink* sink) {
+  sink->SetClock(first);
+  auto at = [first](int64_t micros) {
+    first->RunUntil(TimePoint::FromMicros(micros));
+  };
+  uint64_t inst = sink->Begin(SpanKind::kInstance, "run \"all\"", 0, 0, "i-1",
+                              "", "", {{"template", "all\\vs\\all"}});
+  at(1500000);
+  uint64_t attempt = sink->Begin(SpanKind::kAttempt, "align", inst, 0, "i-1",
+                                 "align");
+  uint64_t job = sink->Begin(SpanKind::kJob, "align", attempt, 0, "i-1",
+                             "align", "n\t7", {{"cpus", "2"}});
+  sink->EmitInstant(SpanKind::kCommitBatch, "commit", 0, "", "", "",
+                    {{"records", "3"}});
+  at(4060800000000);  // 47 days: past 32 bits
+  sink->End(job, "completed", {{"note", "line1\nline2\r"}});
+  sink->End(attempt, "failed");
+  uint64_t retry = sink->Begin(SpanKind::kAttempt, "align", inst, attempt,
+                               "i-1", "align");
+  uint64_t outage =
+      sink->Begin(SpanKind::kNodeOutage, "down", 0, 0, "", "", "n\t7");
+  sink->Begin(SpanKind::kSuspicion, "suspect", 0, 0, "", "",
+              std::string("ctl\x01\x1f\x7f", 6));
+  sink->EmitInstant(SpanKind::kCheckpoint, "checkpoint delta", 0, "", "", "",
+                    {}, "");
+  uint64_t server = sink->Begin(SpanKind::kServerDown, "server crash");
+  sink->Begin(SpanKind::kInstance, "caf\xc3\xa9", 0, 0, "i-2");
+  at(4060800000007);
+  sink->End(outage, "repaired");
+  sink->End(server, "restarted", {{"k\"ey", "v\\al"}});
+  uint64_t degraded = sink->Begin(SpanKind::kStoreDegraded, "store degraded");
+  sink->Begin(SpanKind::kRecovery, "replay", 0, 0, "", "", "",
+              {{"rows", ""}});
+  uint64_t admission = sink->Begin(SpanKind::kAdmission, "submit", 0, 0, "",
+                                   "", "", {{"tenant", "\xce\xbc"}});
+  sink->EmitInstant(SpanKind::kBarrier, "barrier 1");
+  sink->EmitInstant(SpanKind::kSloTransition, "p99 \"hot\"", 0, "", "", "",
+                    {{"from", "ok"}, {"to", "degraded"}}, "degraded");
+  sink->End(admission, "admitted");
+  sink->Begin(SpanKind::kJob, "align", retry, 0, "i-1", "align", "n\t7");
+
+  sink->SetClock(second);
+  second->RunUntil(TimePoint::FromMicros(2000000));
+  sink->End(degraded, "healthy");  // ends before it started: dur < 0
+  sink->Begin(SpanKind::kAttempt, "align", inst, retry, "i-1", "align");
+}
+
+// clang-format off
+constexpr char kGoldenJsonl[] =
+    R"({"id":1,"kind":"instance","start_us":0,"open":true,"name":"run \"all\"","instance":"i-1","template":"all\\vs\\all"})" "\n"
+    R"({"id":2,"kind":"attempt","start_us":1500000,"end_us":4060800000000,"dur_us":4060798500000,"parent":1,"name":"align","instance":"i-1","task":"align","outcome":"failed"})" "\n"
+    R"({"id":3,"kind":"job","start_us":1500000,"end_us":4060800000000,"dur_us":4060798500000,"parent":2,"name":"align","instance":"i-1","task":"align","node":"n\t7","outcome":"completed","cpus":"2","note":"line1\nline2\r"})" "\n"
+    R"({"id":4,"kind":"commit_batch","start_us":1500000,"end_us":1500000,"dur_us":0,"name":"commit","outcome":"done","records":"3"})" "\n"
+    R"({"id":5,"kind":"attempt","start_us":4060800000000,"open":true,"parent":1,"link":2,"name":"align","instance":"i-1","task":"align"})" "\n"
+    R"({"id":6,"kind":"node_outage","start_us":4060800000000,"end_us":4060800000007,"dur_us":7,"name":"down","node":"n\t7","outcome":"repaired"})" "\n"
+    R"({"id":7,"kind":"suspicion","start_us":4060800000000,"open":true,"name":"suspect","node":"ctl\u0001\u001f)" "\x7f" R"("})" "\n"
+    R"({"id":8,"kind":"checkpoint","start_us":4060800000000,"end_us":4060800000000,"dur_us":0,"name":"checkpoint delta"})" "\n"
+    R"({"id":9,"kind":"server_down","start_us":4060800000000,"end_us":4060800000007,"dur_us":7,"name":"server crash","outcome":"restarted","k\"ey":"v\\al"})" "\n"
+    R"({"id":10,"kind":"instance","start_us":4060800000000,"open":true,"name":"caf)" "\xc3\xa9" R"(","instance":"i-2"})" "\n"
+    R"({"id":11,"kind":"store_degraded","start_us":4060800000007,"end_us":2000000,"dur_us":-4060798000007,"name":"store degraded","outcome":"healthy"})" "\n"
+    R"({"id":12,"kind":"recovery","start_us":4060800000007,"open":true,"name":"replay","rows":""})" "\n"
+    R"({"id":13,"kind":"admission","start_us":4060800000007,"end_us":4060800000007,"dur_us":0,"name":"submit","outcome":"admitted","tenant":")" "\xce\xbc" R"("})" "\n"
+    R"({"id":14,"kind":"barrier","start_us":4060800000007,"end_us":4060800000007,"dur_us":0,"name":"barrier 1","outcome":"done"})" "\n"
+    R"({"id":15,"kind":"slo_transition","start_us":4060800000007,"end_us":4060800000007,"dur_us":0,"name":"p99 \"hot\"","outcome":"degraded","from":"ok","to":"degraded"})" "\n"
+    R"({"id":16,"kind":"job","start_us":4060800000007,"open":true,"parent":5,"name":"align","instance":"i-1","task":"align","node":"n\t7"})" "\n"
+    R"({"id":17,"kind":"attempt","start_us":2000000,"open":true,"parent":1,"link":5,"name":"align","instance":"i-1","task":"align"})" "\n";
+constexpr char kGoldenChrome[] =
+    R"({"displayTimeUnit":"ms","traceEvents":[)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"instance i-1"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":1,"args":{"sort_index":1}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"node n\t7"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":2,"args":{"sort_index":2}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"store"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":3,"args":{"sort_index":3}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"node ctl\u0001\u001f)" "\x7f" R"("}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":4,"args":{"sort_index":4}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"server"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":5,"args":{"sort_index":5}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":6,"args":{"name":"instance i-2"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":6,"args":{"sort_index":6}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"instance "}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":7,"args":{"sort_index":7}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":8,"args":{"name":"front door"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":8,"args":{"sort_index":8}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":9,"args":{"name":"barriers"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":9,"args":{"sort_index":9}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":10,"args":{"name":"health"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":10,"args":{"sort_index":10}},)" "\n"
+    R"({"name":"run \"all\"","cat":"instance","ph":"X","ts":0,"dur":0,"pid":1,"tid":1,"args":{"id":"1","instance":"i-1","open":"true","template":"all\\vs\\all"}},)" "\n"
+    R"({"name":"align","cat":"attempt","ph":"X","ts":1500000,"dur":4060798500000,"pid":1,"tid":1,"args":{"id":"2","parent":"1","instance":"i-1","task":"align","outcome":"failed"}},)" "\n"
+    R"({"name":"align","cat":"job","ph":"X","ts":1500000,"dur":4060798500000,"pid":1,"tid":2,"args":{"id":"3","parent":"2","instance":"i-1","task":"align","outcome":"completed","cpus":"2","note":"line1\nline2\r"}},)" "\n"
+    R"({"name":"commit","cat":"commit_batch","ph":"X","ts":1500000,"dur":0,"pid":1,"tid":3,"args":{"id":"4","outcome":"done","records":"3"}},)" "\n"
+    R"({"name":"align","cat":"attempt","ph":"X","ts":4060800000000,"dur":0,"pid":1,"tid":1,"args":{"id":"5","parent":"1","link":"2","instance":"i-1","task":"align","open":"true"}},)" "\n"
+    R"({"name":"down","cat":"node_outage","ph":"X","ts":4060800000000,"dur":7,"pid":1,"tid":2,"args":{"id":"6","outcome":"repaired"}},)" "\n"
+    R"({"name":"suspect","cat":"suspicion","ph":"X","ts":4060800000000,"dur":0,"pid":1,"tid":4,"args":{"id":"7","open":"true"}},)" "\n"
+    R"({"name":"checkpoint delta","cat":"checkpoint","ph":"X","ts":4060800000000,"dur":0,"pid":1,"tid":3,"args":{"id":"8"}},)" "\n"
+    R"({"name":"server crash","cat":"server_down","ph":"X","ts":4060800000000,"dur":7,"pid":1,"tid":5,"args":{"id":"9","outcome":"restarted","k\"ey":"v\\al"}},)" "\n"
+    R"({"name":"caf)" "\xc3\xa9" R"(","cat":"instance","ph":"X","ts":4060800000000,"dur":0,"pid":1,"tid":6,"args":{"id":"10","instance":"i-2","open":"true"}},)" "\n"
+    R"({"name":"store degraded","cat":"store_degraded","ph":"X","ts":4060800000007,"dur":0,"pid":1,"tid":3,"args":{"id":"11","outcome":"healthy"}},)" "\n"
+    R"({"name":"replay","cat":"recovery","ph":"X","ts":4060800000007,"dur":0,"pid":1,"tid":7,"args":{"id":"12","open":"true","rows":""}},)" "\n"
+    R"({"name":"submit","cat":"admission","ph":"X","ts":4060800000007,"dur":0,"pid":1,"tid":8,"args":{"id":"13","outcome":"admitted","tenant":")" "\xce\xbc" R"("}},)" "\n"
+    R"({"name":"barrier 1","cat":"barrier","ph":"X","ts":4060800000007,"dur":0,"pid":1,"tid":9,"args":{"id":"14","outcome":"done"}},)" "\n"
+    R"({"name":"p99 \"hot\"","cat":"slo_transition","ph":"X","ts":4060800000007,"dur":0,"pid":1,"tid":10,"args":{"id":"15","outcome":"degraded","from":"ok","to":"degraded"}},)" "\n"
+    R"({"name":"align","cat":"job","ph":"X","ts":4060800000007,"dur":0,"pid":1,"tid":2,"args":{"id":"16","parent":"5","instance":"i-1","task":"align","open":"true"}},)" "\n"
+    R"({"name":"align","cat":"attempt","ph":"X","ts":2000000,"dur":0,"pid":1,"tid":1,"args":{"id":"17","parent":"1","link":"5","instance":"i-1","task":"align","open":"true"}})" "\n"
+    R"(]})" "\n";
+constexpr char kGoldenTruncatedJsonl[] =
+    R"({"truncated":true,"spans_dropped":2})" "\n"
+    R"({"id":1,"kind":"job","start_us":0,"open":true,"name":"a","instance":"i","task":"t","node":"n"})" "\n"
+    R"({"id":2,"kind":"checkpoint","start_us":0,"end_us":0,"dur_us":0,"name":"b","outcome":"done"})" "\n";
+constexpr char kGoldenTruncatedChrome[] =
+    R"({"displayTimeUnit":"ms","traceEvents":[)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"node n"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":1,"args":{"sort_index":1}},)" "\n"
+    R"({"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"store"}},)" "\n"
+    R"({"name":"thread_sort_index","ph":"M","pid":1,"tid":2,"args":{"sort_index":2}},)" "\n"
+    R"({"name":"a","cat":"job","ph":"X","ts":0,"dur":0,"pid":1,"tid":1,"args":{"id":"1","instance":"i","task":"t","open":"true"}},)" "\n"
+    R"({"name":"b","cat":"checkpoint","ph":"X","ts":0,"dur":0,"pid":1,"tid":2,"args":{"id":"2","outcome":"done"}})" "\n"
+    R"(],"otherData":{"truncated":"true","spans_dropped":"2"}})" "\n";
+// clang-format on
+
+TEST(SpanExportGolden, ToJsonWritesExactRows) {
+  Simulator first, second;
+  SpanSink sink;
+  FillGoldenSink(&first, &second, &sink);
+  // clang-format off
+  EXPECT_EQ(sink.Find(3)->ToJson(),
+            R"({"id":3,"kind":"job","start_us":1500000,"end_us":4060800000000,"dur_us":4060798500000,"parent":2,"name":"align","instance":"i-1","task":"align","node":"n\t7","outcome":"completed","cpus":"2","note":"line1\nline2\r"})");
+  EXPECT_EQ(sink.Find(5)->ToJson(),
+            R"({"id":5,"kind":"attempt","start_us":4060800000000,"open":true,"parent":1,"link":2,"name":"align","instance":"i-1","task":"align"})");
+  // clang-format on
+}
+
+TEST(SpanExportGolden, ExportJsonlIsExact) {
+  Simulator first, second;
+  SpanSink sink;
+  FillGoldenSink(&first, &second, &sink);
+  EXPECT_EQ(sink.ExportJsonl(), kGoldenJsonl);
+}
+
+TEST(SpanExportGolden, ExportChromeTraceIsExact) {
+  Simulator first, second;
+  SpanSink sink;
+  FillGoldenSink(&first, &second, &sink);
+  EXPECT_EQ(sink.ExportChromeTrace(), kGoldenChrome);
+}
+
+TEST(SpanExportGolden, TruncatedSinksWriteBothMarkers) {
+  SpanSink sink(/*capacity=*/2);
+  sink.Begin(SpanKind::kJob, "a", 0, 0, "i", "t", "n");
+  sink.EmitInstant(SpanKind::kCheckpoint, "b");
+  EXPECT_EQ(sink.Begin(SpanKind::kJob, "c"), 0u);  // dropped
+  EXPECT_EQ(sink.Begin(SpanKind::kJob, "d"), 0u);  // dropped
+  EXPECT_EQ(sink.ExportJsonl(), kGoldenTruncatedJsonl);
+  EXPECT_EQ(sink.ExportChromeTrace(), kGoldenTruncatedChrome);
+}
+
+// ---------------------------------------------------------------------------
 // Critical-path analysis on hand-built DAGs.
 
 TEST_F(SpanDagTest, PicksLatestFinishingAttemptNotLatestStarted) {
