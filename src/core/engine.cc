@@ -236,7 +236,28 @@ Status Engine::Startup() {
   // Startup writes many config records and recovery markers; group them
   // into one WAL record.
   RecordStore::CommitScope commit_group(spaces_.store());
+  if (Status st = Recover(); !st.ok()) {
+    // All or nothing: a server that cannot recover every instance stays
+    // down, with nothing in memory, and a later Startup starts over.
+    AbandonStartup();
+    return st;
+  }
+  if (spans_ != nullptr) {
+    // Close the server-down window opened at Crash(). A successor engine
+    // sharing the Observability context (backup takeover, crash-point
+    // harness) re-attaches the window its predecessor left open.
+    if (server_down_span_ == 0) {
+      server_down_span_ = spans_->FindOpen(obs::SpanKind::kServerDown, "");
+    }
+    spans_->End(server_down_span_, "recovered");
+    server_down_span_ = 0;
+  }
+  PumpDispatch();
+  SyncObsGauges();
+  return Status::OK();
+}
 
+Status Engine::Recover() {
   // Discover the cluster topology (the PECs re-register with the server).
   for (const cluster::NodeConfig& node : cluster_->Nodes()) {
     awareness_.RegisterNode(node, sim_->Now());
@@ -279,29 +300,27 @@ Status Engine::Startup() {
     if (ParseInt64(*seq, &v)) next_instance_seq_ = static_cast<uint64_t>(v);
   }
 
-  // Recover every persisted instance, from one ordered pass over the
-  // instance space.
-  for (Spaces::InstanceRecords& group : spaces_.ScanInstances()) {
-    Status st = RecoverInstance(group.id, std::move(group.rows));
+  // Recover every persisted instance from one ordered view of the
+  // instance space. Recovering an instance writes only its own rows, after
+  // its rebuild read them, so the views of the rest stay valid.
+  const Spaces::InstanceScan scan = spaces_.ScanInstances();
+  for (const Spaces::InstanceRows& group : scan.instances) {
+    Status st = RecoverInstance(group.id, group.rows);
     if (!st.ok()) {
       BIOPERA_LOG(kError) << "recovery of " << group.id << " failed: "
                           << st.ToString();
       return st;
     }
   }
-  if (spans_ != nullptr) {
-    // Close the server-down window opened at Crash(). A successor engine
-    // sharing the Observability context (backup takeover, crash-point
-    // harness) re-attaches the window its predecessor left open.
-    if (server_down_span_ == 0) {
-      server_down_span_ = spans_->FindOpen(obs::SpanKind::kServerDown, "");
-    }
-    spans_->End(server_down_span_, "recovered");
-    server_down_span_ = 0;
-  }
-  PumpDispatch();
-  SyncObsGauges();
   return Status::OK();
+}
+
+void Engine::AbandonStartup() {
+  // The server-down window Crash() opened stays open: the server is down.
+  if (spans_ != nullptr) EndWorkSpans("startup_failed");
+  up_ = false;
+  DropLeases("startup_failed");
+  DropVolatileState();
 }
 
 void Engine::Crash() {
@@ -309,26 +328,7 @@ void Engine::Crash() {
     // Every queued attempt and running job dies with the server; instance
     // spans stay open — the server-down window explains the causal gap
     // until recovery re-queues the work.
-    for (const auto& [key, entry] : ready_) {
-      EndAttemptSpan(entry.attempt_span, "killed");
-    }
-    for (const auto& [cls, entries] : parked_by_class_) {
-      for (const auto& [key, entry] : entries) {
-        EndAttemptSpan(entry.attempt_span, "killed");
-      }
-    }
-    for (const auto& [id, entries] : parked_by_instance_) {
-      for (const auto& [key, entry] : entries) {
-        EndAttemptSpan(entry.attempt_span, "killed");
-      }
-    }
-    for (const ReadyEntry& entry : pump_overflow_) {
-      EndAttemptSpan(entry.attempt_span, "killed");
-    }
-    for (const auto& [job_id, pending] : jobs_) {
-      spans_->End(pending.job_span, "killed");
-      EndAttemptSpan(pending.attempt_span, "killed");
-    }
+    EndWorkSpans("killed");
     spans_->End(degraded_span_, "server_crashed");
     degraded_span_ = 0;
     server_down_span_ = spans_->Begin(obs::SpanKind::kServerDown, "server down");
@@ -339,18 +339,45 @@ void Engine::Crash() {
   // simulated world stops the jobs with the server.
   cluster_->KillAllJobs();
   CancelPendingKills();
+  DropLeases("server_crashed");
+  DropVolatileState();
+}
+
+void Engine::EndWorkSpans(std::string_view outcome) {
+  for (const auto& [key, entry] : ready_) {
+    EndAttemptSpan(entry.attempt_span, outcome);
+  }
+  for (const auto& [cls, entries] : parked_by_class_) {
+    for (const auto& [key, entry] : entries) {
+      EndAttemptSpan(entry.attempt_span, outcome);
+    }
+  }
+  for (const auto& [id, entries] : parked_by_instance_) {
+    for (const auto& [key, entry] : entries) {
+      EndAttemptSpan(entry.attempt_span, outcome);
+    }
+  }
+  for (const ReadyEntry& entry : pump_overflow_) {
+    EndAttemptSpan(entry.attempt_span, outcome);
+  }
+  for (const auto& [job_id, pending] : jobs_) {
+    spans_->End(pending.job_span, std::string(outcome));
+    EndAttemptSpan(pending.attempt_span, outcome);
+  }
+}
+
+void Engine::DropLeases(std::string_view outcome) {
   if (lease_check_ != kInvalidEventId) {
     sim_->Cancel(lease_check_);
     lease_check_ = kInvalidEventId;
   }
   if (spans_ != nullptr) {
     for (const auto& [name, lease] : leases_) {
-      spans_->End(lease.suspicion_span, "server_crashed");
+      spans_->End(lease.suspicion_span, std::string(outcome));
     }
   }
   leases_.clear();
   if (suspected_gauge_ != nullptr) suspected_gauge_->Set(0);
-  DropVolatileState();
 }
 
 void Engine::DropVolatileState() {
@@ -2074,13 +2101,13 @@ Result<std::vector<obs::LineageRecord>> Engine::GetTaskLineage(
 
 Result<std::vector<obs::LineageRecord>> Engine::LineageFromRows(
     const std::string& instance_id,
-    const std::vector<std::pair<std::string, std::string>>& rows) {
+    std::span<const RecordStore::RowView> rows) {
   std::vector<obs::LineageRecord> out;
   // Provenance keys sort as (path, attempt, in-before-out), so one pass
   // pairs each attempt's rows.
   for (const auto& [key, text] : rows) {
     bool is_in = false;
-    std::string_view base(key);
+    std::string_view base = key;
     if (base.size() > 3 && base.substr(base.size() - 3) == "/in") {
       is_in = true;
       base.remove_suffix(3);
@@ -2100,7 +2127,7 @@ Result<std::vector<obs::LineageRecord>> Engine::LineageFromRows(
     std::string path(base.substr(0, slash));
     BIOPERA_ASSIGN_OR_RETURN(Value v, DecodeValueRecord(text));
     if (!v.is_map()) {
-      return Status::Corruption("bad provenance row " + key);
+      return Status::Corruption("bad provenance row " + std::string(key));
     }
     const Value::Map& rec = v.AsMap();
     obs::LineageRecord* record = nullptr;
@@ -2150,17 +2177,18 @@ std::string Engine::ExportAllLineageJsonl() const {
   // One ordered pass over the provenance space, split by id. Key order is
   // not id order ("a-b/" sorts before "a/"), so the groups are looked up
   // by id while the export walks instances_ in id order.
-  using Rows = std::vector<std::pair<std::string, std::string>>;
-  std::unordered_map<std::string, Rows> rows_by_id;
-  for (Spaces::InstanceRecords& group : spaces_.ScanProvenanceByInstance()) {
-    rows_by_id.emplace(std::move(group.id), std::move(group.rows));
+  const Spaces::InstanceScan provenance = spaces_.ScanProvenanceByInstance();
+  std::unordered_map<std::string_view, std::span<const RecordStore::RowView>>
+      rows_by_id;
+  for (const Spaces::InstanceRows& group : provenance.instances) {
+    rows_by_id.emplace(group.id, group.rows);
   }
-  const Rows no_rows;
   std::string out;
   for (const auto& [id, inst] : instances_) {
     auto it = rows_by_id.find(id);
-    Result<std::vector<obs::LineageRecord>> records =
-        LineageFromRows(id, it == rows_by_id.end() ? no_rows : it->second);
+    Result<std::vector<obs::LineageRecord>> records = LineageFromRows(
+        id, it == rows_by_id.end() ? std::span<const RecordStore::RowView>()
+                                   : it->second);
     if (!records.ok()) continue;
     Result<std::string> jsonl = LineageJsonl(id, *records);
     if (jsonl.ok()) out += *jsonl;
@@ -2229,12 +2257,12 @@ Result<obs::RunLineage> Engine::BuildRunLineage(const std::string& instance_id,
 // Recovery
 // ---------------------------------------------------------------------------
 
-Status Engine::RecoverInstance(
-    const std::string& instance_id,
-    std::vector<std::pair<std::string, std::string>> rows) {
+Status Engine::RecoverInstance(std::string_view id,
+                               std::span<const RecordStore::RowView> rows) {
   BIOPERA_ASSIGN_OR_RETURN(std::unique_ptr<ProcessInstance> inst,
-                           navigator_.Rebuild(instance_id, std::move(rows)));
+                           navigator_.Rebuild(id, rows));
   ProcessInstance* raw = inst.get();
+  const std::string& instance_id = raw->id();
   instances_[instance_id] = std::move(inst);
 
   // Replay span: parented to the (re-attached) instance span so the causal
@@ -2250,7 +2278,10 @@ Status Engine::RecoverInstance(
 
   WriteBatch batch;
   size_t requeued = navigator_.RequeueInterrupted(raw, &batch);
-  BIOPERA_RETURN_IF_ERROR(Commit(&batch));
+  if (Status st = Commit(&batch); !st.ok()) {
+    if (recovery_span != 0) spans_->End(recovery_span, "failed");
+    return st;
+  }
   if (raw->state() == InstanceState::kRunning) {
     AppendHistory(instance_id, "recovered; interrupted work re-queued");
   }

@@ -6,7 +6,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -538,16 +540,18 @@ class Engine : public cluster::ClusterListener,
   /// Decodes an instance's provenance rows (key order, "<id>/" stripped).
   static Result<std::vector<obs::LineageRecord>> LineageFromRows(
       const std::string& instance_id,
-      const std::vector<std::pair<std::string, std::string>>& rows);
+      std::span<const RecordStore::RowView> rows);
   /// Header line plus one line per attempt.
   Result<std::string> LineageJsonl(
       const std::string& instance_id,
       const std::vector<obs::LineageRecord>& records) const;
   /// Rebuilds one instance from its records (key order, "<id>/" prefix
-  /// stripped, as Spaces::ScanInstances groups them); re-queues
-  /// interrupted work.
-  Status RecoverInstance(const std::string& instance_id,
-                         std::vector<std::pair<std::string, std::string>> rows);
+  /// stripped, as Spaces::ScanInstances groups them), then re-queues
+  /// interrupted work. The commit that re-queues it writes only the
+  /// instance's own rows, after the rebuild has read them, so the views of
+  /// the instances not yet recovered stay valid.
+  Status RecoverInstance(std::string_view instance_id,
+                         std::span<const RecordStore::RowView> rows);
 
   // -- Degraded mode & fencing --
   /// Store flush failed at a commit barrier: decide between fencing
@@ -565,6 +569,20 @@ class Engine : public cluster::ClusterListener,
   /// Fenced step-down: drop in-memory state and stop, but do NOT kill
   /// cluster jobs — they now belong to the engine that took over.
   void TearDownFenced();
+  /// Startup's fallible part: registers the topology, arms the lease
+  /// check, restores the instance-id counter and recovers every instance.
+  Status Recover();
+  /// Undoes a Startup whose Recover failed: ends the spans of the work it
+  /// queued, drops the lease table and the volatile state (monitors,
+  /// instances, queues) and leaves the server down. The server-down window
+  /// stays open.
+  void AbandonStartup();
+  /// Ends, with `outcome`, the attempt span of every queued entry and the
+  /// job and attempt spans of every running job.
+  void EndWorkSpans(std::string_view outcome);
+  /// Cancels the lease check and empties the lease table, ending each
+  /// suspicion span with `outcome`.
+  void DropLeases(std::string_view outcome);
   /// The in-memory teardown Crash() and TearDownFenced() share: drops
   /// every instance (reporting its id as a state change), queue, job
   /// index, monitor and the policy, cancels the pump and degraded-retry

@@ -139,27 +139,19 @@ Status MapInputs(TaskNode* node, Value::Map* dst, bool missing_as_null) {
 // whiteboard row per scope owner.
 // ---------------------------------------------------------------------------
 
-std::string TaskRecordKey(const std::string& path) { return "task/" + path; }
+constexpr char kTaskRecordPrefix[] = "task/";
+
+constexpr char kRootWhiteboardKey[] = "wb";
+constexpr char kWhiteboardPrefix[] = "wb/";
+
+std::string TaskRecordKey(const std::string& path) {
+  return kTaskRecordPrefix + path;
+}
 
 /// "wb" for the root's whiteboard, "wb/<path>" for a subprocess's.
 std::string WhiteboardKey(const std::string& owner_path) {
-  return owner_path.empty() ? "wb" : "wb/" + owner_path;
-}
-
-std::string EncodeTaskRecord(const TaskNode& node) {
-  Value::Map rec;
-  rec["state"] = Value(std::string(TaskStateName(node.state)));
-  rec["attempts"] = Value(static_cast<int64_t>(node.attempts));
-  if (!node.binding_used.empty()) rec["binding"] = Value(node.binding_used);
-  if (!node.outputs.empty()) rec["outputs"] = Value(node.outputs);
-  if (node.cost != Duration::Zero()) {
-    rec["cost_us"] = Value(node.cost.micros());
-  }
-  rec["started_us"] = Value(node.started.micros());
-  rec["finished_us"] = Value(node.finished.micros());
-  if (!node.expansion.is_null()) rec["expansion"] = node.expansion;
-  if (node.sub_def != nullptr) rec["sub"] = Value(node.sub_def->name);
-  return EncodeValueRecord(Value(std::move(rec)));
+  return owner_path.empty() ? kRootWhiteboardKey
+                            : kWhiteboardPrefix + owner_path;
 }
 
 std::string EncodeHeader(const ProcessInstance& inst) {
@@ -203,7 +195,7 @@ void CreateChildren(ProcessInstance* inst, TaskNode* node) {
     const Value::List& items = node->expansion.AsList();
     for (size_t i = 0; i < items.size(); ++i) {
       TaskNode* child = add(&node->def->body[0],
-                            StrFormat("%s[%zu]", node->path.c_str(), i));
+                            node->path + '[' + std::to_string(i) + ']');
       child->item = items[i];
       child->index = static_cast<int64_t>(i);
     }
@@ -224,6 +216,68 @@ void CreateChildren(ProcessInstance* inst, TaskNode* node) {
 }
 
 }  // namespace
+
+std::string EncodeTaskRecord(const TaskNode& node) {
+  Value::Map rec;
+  rec["state"] = Value(std::string(TaskStateName(node.state)));
+  rec["attempts"] = Value(static_cast<int64_t>(node.attempts));
+  if (!node.binding_used.empty()) rec["binding"] = Value(node.binding_used);
+  if (!node.outputs.empty()) rec["outputs"] = Value(node.outputs);
+  if (node.cost != Duration::Zero()) {
+    rec["cost_us"] = Value(node.cost.micros());
+  }
+  rec["started_us"] = Value(node.started.micros());
+  rec["finished_us"] = Value(node.finished.micros());
+  if (!node.expansion.is_null()) rec["expansion"] = node.expansion;
+  if (node.sub_def != nullptr) rec["sub"] = Value(node.sub_def->name);
+  return EncodeValueRecord(Value(std::move(rec)));
+}
+
+Status DecodeTaskRecord(std::string_view record, TaskNode* node,
+                        TaskState* state, std::string* sub_template) {
+  node->attempts = 0;
+  node->binding_used.clear();
+  node->outputs.clear();
+  node->cost = Duration::Zero();
+  node->started = node->finished = TimePoint();
+  node->expansion = Value();
+  sub_template->clear();
+  auto string_or_empty = [](Value& v) {
+    return v.is_string() ? std::move(v.AsString()) : std::string();
+  };
+  std::string state_name;
+  Value field;  // every field but the expansion decodes here first
+  MapRecordReader reader(record);
+  std::string_view key;
+  while (reader.NextKey(&key)) {
+    const bool expansion = key == "expansion";
+    if (!reader.ReadValue(expansion ? &node->expansion : &field)) break;
+    if (key == "state") {
+      state_name = string_or_empty(field);
+    } else if (key == "attempts") {
+      node->attempts = static_cast<int>(NumberAsInt(field, 0));
+    } else if (key == "binding") {
+      node->binding_used = string_or_empty(field);
+    } else if (key == "outputs") {
+      node->outputs = field.is_map() ? std::move(field.AsMap()) : Value::Map();
+    } else if (key == "cost_us") {
+      node->cost = Duration::Micros(NumberAsInt(field, 0));
+    } else if (key == "started_us") {
+      node->started = TimePoint::FromMicros(NumberAsInt(field, 0));
+    } else if (key == "finished_us") {
+      node->finished = TimePoint::FromMicros(NumberAsInt(field, 0));
+    } else if (key == "sub") {
+      *sub_template = string_or_empty(field);
+    }
+  }
+  BIOPERA_RETURN_IF_ERROR(reader.status());
+  Result<TaskState> parsed = TaskStateFromName(state_name);
+  if (!parsed.ok()) {
+    return Status::Corruption("unknown task state '" + state_name + "'");
+  }
+  *state = *parsed;
+  return Status::OK();
+}
 
 /// One navigation step: the helpers every entry point shares, bound to
 /// one instance and the batch its transitions go to.
@@ -805,29 +859,42 @@ Result<ActivityInput> Navigator::BuildInput(TaskNode* node) {
 // ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<ProcessInstance>> Navigator::Rebuild(
-    const std::string& instance_id,
-    std::vector<std::pair<std::string, std::string>> rows) {
-  // Load all records of this instance into a key -> parsed-map index.
-  std::map<std::string, Value::Map> records;
-  for (const auto& [key, text] : rows) {
-    BIOPERA_ASSIGN_OR_RETURN(Value v, DecodeValueRecord(text));
-    if (!v.is_map()) {
-      return Status::Corruption("bad record " + key + " in " + instance_id);
-    }
-    // Copy the key rather than move it: the scanned key still holds its
-    // unstripped buffer, which the index would pin through the rebuild.
-    records[key] = std::move(v.AsMap());
-  }
-  // Release the raw rows before the rebuild grows the tree.
-  std::vector<std::pair<std::string, std::string>>().swap(rows);
-  auto header_it = records.find("header");
-  if (header_it == records.end()) {
-    return Status::Corruption("instance " + instance_id + " has no header");
-  }
-  const Value::Map& header = header_it->second;
+    std::string_view instance_id, std::span<const RecordStore::RowView> rows) {
+  // The rows are in key order, so each record is found by binary search
+  // and nothing is indexed; `read` marks the rows the rebuild consumed.
+  std::vector<bool> read(rows.size());
+  std::string wanted;
+  auto find = [&](std::string_view prefix,
+                  std::string_view path) -> const RecordStore::RowView* {
+    wanted.assign(prefix).append(path);
+    auto it = std::lower_bound(
+        rows.begin(), rows.end(), wanted,
+        [](const RecordStore::RowView& row, std::string_view key) {
+          return row.key < key;
+        });
+    if (it == rows.end() || it->key != wanted) return nullptr;
+    read[it - rows.begin()] = true;
+    return &*it;
+  };
+  auto bad_record = [&](std::string_view key, std::string_view what) {
+    return Status::Corruption("bad record " + std::string(key) + " in " +
+                              std::string(instance_id) + ": " +
+                              std::string(what));
+  };
+  // Header and whiteboard rows are plain maps, moved into place.
+  auto decode_map = [&](const RecordStore::RowView& row) -> Result<Value::Map> {
+    Result<Value> v = DecodeValueRecord(row.value);
+    if (!v.ok()) return bad_record(row.key, v.status().message());
+    if (!v->is_map()) return bad_record(row.key, "not a map");
+    return std::move(v->AsMap());
+  };
+
+  const RecordStore::RowView* header_row = find("header", "");
+  if (header_row == nullptr) return bad_record("header", "missing");
+  BIOPERA_ASSIGN_OR_RETURN(Value::Map header, decode_map(*header_row));
   BIOPERA_ASSIGN_OR_RETURN(const ProcessDef* def,
                            ResolveTemplate(RecordString(header, "template")));
-  auto inst = std::make_unique<ProcessInstance>(instance_id, def);
+  auto inst = std::make_unique<ProcessInstance>(std::string(instance_id), def);
   BIOPERA_ASSIGN_OR_RETURN(
       InstanceState state,
       InstanceStateFromName(RecordString(header, "state")));
@@ -842,56 +909,52 @@ Result<std::unique_ptr<ProcessInstance>> Navigator::Rebuild(
   stats.finished = TimePoint::FromMicros(RecordInt(header, "finished_us", 0));
   auto lin = header.find("lineage");
   if (lin != header.end() && lin->second.is_map()) {
-    for (const auto& [var, writer] : lin->second.AsMap()) {
-      if (writer.is_string()) inst->lineage()[var] = writer.AsString();
+    for (auto& [var, writer] : lin->second.AsMap()) {
+      if (writer.is_string()) {
+        inst->lineage()[var] = std::move(writer.AsString());
+      }
     }
   }
   auto events = header.find("events");
   if (events != header.end() && events->second.is_list()) {
-    for (const auto& event : events->second.AsList()) {
-      if (event.is_string()) inst->raised_events().insert(event.AsString());
+    for (auto& event : events->second.AsList()) {
+      if (event.is_string()) {
+        inst->raised_events().insert(std::move(event.AsString()));
+      }
     }
   }
-  if (auto wb = records.find(WhiteboardKey("")); wb != records.end()) {
-    *inst->root()->own_whiteboard = wb->second;
+  if (const RecordStore::RowView* wb = find(kRootWhiteboardKey, "")) {
+    BIOPERA_ASSIGN_OR_RETURN(*inst->root()->own_whiteboard, decode_map(*wb));
   }
 
   // Recursively restore each recorded node, expanding composites over what
   // their activation resolved: the expansion list, or the subprocess
   // template and its whiteboard row.
+  std::string sub_template;
   std::function<Status(TaskNode*)> rebuild = [&](TaskNode* node) -> Status {
-    auto rec_it = records.find(TaskRecordKey(node->path));
-    if (rec_it == records.end()) return Status::OK();  // still inactive
-    const Value::Map& rec = rec_it->second;
-    BIOPERA_ASSIGN_OR_RETURN(TaskState task_state,
-                             TaskStateFromName(RecordString(rec, "state")));
-    inst->SetTaskState(node, task_state);
-    node->attempts = static_cast<int>(RecordInt(rec, "attempts", 0));
-    node->binding_used = RecordString(rec, "binding");
-    node->cost = Duration::Micros(RecordInt(rec, "cost_us", 0));
-    node->started = TimePoint::FromMicros(RecordInt(rec, "started_us", 0));
-    node->finished = TimePoint::FromMicros(RecordInt(rec, "finished_us", 0));
-    auto out_it = rec.find("outputs");
-    if (out_it != rec.end() && out_it->second.is_map()) {
-      node->outputs = out_it->second.AsMap();
+    const RecordStore::RowView* row = find(kTaskRecordPrefix, node->path);
+    if (row == nullptr) return Status::OK();  // still inactive
+    TaskState task_state;
+    if (Status st =
+            DecodeTaskRecord(row->value, node, &task_state, &sub_template);
+        !st.ok()) {
+      return bad_record(row->key, st.message());
     }
+    inst->SetTaskState(node, task_state);
     if (node->state == TaskState::kInactive ||
         node->state == TaskState::kSkipped) {
       return Status::OK();
     }
     if (node->kind() == TaskKind::kParallel) {
-      auto exp_it = rec.find("expansion");
-      if (exp_it == rec.end() || !exp_it->second.is_list()) {
-        return Status::Corruption(node->path + ": missing expansion");
+      if (!node->expansion.is_list()) {
+        return bad_record(row->key, "parallel task without expansion");
       }
-      node->expansion = exp_it->second;
     } else if (node->kind() == TaskKind::kSubprocess) {
-      BIOPERA_ASSIGN_OR_RETURN(node->sub_def,
-                               ResolveTemplate(RecordString(rec, "sub")));
+      BIOPERA_ASSIGN_OR_RETURN(node->sub_def, ResolveTemplate(sub_template));
       node->own_whiteboard = std::make_unique<Value::Map>();
-      if (auto wb = records.find(WhiteboardKey(node->path));
-          wb != records.end()) {
-        *node->own_whiteboard = wb->second;
+      if (const RecordStore::RowView* wb =
+              find(kWhiteboardPrefix, node->path)) {
+        BIOPERA_ASSIGN_OR_RETURN(*node->own_whiteboard, decode_map(*wb));
       }
     }
     CreateChildren(inst.get(), node);
@@ -903,6 +966,11 @@ Result<std::unique_ptr<ProcessInstance>> Navigator::Rebuild(
   CreateChildren(inst.get(), inst->root());
   for (auto& child : inst->root()->children) {
     BIOPERA_RETURN_IF_ERROR(rebuild(child.get()));
+  }
+  // A row no node reached (the whiteboard row an invalidated subprocess
+  // leaves behind) must still be a well-formed map.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!read[i]) BIOPERA_RETURN_IF_ERROR(decode_map(rows[i]).status());
   }
   return inst;
 }

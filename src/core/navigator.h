@@ -3,7 +3,9 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,6 +57,23 @@ inline const std::string& BindingOf(const TaskNode& node) {
   return node.binding_used.empty() && node.def != nullptr ? node.def->binding
                                                           : node.binding_used;
 }
+
+/// The task row of `node` in the instance record format: a map of its
+/// state, attempts, binding, outputs, cost, start and finish times and,
+/// once it expanded, its expansion list or subprocess template name.
+std::string EncodeTaskRecord(const TaskNode& node);
+
+/// Reads a task row written by EncodeTaskRecord straight into `node`, with
+/// no intermediate map: outputs and expansion are decoded into the node.
+/// The state goes to `*state` (the caller writes it through
+/// ProcessInstance::SetTaskState, which keeps the per-state counts) and
+/// the subprocess template's name to `*sub_template`. An absent field, or
+/// one of another type, leaves the field's default; a number of the other
+/// kind converts as RecordInt does; an unknown field is skipped.
+/// Corruption when the row is not a marker-framed map, has bytes after it,
+/// or names no task state.
+Status DecodeTaskRecord(std::string_view record, TaskNode* node,
+                        TaskState* state, std::string* sub_template);
 
 /// The navigator of the paper's Figure 2: moves a process's OCR graph
 /// forward over its persistent state. It owns the instance tree's
@@ -119,10 +138,14 @@ class Navigator {
 
   // --- Recovery --------------------------------------------------------------
   /// Rebuilds one instance from its instance-space rows (key order, the
-  /// "<id>/" prefix stripped, as Spaces::ScanInstances groups them).
+  /// "<id>/" prefix stripped, as Spaces::ScanInstances groups them). Each
+  /// row is found by binary search and decoded once, straight into the
+  /// tree; a row the tree does not reach (a stale whiteboard) is still
+  /// checked. The rows are not read after this returns. Corruption names
+  /// the row and the instance.
   Result<std::unique_ptr<ProcessInstance>> Rebuild(
-      const std::string& instance_id,
-      std::vector<std::pair<std::string, std::string>> rows);
+      std::string_view instance_id,
+      std::span<const RecordStore::RowView> rows);
   /// Re-readies activities a crash interrupted: queued, running (their job
   /// died with the server or node), or waiting out a retry backoff (the
   /// timer did not survive). Reports each ready activity; returns how many.

@@ -1,6 +1,8 @@
 #include "store/codec.h"
 
+#include <algorithm>
 #include <cstring>
+#include <tuple>
 
 namespace biopera {
 
@@ -75,6 +77,8 @@ bool GetLengthPrefixed(std::string_view* input, std::string_view* s) {
 
 namespace {
 
+constexpr char kMalformed[] = "malformed binary value record";
+
 enum ValueTag : char {
   kTagNull = 0,
   kTagFalse = 1,
@@ -95,6 +99,8 @@ int64_t ZigZagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+/// Decodes one value into `*out`, replacing whatever it held: containers
+/// are built in place, element by element, with no temporary per element.
 bool DecodeValueImpl(std::string_view* input, ocr::Value* out, int depth) {
   if (depth > kMaxValueDepth) return false;
   if (input->empty()) return false;
@@ -134,29 +140,38 @@ bool DecodeValueImpl(std::string_view* input, ocr::Value* out, int depth) {
     case kTagList: {
       uint64_t count;
       if (!GetVarint64(input, &count)) return false;
-      // No reserve(count): a hostile count must not allocate up front;
-      // decoding simply fails when the input runs out.
-      ocr::Value::List list;
+      // Every element takes at least its tag byte, so a count the rest of
+      // the input cannot hold reserves no more than that input's length;
+      // decoding then fails when the input runs out.
+      *out = ocr::Value(ocr::Value::List());
+      ocr::Value::List& list = out->AsList();
+      list.reserve(std::min<uint64_t>(count, input->size()));
       for (uint64_t i = 0; i < count; ++i) {
-        ocr::Value elem;
-        if (!DecodeValueImpl(input, &elem, depth + 1)) return false;
-        list.push_back(std::move(elem));
+        if (!DecodeValueImpl(input, &list.emplace_back(), depth + 1)) {
+          return false;
+        }
       }
-      *out = ocr::Value(std::move(list));
       return true;
     }
     case kTagMap: {
       uint64_t count;
       if (!GetVarint64(input, &count)) return false;
-      ocr::Value::Map map;
+      *out = ocr::Value(ocr::Value::Map());
+      ocr::Value::Map& map = out->AsMap();
       for (uint64_t i = 0; i < count; ++i) {
         std::string_view key;
         if (!GetLengthPrefixed(input, &key)) return false;
-        ocr::Value elem;
-        if (!DecodeValueImpl(input, &elem, depth + 1)) return false;
-        map[std::string(key)] = std::move(elem);
+        // The encoder writes keys in ascending order, so each one lands at
+        // the end. Keys out of order or repeated (bytes from elsewhere)
+        // take the slow path, where the last of equal keys wins.
+        auto slot =
+            map.empty() || std::string_view(map.rbegin()->first) < key
+                ? map.emplace_hint(map.end(), std::piecewise_construct,
+                                   std::forward_as_tuple(key),
+                                   std::forward_as_tuple())
+                : map.try_emplace(std::string(key)).first;
+        if (!DecodeValueImpl(input, &slot->second, depth + 1)) return false;
       }
-      *out = ocr::Value(std::move(map));
       return true;
     }
     default:
@@ -215,17 +230,60 @@ Result<ocr::Value> DecodeValueRecord(std::string_view record) {
   record.remove_prefix(1);
   ocr::Value v;
   if (!DecodeValue(&record, &v) || !record.empty()) {
-    return Status::Corruption("malformed binary value record");
+    return Status::Corruption(kMalformed);
   }
   return v;
+}
+
+MapRecordReader::MapRecordReader(std::string_view record) : input_(record) {
+  if (input_.empty() || input_.front() != kBinaryValueMarker) {
+    error_ = "value record lacks the binary marker";
+    return;
+  }
+  input_.remove_prefix(1);
+  if (input_.empty() || input_.front() != kTagMap) {
+    error_ = "value record is not a map";
+    return;
+  }
+  input_.remove_prefix(1);
+  if (!GetVarint64(&input_, &remaining_)) error_ = kMalformed;
+}
+
+bool MapRecordReader::NextKey(std::string_view* key) {
+  if (error_ != nullptr) return false;
+  if (remaining_ == 0) {
+    if (!input_.empty()) error_ = "trailing bytes after the value record";
+    return false;
+  }
+  --remaining_;
+  if (!GetLengthPrefixed(&input_, key)) {
+    error_ = kMalformed;
+    return false;
+  }
+  return true;
+}
+
+bool MapRecordReader::ReadValue(ocr::Value* out) {
+  // A field's value nests one level under the record's map.
+  if (error_ == nullptr && !DecodeValueImpl(&input_, out, 1)) {
+    error_ = kMalformed;
+  }
+  return error_ == nullptr;
+}
+
+Status MapRecordReader::status() const {
+  return error_ == nullptr ? Status::OK() : Status::Corruption(error_);
+}
+
+int64_t NumberAsInt(const ocr::Value& v, int64_t dflt) {
+  if (!v.is_number()) return dflt;
+  return v.is_int() ? v.AsInt() : static_cast<int64_t>(v.AsDouble());
 }
 
 int64_t RecordInt(const ocr::Value::Map& rec, const std::string& key,
                   int64_t dflt) {
   auto it = rec.find(key);
-  if (it == rec.end() || !it->second.is_number()) return dflt;
-  return it->second.is_int() ? it->second.AsInt()
-                             : static_cast<int64_t>(it->second.AsDouble());
+  return it == rec.end() ? dflt : NumberAsInt(it->second, dflt);
 }
 
 double RecordDouble(const ocr::Value::Map& rec, const std::string& key,

@@ -40,9 +40,13 @@ bool GetLengthPrefixed(std::string_view* input, std::string_view* s);
 /// Appends the binary encoding of `v` to `*dst`.
 void EncodeValue(const ocr::Value& v, std::string* dst);
 
-/// Decodes one value from the front of `*input`. Returns false on
-/// malformed, truncated, or too deeply nested input — never crashes on
-/// hostile bytes (nesting is capped at kMaxValueDepth).
+/// Decodes one value from the front of `*input` into `*out`, replacing what
+/// it held; lists and maps are built in place. Returns false on malformed,
+/// truncated, or too deeply nested input (leaving *out unspecified) —
+/// never crashes on hostile bytes: nesting is capped at kMaxValueDepth, and
+/// a list reserves no more elements than the rest of the input can hold.
+/// Map keys arrive in ascending order from EncodeValue; out-of-order or
+/// repeated keys decode as `map[key] = value` would, the last one winning.
 bool DecodeValue(std::string_view* input, ocr::Value* out);
 
 inline constexpr int kMaxValueDepth = 64;
@@ -59,9 +63,43 @@ std::string EncodeValueRecord(const ocr::Value& v);
 /// binary body is malformed or has trailing bytes, is Corruption.
 Result<ocr::Value> DecodeValueRecord(std::string_view record);
 
+/// Reads a map record (EncodeValueRecord of a map) one field at a time, so a
+/// reader decodes each field's value where it belongs instead of building
+/// the map first:
+///
+///   MapRecordReader reader(record);
+///   std::string_view key;
+///   while (reader.NextKey(&key) && reader.ReadValue(SlotFor(key))) {...}
+///   BIOPERA_RETURN_IF_ERROR(reader.status());
+///
+/// Fields come in the record's order; a key may repeat in hostile bytes,
+/// and a reader that assigns each field keeps the last, as DecodeValue does.
+class MapRecordReader {
+ public:
+  explicit MapRecordReader(std::string_view record);
+  /// The next field's key (a view into the record); false after the last
+  /// field or on an error.
+  bool NextKey(std::string_view* key);
+  /// Decodes the value of the field NextKey just returned into `*out`,
+  /// replacing what it held; false on an error.
+  bool ReadValue(ocr::Value* out);
+  /// Corruption when the record lacks the marker, is not a map, is
+  /// malformed or has bytes after the map; otherwise OK.
+  Status status() const;
+
+ private:
+  std::string_view input_;
+  uint64_t remaining_ = 0;  // fields not yet read
+  const char* error_ = nullptr;
+};
+
+/// A number as an integer: an int as it is, a double truncated toward
+/// zero; anything else is `dflt`.
+int64_t NumberAsInt(const ocr::Value& v, int64_t dflt);
+
 /// Field readers for a decoded record map: the value at `key`, or the
 /// default when it is absent or of another type (a number of the other
-/// kind converts).
+/// kind converts as NumberAsInt does).
 int64_t RecordInt(const ocr::Value::Map& rec, const std::string& key,
                   int64_t dflt);
 double RecordDouble(const ocr::Value::Map& rec, const std::string& key,

@@ -421,16 +421,37 @@ bool RecordStore::Contains(std::string_view table,
   return t != tables_.end() && t->second.rows.contains(key);
 }
 
+std::vector<const RecordStore::Rows::value_type*> RecordStore::SortedRows(
+    const Table& table, std::string_view prefix) {
+  std::vector<const Rows::value_type*> sorted;
+  if (prefix.empty()) sorted.reserve(table.rows.size());
+  for (const auto& row : table.rows) {
+    if (StartsWith(row.first, prefix)) sorted.push_back(&row);
+  }
+  // Hash-map iteration order is arbitrary; sort so that logically equal
+  // stores always read back (and serialize) in the same order.
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return sorted;
+}
+
+std::vector<RecordStore::RowView> RecordStore::View(
+    std::string_view table, std::string_view prefix) const {
+  std::vector<RowView> out;
+  auto t = tables_.find(table);
+  if (t == tables_.end()) return out;
+  std::vector<const Rows::value_type*> sorted = SortedRows(t->second, prefix);
+  out.reserve(sorted.size());
+  for (const auto* row : sorted) out.push_back({row->first, row->second.value});
+  return out;
+}
+
 std::vector<std::pair<std::string, std::string>> RecordStore::Scan(
     std::string_view table, std::string_view prefix) const {
   std::vector<std::pair<std::string, std::string>> out;
-  auto t = tables_.find(table);
-  if (t == tables_.end()) return out;
-  for (const auto& [key, row] : t->second.rows) {
-    if (StartsWith(key, prefix)) out.emplace_back(key, row.value);
+  for (const RowView& row : View(table, prefix)) {
+    out.emplace_back(row.key, row.value);
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
@@ -442,18 +463,10 @@ size_t RecordStore::TableSize(std::string_view table) const {
 std::string RecordStore::SerializeFull(size_t* table_count) const {
   std::string out(1, kSegmentFull);
   PutVarint64(&out, tables_.size());
-  std::vector<const Rows::value_type*> sorted;
   for (const auto& [name, table] : tables_) {
     PutLengthPrefixed(&out, name);
     PutVarint64(&out, table.rows.size());
-    // Hash-map iteration order is arbitrary; sort so that logically equal
-    // stores always serialize to identical bytes.
-    sorted.clear();
-    sorted.reserve(table.rows.size());
-    for (const auto& row : table.rows) sorted.push_back(&row);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-    for (const auto* row : sorted) {
+    for (const auto* row : SortedRows(table, "")) {
       PutLengthPrefixed(&out, row->first);
       PutLengthPrefixed(&out, row->second.value);
     }

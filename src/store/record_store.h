@@ -161,10 +161,23 @@ class RecordStore {
   Result<std::string> Get(std::string_view table, std::string_view key) const;
   bool Contains(std::string_view table, std::string_view key) const;
 
-  /// All (key, value) pairs in `table` whose key starts with `prefix`,
-  /// in key order. Costs O(table) whatever the prefix: it walks the whole
-  /// hash image and sorts the matches. A caller that wants many prefixes
-  /// should scan once and split the ordered result (Spaces::ScanInstances).
+  /// One row of an ordered view: its key and value where the image holds
+  /// them. A view stays valid until the next write to its own row (a put
+  /// may move the value, a delete frees the row); writes to other rows or
+  /// tables, and checkpoints, leave it as it was.
+  struct RowView {
+    std::string_view key;
+    std::string_view value;
+    friend bool operator==(const RowView&, const RowView&) = default;
+  };
+  /// The rows of `table` whose key starts with `prefix`, in key order, as
+  /// views into the image: no key or value is copied. Costs O(table)
+  /// whatever the prefix: it walks the whole hash image and sorts the
+  /// matches. A caller that wants many prefixes should view once and split
+  /// the ordered result (Spaces::ScanInstances).
+  std::vector<RowView> View(std::string_view table,
+                            std::string_view prefix = "") const;
+  /// View, with each key and value copied out.
   std::vector<std::pair<std::string, std::string>> Scan(
       std::string_view table, std::string_view prefix = "") const;
 
@@ -249,8 +262,8 @@ class RecordStore {
   static constexpr size_t kClean = static_cast<size_t>(-1);
   /// The in-memory image of one table is a hash map: the commit path pays
   /// O(1) per record instead of a pointer-chasing tree walk. Ordered views
-  /// (Scan, checkpoint serialization) sort on demand, which keeps their
-  /// output deterministic. A prefix scan is therefore O(table), not
+  /// (View, Scan, full segments) sort row pointers on demand, which keeps
+  /// their output deterministic. A prefix scan is therefore O(table), not
   /// O(matches), and a loop of per-id scans is quadratic; that is why
   /// restart and the fleet lineage export read a table in one scan.
   using Rows = std::unordered_map<std::string, Row, StringHash,
@@ -277,6 +290,10 @@ class RecordStore {
   Status CheckpointImpl(bool force_full);
   /// Reopens the WAL writer if a failed checkpoint left it closed.
   Status EnsureWal();
+  /// The rows of `table` whose key starts with `prefix`, sorted by key:
+  /// pointers into the image. View and SerializeFull both read through it.
+  static std::vector<const Rows::value_type*> SortedRows(
+      const Table& table, std::string_view prefix);
   /// A full segment: every table and all of its rows.
   std::string SerializeFull(size_t* table_count) const;
   /// A delta segment: per table, the changed rows as puts and the

@@ -20,28 +20,25 @@ std::string InstanceKey(std::string_view instance_id, std::string_view key) {
   return out;
 }
 
-/// Splits one ordered scan of an instance-keyed table into per-id groups.
-/// Keys are "<id>/<record>", so an id's rows are contiguous in key order.
-std::vector<Spaces::InstanceRecords> GroupByInstance(
-    std::vector<std::pair<std::string, std::string>> rows) {
+/// Splits one ordered view of an instance-keyed table into per-id groups.
+/// Keys are "<id>/<record>", so an id's rows are contiguous in key order;
+/// each key is stripped in place (the view moves, the image does not).
+Spaces::InstanceScan GroupByInstance(std::vector<RecordStore::RowView> rows) {
   auto id_of = [](std::string_view key) {
     return key.substr(0, key.find('/'));
   };
-  std::vector<Spaces::InstanceRecords> out;
-  for (auto begin = rows.begin(); begin != rows.end();) {
-    // Each group is allocated once, at its exact size: growing it row by
-    // row left enough heap slack to raise peak RSS.
-    Spaces::InstanceRecords& group = out.emplace_back();
-    group.id = id_of(begin->first);
-    auto end = std::find_if(begin, rows.end(), [&](const auto& row) {
-      return id_of(row.first) != group.id;
-    });
-    group.rows.reserve(end - begin);
-    for (; begin != end; ++begin) {
-      begin->first.erase(0, group.id.size() + 1);  // strip "<id>/"
-      group.rows.emplace_back(std::move(begin->first),
-                              std::move(begin->second));
+  Spaces::InstanceScan out;
+  out.rows = std::move(rows);
+  const std::span<RecordStore::RowView> all(out.rows);
+  for (size_t begin = 0; begin < all.size();) {
+    const std::string_view id = id_of(all[begin].key);
+    size_t end = begin;
+    for (; end < all.size() && id_of(all[end].key) == id; ++end) {
+      std::string_view& key = all[end].key;
+      key.remove_prefix(std::min(key.size(), id.size() + 1));  // "<id>/"
     }
+    out.instances.push_back({id, all.subspan(begin, end - begin)});
+    begin = end;
   }
   return out;
 }
@@ -58,7 +55,9 @@ Result<std::string> Spaces::GetTemplate(std::string_view name) const {
 
 std::vector<std::string> Spaces::ListTemplates() const {
   std::vector<std::string> out;
-  for (auto& [k, v] : store_->Scan(kTemplateTable)) out.push_back(k);
+  for (const RecordStore::RowView& row : store_->View(kTemplateTable)) {
+    out.emplace_back(row.key);
+  }
   return out;
 }
 
@@ -87,21 +86,22 @@ Result<std::string> Spaces::GetInstanceRecord(std::string_view instance_id,
   return store_->Get(kInstanceTable, InstanceKey(instance_id, key));
 }
 
-std::vector<Spaces::InstanceRecords> Spaces::ScanInstances() const {
-  return GroupByInstance(store_->Scan(kInstanceTable));
+Spaces::InstanceScan Spaces::ScanInstances() const {
+  return GroupByInstance(store_->View(kInstanceTable));
 }
 
 Status Spaces::DeleteInstance(std::string_view instance_id) {
   std::string prefix(instance_id);
   prefix.push_back('/');
   WriteBatch batch;
-  for (auto& [k, v] : store_->Scan(kInstanceTable, prefix)) {
-    batch.Delete(kInstanceTable, k);
+  for (const RecordStore::RowView& row : store_->View(kInstanceTable, prefix)) {
+    batch.Delete(kInstanceTable, row.key);
   }
   // Lineage is instance-scoped: archiving the instance retires its
   // provenance rows too (history stays, as before).
-  for (auto& [k, v] : store_->Scan(kProvenanceTable, prefix)) {
-    batch.Delete(kProvenanceTable, k);
+  for (const RecordStore::RowView& row :
+       store_->View(kProvenanceTable, prefix)) {
+    batch.Delete(kProvenanceTable, row.key);
   }
   return store_->Apply(batch, epoch_);
 }
@@ -112,18 +112,18 @@ void Spaces::BatchPutProvenance(WriteBatch* batch,
   batch->Put(kProvenanceTable, InstanceKey(instance_id, key), value);
 }
 
-std::vector<std::pair<std::string, std::string>> Spaces::ScanProvenance(
+std::vector<RecordStore::RowView> Spaces::ScanProvenance(
     std::string_view instance_id) const {
   std::string prefix(instance_id);
   prefix.push_back('/');
-  auto rows = store_->Scan(kProvenanceTable, prefix);
-  for (auto& [k, v] : rows) k = k.substr(prefix.size());
+  std::vector<RecordStore::RowView> rows =
+      store_->View(kProvenanceTable, prefix);
+  for (RecordStore::RowView& row : rows) row.key.remove_prefix(prefix.size());
   return rows;
 }
 
-std::vector<Spaces::InstanceRecords> Spaces::ScanProvenanceByInstance()
-    const {
-  return GroupByInstance(store_->Scan(kProvenanceTable));
+Spaces::InstanceScan Spaces::ScanProvenanceByInstance() const {
+  return GroupByInstance(store_->View(kProvenanceTable));
 }
 
 Status Spaces::PutConfig(std::string_view key, std::string_view value) {
@@ -157,11 +157,11 @@ Status Spaces::AppendHistory(std::string_view instance_id,
 
 std::vector<std::string> Spaces::History(std::string_view instance_id) const {
   std::vector<std::string> out;
-  for (auto& [k, v] : store_->Scan(kHistoryTable)) {
-    size_t tab = v.find('\t');
-    if (tab == std::string::npos) continue;
-    if (std::string_view(v).substr(0, tab) == instance_id) {
-      out.push_back(v.substr(tab + 1));
+  for (const RecordStore::RowView& row : store_->View(kHistoryTable)) {
+    size_t tab = row.value.find('\t');
+    if (tab == std::string_view::npos) continue;
+    if (row.value.substr(0, tab) == instance_id) {
+      out.emplace_back(row.value.substr(tab + 1));
     }
   }
   return out;

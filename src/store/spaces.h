@@ -1,7 +1,9 @@
 #ifndef BIOPERA_STORE_SPACES_H_
 #define BIOPERA_STORE_SPACES_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -41,17 +43,31 @@ class Spaces {
                                  std::string_view key);
   Result<std::string> GetInstanceRecord(std::string_view instance_id,
                                         std::string_view key) const;
-  /// One instance's records in key order, "<id>/" prefix stripped.
-  struct InstanceRecords {
-    std::string id;
-    std::vector<std::pair<std::string, std::string>> rows;
+  /// One instance's records in key order, "<id>/" stripped from each key:
+  /// views into the store image, valid until the next write to their row
+  /// (RecordStore::RowView).
+  struct InstanceRows {
+    std::string_view id;
+    std::span<const RecordStore::RowView> rows;
   };
-  /// Every instance's records from one ordered pass over the instance
-  /// space, grouped by id in key order. An id's keys share the prefix
-  /// "<id>/", so its rows are contiguous in that order. This is what
-  /// restart reads; it costs one Scan of the whole table, not one per
-  /// instance.
-  std::vector<InstanceRecords> ScanInstances() const;
+  /// An ordered view of an instance-keyed table, split by instance: `rows`
+  /// holds the views and each group is a slice of it, so the scan copies
+  /// no key or value. Move-only, since the groups point into `rows`.
+  struct InstanceScan {
+    InstanceScan() = default;
+    InstanceScan(InstanceScan&&) = default;
+    InstanceScan& operator=(InstanceScan&&) = default;
+    InstanceScan(const InstanceScan&) = delete;
+    InstanceScan& operator=(const InstanceScan&) = delete;
+
+    std::vector<RecordStore::RowView> rows;
+    std::vector<InstanceRows> instances;
+  };
+  /// Every instance's records from one ordered view of the instance space,
+  /// grouped by id in key order. An id's keys share the prefix "<id>/", so
+  /// its rows are contiguous in that order. This is what restart reads; it
+  /// costs one View of the whole table, not one per instance.
+  InstanceScan ScanInstances() const;
   Status DeleteInstance(std::string_view instance_id);
 
   // --- Provenance space ---------------------------------------------------
@@ -62,13 +78,13 @@ class Spaces {
   void BatchPutProvenance(WriteBatch* batch, std::string_view instance_id,
                           std::string_view key, std::string_view value);
   /// All of an instance's lineage records in key order, "<id>/" prefix
-  /// stripped.
-  std::vector<std::pair<std::string, std::string>> ScanProvenance(
+  /// stripped: views into the store image.
+  std::vector<RecordStore::RowView> ScanProvenance(
       std::string_view instance_id) const;
-  /// Every instance's lineage records from one ordered pass, grouped as
+  /// Every instance's lineage records from one ordered view, grouped as
   /// ScanInstances groups the instance space (key order, which is not id
   /// order: "a-b/" sorts before "a/").
-  std::vector<InstanceRecords> ScanProvenanceByInstance() const;
+  InstanceScan ScanProvenanceByInstance() const;
 
   // --- Configuration space ------------------------------------------------
   Status PutConfig(std::string_view key, std::string_view value);

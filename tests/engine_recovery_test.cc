@@ -8,6 +8,7 @@
 #include "darwin/generator.h"
 #include "ocr/builder.h"
 #include "sim/simulator.h"
+#include "store/codec.h"
 #include "store/record_store.h"
 #include "tests/test_util.h"
 #include "workloads/allvsall.h"
@@ -312,6 +313,60 @@ TEST(RecoveryTest, MultipleConcurrentInstancesAllRecover) {
   for (const std::string& id : ids) {
     ASSERT_OK_AND_ASSIGN(auto state, w.engine->GetInstanceState(id));
     EXPECT_EQ(state, InstanceState::kDone) << id;
+    ASSERT_OK_AND_ASSIGN(Value total,
+                         w.engine->GetWhiteboardValue(id, "total"));
+    EXPECT_EQ(total, Value(kExpectedTotal)) << id;
+  }
+}
+
+TEST(RecoveryTest, FailedStartupLeavesTheServerDown) {
+  // A row that does not decode fails Startup as a whole: the server stays
+  // down with no instance in memory and no span of the attempt left open,
+  // and once the row is repaired the next Startup recovers everything.
+  testing::TempDir dir;
+  obs::Observability obs;
+  EngineOptions options;
+  options.observability = &obs;
+  World w(dir.path(), options);
+  ASSERT_OK(w.engine->Startup());
+  RegisterComplexTemplates(w.engine.get());
+  ASSERT_OK_AND_ASSIGN(std::string first, w.engine->StartProcess("rec_main"));
+  ASSERT_OK_AND_ASSIGN(std::string second,
+                       w.engine->StartProcess("rec_main"));
+  w.sim.RunFor(Duration::Seconds(70));
+  w.engine->Crash();
+
+  // The second instance's row breaks; the first (earlier in key order)
+  // recovers and queues its work before the second fails.
+  const std::string key = second + "/task/init";
+  ASSERT_OK_AND_ASSIGN(std::string row, w.store->Get("instance", key));
+  ASSERT_OK(w.store->Put("instance", key,
+                         EncodeValueRecord(Value("not a map"))));
+  Status st = w.engine->Startup();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("task/init"), std::string::npos) << st.message();
+  EXPECT_NE(st.message().find(second), std::string::npos) << st.message();
+  EXPECT_FALSE(w.engine->IsUp());
+  EXPECT_TRUE(w.engine->ListInstances().empty());
+  size_t open_work = 0;
+  size_t open_down = 0;
+  obs.spans.ForEach([&](const obs::Span& span) {
+    if (!span.open) return;
+    if (span.kind == obs::SpanKind::kAttempt ||
+        span.kind == obs::SpanKind::kRecovery ||
+        span.kind == obs::SpanKind::kJob) {
+      ++open_work;
+    }
+    if (span.kind == obs::SpanKind::kServerDown) ++open_down;
+  });
+  EXPECT_EQ(open_work, 0u);
+  EXPECT_EQ(open_down, 1u);  // the server is still down
+
+  ASSERT_OK(w.store->Put("instance", key, row));
+  ASSERT_OK(w.engine->Startup());
+  EXPECT_EQ(w.engine->ListInstances().size(), 2u);
+  w.sim.Run();
+  for (const std::string& id : {first, second}) {
     ASSERT_OK_AND_ASSIGN(Value total,
                          w.engine->GetWhiteboardValue(id, "total"));
     EXPECT_EQ(total, Value(kExpectedTotal)) << id;

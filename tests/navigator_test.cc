@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ocr/builder.h"
+#include "store/codec.h"
 #include "store/record_store.h"
 #include "store/spaces.h"
 #include "tests/test_util.h"
@@ -174,12 +175,12 @@ class NavigatorTest : public ::testing::Test {
   void ExpectRoundTrip() {
     std::string want = Describe(*inst_);
     Open();
-    std::vector<Spaces::InstanceRecords> groups = spaces_->ScanInstances();
-    ASSERT_EQ(groups.size(), 1u);
-    ASSERT_EQ(groups[0].id, inst_->id());
-    ASSERT_OK_AND_ASSIGN(std::unique_ptr<ProcessInstance> rebuilt,
-                         nav_->Rebuild(groups[0].id,
-                                       std::move(groups[0].rows)));
+    const Spaces::InstanceScan scan = spaces_->ScanInstances();
+    ASSERT_EQ(scan.instances.size(), 1u);
+    ASSERT_EQ(scan.instances[0].id, inst_->id());
+    ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<ProcessInstance> rebuilt,
+        nav_->Rebuild(scan.instances[0].id, scan.instances[0].rows));
     EXPECT_EQ(Describe(*rebuilt), want);
     EXPECT_EQ(rebuilt->NumNodes(), inst_->NumNodes());
     EXPECT_EQ(rebuilt->stats().activities_completed,
@@ -440,6 +441,220 @@ TEST_F(NavigatorTest, OnEventTaskWaitsForItsEvent) {
   EXPECT_EQ(inst->state(), InstanceState::kDone);
   EXPECT_EQ(Wb("checked"), Value(1));
   ExpectRoundTrip();
+}
+
+
+// --- The task-record reader --------------------------------------------------
+
+/// Every field of a task row, as Describe() does not show them all.
+std::string DescribeFields(const TaskNode& node, TaskState state,
+                           const std::string& sub) {
+  return std::string(TaskStateName(state)) +
+         " attempts=" + std::to_string(node.attempts) +
+         " binding=" + node.binding_used +
+         " out=" + Value(node.outputs).ToText() +
+         " cost=" + std::to_string(node.cost.micros()) +
+         " started=" + std::to_string(node.started.micros()) +
+         " finished=" + std::to_string(node.finished.micros()) +
+         " expansion=" + node.expansion.ToText() + " sub=" + sub;
+}
+
+TEST(TaskRecordTest, EveryFieldRoundTrips) {
+  ProcessDef sub;
+  sub.name = "inner";
+  TaskNode node;
+  node.state = TaskState::kRetryWait;
+  node.attempts = 3;
+  node.binding_used = "alt.binding";
+  node.outputs["y"] = Value(7);
+  node.outputs["nested"] = Value(Value::Map{{"z", Value(0.25)}});
+  node.cost = Duration::Micros(2'500'001);
+  node.started = TimePoint::FromMicros(-4);
+  node.finished = TimePoint::FromMicros(9'000'000'000);
+  node.expansion = Value(Value::List{Value(1), Value("two"), Value()});
+  node.sub_def = &sub;
+  const std::string row = EncodeTaskRecord(node);
+
+  TaskNode read;
+  TaskState state = TaskState::kInactive;
+  std::string sub_template;
+  ASSERT_OK(DecodeTaskRecord(row, &read, &state, &sub_template));
+  EXPECT_EQ(DescribeFields(read, state, sub_template),
+            DescribeFields(node, node.state, sub.name));
+  // Written back, the node gives the very same bytes.
+  read.state = state;
+  read.sub_def = &sub;
+  EXPECT_EQ(EncodeTaskRecord(read), row);
+}
+
+TEST(TaskRecordTest, NumbersOfTheOtherKindConvertAsRecordIntDoes) {
+  Value::Map rec;
+  rec["state"] = Value(std::string(TaskStateName(TaskState::kDone)));
+  rec["attempts"] = Value(2.9);
+  rec["cost_us"] = Value(1500.7);
+  rec["started_us"] = Value(-3.5);
+  rec["finished_us"] = Value(7e9);
+  TaskNode node;
+  TaskState state = TaskState::kInactive;
+  std::string sub;
+  ASSERT_OK(DecodeTaskRecord(EncodeValueRecord(Value(rec)), &node, &state,
+                             &sub));
+  EXPECT_EQ(state, TaskState::kDone);
+  EXPECT_EQ(node.attempts, static_cast<int>(RecordInt(rec, "attempts", 0)));
+  EXPECT_EQ(node.attempts, 2);
+  EXPECT_EQ(node.cost.micros(), RecordInt(rec, "cost_us", 0));
+  EXPECT_EQ(node.started.micros(), RecordInt(rec, "started_us", 0));
+  EXPECT_EQ(node.started.micros(), -3);
+  EXPECT_EQ(node.finished.micros(), RecordInt(rec, "finished_us", 0));
+}
+
+TEST(TaskRecordTest, UnknownFieldsAreIgnored) {
+  TaskNode node;
+  node.state = TaskState::kDone;
+  node.attempts = 1;
+  node.outputs["y"] = Value(2);
+  ASSERT_OK_AND_ASSIGN(Value rec, DecodeValueRecord(EncodeTaskRecord(node)));
+  rec.AsMap()["a_field_from_later"] =
+      Value(Value::List{Value(Value::Map{{"deep", Value(true)}})});
+  rec.AsMap()["zzz"] = Value(1);
+
+  TaskNode plain, extended;
+  TaskState plain_state, extended_state;
+  std::string plain_sub, extended_sub;
+  ASSERT_OK(DecodeTaskRecord(EncodeTaskRecord(node), &plain, &plain_state,
+                             &plain_sub));
+  ASSERT_OK(DecodeTaskRecord(EncodeValueRecord(rec), &extended,
+                             &extended_state, &extended_sub));
+  EXPECT_EQ(DescribeFields(extended, extended_state, extended_sub),
+            DescribeFields(plain, plain_state, plain_sub));
+}
+
+/// A running instance of a parallel fan-out, rebuilt from rows the test
+/// may break first.
+class RebuildRowsTest : public NavigatorTest {
+ protected:
+  void SetUp() override {
+    Activity("inc", Increment);
+    Register(ProcessBuilder("fan")
+                 .Data("items", Value(Value::List{Value(1), Value(2)}))
+                 .Data("results")
+                 .Task(TaskBuilder::Parallel(
+                           "fanout", "wb.items",
+                           TaskBuilder::Activity("body", "inc")
+                               .Input("item", "in.x"))
+                           .Collect("wb.results"))
+                 .Build());
+    ASSERT_NE(Start("fan"), nullptr);
+    const Spaces::InstanceScan scan = spaces_->ScanInstances();
+    ASSERT_EQ(scan.instances.size(), 1u);
+    for (const RecordStore::RowView& row : scan.instances[0].rows) {
+      rows_.emplace_back(row.key, row.value);
+    }
+  }
+
+  Result<std::unique_ptr<ProcessInstance>> Rebuild() {
+    std::vector<RecordStore::RowView> views;
+    for (const auto& [key, value] : rows_) views.push_back({key, value});
+    return nav_->Rebuild(inst_->id(), views);
+  }
+
+  std::string& Row(const std::string& key) {
+    for (auto& [k, v] : rows_) {
+      if (k == key) return v;
+    }
+    ADD_FAILURE() << "no row " << key;
+    return rows_.front().second;
+  }
+
+  /// Rebuild fails with Corruption naming `key` and the instance.
+  void ExpectCorruption(const std::string& key) {
+    Result<std::unique_ptr<ProcessInstance>> rebuilt = Rebuild();
+    ASSERT_FALSE(rebuilt.ok());
+    const Status& st = rebuilt.status();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.message().find(key), std::string::npos) << st.message();
+    EXPECT_NE(st.message().find(inst_->id()), std::string::npos)
+        << st.message();
+  }
+
+  /// The row's record with `field` set to `value` (or removed when null).
+  std::string WithField(const std::string& key, const std::string& field,
+                        const Value& value) {
+    Result<Value> rec = DecodeValueRecord(Row(key));
+    EXPECT_OK(rec.status());
+    if (value.is_null()) {
+      rec->AsMap().erase(field);
+    } else {
+      rec->AsMap()[field] = value;
+    }
+    return EncodeValueRecord(*rec);
+  }
+
+  std::vector<std::pair<std::string, std::string>> rows_;  // key order
+};
+
+TEST_F(RebuildRowsTest, IntactRowsRebuildTheTree) {
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ProcessInstance> rebuilt, Rebuild());
+  EXPECT_EQ(Describe(*rebuilt), Describe(*inst_));
+}
+
+TEST_F(RebuildRowsTest, RowWithoutMarkerIsCorruption) {
+  Row("task/fanout[1]") = "plain text";
+  ExpectCorruption("task/fanout[1]");
+}
+
+TEST_F(RebuildRowsTest, RowThatIsNotAMapIsCorruption) {
+  Row("task/fanout[0]") = EncodeValueRecord(Value(5));
+  ExpectCorruption("task/fanout[0]");
+}
+
+TEST_F(RebuildRowsTest, TrailingBytesAreCorruption) {
+  Row("task/fanout") += "x";
+  ExpectCorruption("task/fanout");
+}
+
+TEST_F(RebuildRowsTest, UnknownStateNameIsCorruption) {
+  Row("task/fanout[0]") = WithField("task/fanout[0]", "state",
+                                    Value("sleeping"));
+  ExpectCorruption("task/fanout[0]");
+}
+
+TEST_F(RebuildRowsTest, ParallelRowWithoutExpansionIsCorruption) {
+  Row("task/fanout") = WithField("task/fanout", "expansion", Value());
+  ExpectCorruption("task/fanout");
+}
+
+TEST_F(RebuildRowsTest, MissingHeaderIsCorruption) {
+  ASSERT_EQ(rows_.front().first, "header");
+  rows_.erase(rows_.begin());
+  ExpectCorruption("header");
+}
+
+TEST_F(RebuildRowsTest, RowNoNodeReachesIsStillChecked) {
+  // A stale subprocess whiteboard row, as Invalidate leaves one behind:
+  // read by nothing, but it must still decode.
+  rows_.emplace_back("wb/gone", EncodeValueRecord(Value(Value::Map{})));
+  ASSERT_OK(Rebuild().status());
+  rows_.back().second = EncodeValueRecord(Value("not a map"));
+  ExpectCorruption("wb/gone");
+}
+
+TEST_F(RebuildRowsTest, RequeueWritesOnlyTheInstancesOwnRows) {
+  // Restart rebuilds instances one by one from views into the store image
+  // and commits each one's requeue before the next is read: that is safe
+  // only because the requeue of one instance writes none of another's
+  // rows.
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ProcessInstance> rebuilt, Rebuild());
+  WriteBatch batch;
+  nav_->MarkRunning(rebuilt.get(), rebuilt->FindByPath("fanout[0]"), &batch);
+  batch.Clear();
+  EXPECT_EQ(nav_->RequeueInterrupted(rebuilt.get(), &batch), 2u);
+  ASSERT_OK_AND_ASSIGN(std::vector<WriteBatch::Op> ops, batch.Ops());
+  ASSERT_FALSE(ops.empty());
+  for (const WriteBatch::Op& op : ops) {
+    EXPECT_EQ(op.table, "instance");
+    EXPECT_EQ(op.key.rfind(inst_->id() + "/", 0), 0u) << op.key;
+  }
 }
 
 }  // namespace

@@ -300,6 +300,43 @@ TEST(RecordStoreTest, ScanWithPrefix) {
   EXPECT_EQ(store->Scan("t").size(), 3u);
 }
 
+TEST(RecordStoreTest, ViewSurvivesWritesToOtherRows) {
+  // A view points into the image. Writes to other rows (a rewrite, a
+  // delete, enough inserts to rehash the table), to another table, and a
+  // checkpoint leave it as it was; restart relies on this while it
+  // recovers instance after instance from one view.
+  testing::TempDir dir;
+  ASSERT_OK_AND_ASSIGN(auto store, RecordStore::Open(dir.path()));
+  const std::string kept = "kept value, longer than any short string";
+  ASSERT_OK(store->Put("t", "a/1", "neighbour value, also long enough"));
+  ASSERT_OK(store->Put("t", "b/1", kept));
+  const std::vector<RecordStore::RowView> view = store->View("t", "b/");
+  ASSERT_EQ(view.size(), 1u);
+  const char* key_data = view[0].key.data();
+  const char* value_data = view[0].value.data();
+
+  ASSERT_OK(store->Put("t", "a/1", std::string(1000, 'x')));
+  ASSERT_OK(store->Delete("t", "a/1"));
+  WriteBatch batch;
+  for (int i = 0; i < 40000; ++i) {
+    batch.Put("t", StrFormat("c/%05d", i), "v");
+  }
+  ASSERT_OK(store->Apply(batch));
+  ASSERT_OK(store->Put("other", "b/1", "another table"));
+  ASSERT_OK(store->Checkpoint());
+
+  EXPECT_EQ(view[0].key.data(), key_data);
+  EXPECT_EQ(view[0].value.data(), value_data);
+  EXPECT_EQ(view[0].key, "b/1");
+  EXPECT_EQ(view[0].value, kept);
+  // Scan is the same ordered view, copied.
+  std::vector<std::pair<std::string, std::string>> copied;
+  for (const RecordStore::RowView& row : store->View("t")) {
+    copied.emplace_back(row.key, row.value);
+  }
+  EXPECT_EQ(store->Scan("t"), copied);
+}
+
 TEST(RecordStoreTest, SurvivesReopen) {
   testing::TempDir dir;
   {
@@ -450,8 +487,12 @@ TEST(SpacesTest, InstanceSpaceScansAndDeletes) {
   using Rows = std::vector<std::pair<std::string, std::string>>;
   auto groups = [&spaces] {
     std::vector<std::pair<std::string, Rows>> out;
-    for (Spaces::InstanceRecords& group : spaces.ScanInstances()) {
-      out.emplace_back(std::move(group.id), std::move(group.rows));
+    const Spaces::InstanceScan scan = spaces.ScanInstances();
+    for (const Spaces::InstanceRows& group : scan.instances) {
+      Rows& rows = out.emplace_back(group.id, Rows()).second;
+      for (const RecordStore::RowView& row : group.rows) {
+        rows.emplace_back(row.key, row.value);
+      }
     }
     return out;
   };
@@ -608,6 +649,102 @@ TEST(BinaryValueCodecTest, NestingDeeperThanCapIsRejected) {
   ok.push_back(0);
   v = ok;
   EXPECT_TRUE(DecodeValue(&v, &out));
+}
+
+TEST(BinaryValueCodecTest, MapKeysOutOfOrderOrRepeatedKeepLastWins) {
+  // The encoder writes keys in order; bytes from elsewhere may not. They
+  // decode to what inserting each pair with operator[] gives, the last of
+  // equal keys winning whole (a repeated map replaces, it does not merge).
+  std::string buf;
+  buf.push_back(7);  // map tag
+  PutVarint64(&buf, 6);
+  auto put_int = [&buf](std::string_view key, int64_t v) {
+    PutLengthPrefixed(&buf, key);
+    EncodeValue(ocr::Value(v), &buf);
+  };
+  auto put_map = [&buf](std::string_view key, std::string_view inner) {
+    PutLengthPrefixed(&buf, key);
+    EncodeValue(ocr::Value(ocr::Value::Map{{std::string(inner),
+                                            ocr::Value(1)}}),
+                &buf);
+  };
+  put_int("m", 1);
+  put_int("c", 2);
+  put_map("x", "first");
+  put_int("m", 3);
+  put_map("x", "second");
+  put_int("a", 4);
+  ocr::Value::Map want;
+  want["m"] = ocr::Value(1);
+  want["c"] = ocr::Value(2);
+  want["x"] = ocr::Value(ocr::Value::Map{{"first", ocr::Value(1)}});
+  want["m"] = ocr::Value(3);
+  want["x"] = ocr::Value(ocr::Value::Map{{"second", ocr::Value(1)}});
+  want["a"] = ocr::Value(4);
+
+  std::string_view v = buf;
+  ocr::Value decoded;
+  ASSERT_TRUE(DecodeValue(&v, &decoded));
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(decoded, ocr::Value(want));
+  EXPECT_EQ(decoded.ToText(), ocr::Value(want).ToText());
+}
+
+TEST(BinaryValueCodecTest, HugeListCountWithThreeBytesLeftFailsCleanly) {
+  // A count near 2^60 followed by three one-byte elements: the decoder may
+  // reserve for at most three, and fails when the input runs out.
+  std::string buf;
+  buf.push_back(6);  // list tag
+  PutVarint64(&buf, (uint64_t{1} << 60) - 3);
+  buf.append(3, '\0');  // three nulls
+  std::string_view v = buf;
+  ocr::Value out;
+  bool decoded = true;
+  EXPECT_NO_THROW(decoded = DecodeValue(&v, &out));
+  EXPECT_FALSE(decoded);
+}
+
+TEST(BinaryValueCodecTest, DecodingReplacesWhatTheTargetHeld) {
+  // Decoding builds containers in place; whatever the target held before
+  // is gone, not merged.
+  ocr::Value out(ocr::Value::Map{{"stale", ocr::Value(1)}});
+  for (const ocr::Value& want :
+       {SampleValue(), ocr::Value(ocr::Value::Map{{"fresh", ocr::Value(2)}}),
+        ocr::Value(ocr::Value::List{}), ocr::Value("text")}) {
+    std::string buf;
+    EncodeValue(want, &buf);
+    std::string_view v = buf;
+    ASSERT_TRUE(DecodeValue(&v, &out));
+    EXPECT_EQ(out.ToText(), want.ToText());
+  }
+}
+
+TEST(MapRecordReaderTest, ReadsFieldsInOrderAndChecksTheFraming) {
+  ocr::Value::Map rec;
+  rec["a"] = ocr::Value(1);
+  rec["b"] = ocr::Value(ocr::Value::List{ocr::Value("x")});
+  const std::string record = EncodeValueRecord(ocr::Value(rec));
+  MapRecordReader reader(record);
+  std::string_view key;
+  ocr::Value value;
+  std::vector<std::pair<std::string, std::string>> fields;
+  while (reader.NextKey(&key) && reader.ReadValue(&value)) {
+    fields.emplace_back(key, value.ToText());
+  }
+  EXPECT_OK(reader.status());
+  EXPECT_EQ(fields, (std::vector<std::pair<std::string, std::string>>{
+                        {"a", "1"}, {"b", R"(["x"])"}}));
+
+  // Every framing fault is Corruption: no marker, not a map, a truncated
+  // field, bytes after the map.
+  for (const std::string& bad :
+       {std::string("plain"), EncodeValueRecord(ocr::Value(1)),
+        record.substr(0, record.size() - 1), record + "x"}) {
+    MapRecordReader broken(bad);
+    while (broken.NextKey(&key) && broken.ReadValue(&value)) {
+    }
+    EXPECT_TRUE(broken.status().IsCorruption()) << bad;
+  }
 }
 
 TEST(BinaryValueCodecTest, RecordMarkerFramesBinaryAndRejectsText) {
@@ -988,12 +1125,14 @@ TEST(SpacesTest, ProvenanceByInstanceKeepsNeighbouringIdsApart) {
   }
   spaces.BatchPutInstanceRecord(&batch, "a", "header", "h");  // other table
   ASSERT_OK(spaces.Apply(batch));
-  std::vector<Spaces::InstanceRecords> groups =
-      spaces.ScanProvenanceByInstance();
+  const Spaces::InstanceScan groups = spaces.ScanProvenanceByInstance();
   std::vector<std::string> ids;
-  for (const auto& group : groups) {
-    ids.push_back(group.id);
-    EXPECT_EQ(group.rows, spaces.ScanProvenance(group.id)) << group.id;
+  for (const Spaces::InstanceRows& group : groups.instances) {
+    ids.emplace_back(group.id);
+    EXPECT_EQ(std::vector<RecordStore::RowView>(group.rows.begin(),
+                                                group.rows.end()),
+              spaces.ScanProvenance(group.id))
+        << group.id;
     EXPECT_EQ(group.rows.size(), 3u) << group.id;
   }
   EXPECT_EQ(ids, (std::vector<std::string>{"a-b", "a", "a_b", "b"}));
