@@ -14,22 +14,12 @@ std::string_view StatusCodeName(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kUnavailable:
       return "Unavailable";
     case StatusCode::kCorruption:
       return "Corruption";
     case StatusCode::kIOError:
       return "IOError";
-    case StatusCode::kAborted:
-      return "Aborted";
-    case StatusCode::kCancelled:
-      return "Cancelled";
-    case StatusCode::kDeadlineExceeded:
-      return "DeadlineExceeded";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
   }

@@ -16,14 +16,9 @@ enum class StatusCode {
   kNotFound,
   kAlreadyExists,
   kFailedPrecondition,
-  kOutOfRange,
   kUnavailable,
   kCorruption,
   kIOError,
-  kAborted,
-  kCancelled,
-  kDeadlineExceeded,
-  kUnimplemented,
   kInternal,
 };
 
@@ -59,9 +54,6 @@ class Status {
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
@@ -70,18 +62,6 @@ class Status {
   }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));
-  }
-  static Status Aborted(std::string msg) {
-    return Status(StatusCode::kAborted, std::move(msg));
-  }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
@@ -101,8 +81,6 @@ class Status {
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
-  bool IsAborted() const { return code_ == StatusCode::kAborted; }
-  bool IsCancelled() const { return code_ == StatusCode::kCancelled; }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

@@ -144,7 +144,6 @@ void ProcessInstance::UnindexNode(TaskNode* node) {
   if (node->kind() == ocr::TaskKind::kActivity) {
     --activity_counts_[static_cast<size_t>(node->state)];
   }
-  ++structure_generation_;
 }
 
 void ProcessInstance::SetTaskState(TaskNode* node, TaskState s) {

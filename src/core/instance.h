@@ -198,10 +198,6 @@ class ProcessInstance {
     return activity_counts_[static_cast<size_t>(s)];
   }
 
-  /// Bumped whenever an indexed node is destroyed; consumers caching raw
-  /// TaskNode pointers re-resolve via FindByPath when this moves.
-  uint64_t structure_generation() const { return structure_generation_; }
-
   /// Observability: id of this instance's span in the experiment's span
   /// sink (0 when spans are not enabled). Runtime-only, never persisted;
   /// recovery re-attaches it via SpanSink::FindOpen so one instance keeps
@@ -221,7 +217,6 @@ class ProcessInstance {
   std::map<std::string, TaskNode*, std::less<>> path_index_;
   std::array<size_t, kNumTaskStates> state_counts_{};
   std::array<size_t, kNumTaskStates> activity_counts_{};
-  uint64_t structure_generation_ = 0;
   uint64_t span_id_ = 0;
 };
 

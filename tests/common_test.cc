@@ -45,7 +45,7 @@ TEST(StatusTest, Equality) {
   EXPECT_EQ(Status::OK(), Status());
   EXPECT_EQ(Status::IOError("x"), Status::IOError("x"));
   EXPECT_FALSE(Status::IOError("x") == Status::IOError("y"));
-  EXPECT_FALSE(Status::IOError("x") == Status::Aborted("x"));
+  EXPECT_FALSE(Status::IOError("x") == Status::Internal("x"));
 }
 
 Result<int> ParsePositive(int x) {

@@ -408,6 +408,37 @@ TEST(RecoveryTest, StaleCompletionReportsIgnoredAfterRecovery) {
   EXPECT_EQ(total, Value(kExpectedTotal));
 }
 
+TEST(RecoveryTest, RetryBackoffHoldsAcrossAQuickRestart) {
+  // An activity that always fails (1 run + 4 retries) waits out its
+  // backoff between attempts. A crash 10 minutes in drops the pending
+  // retry; recovery re-readies the task at once (20 min), and from then on
+  // one backoff chain runs: the timer armed before the crash must not fire
+  // into the new incarnation and cut the next failure's backoff short.
+  testing::TempDir dir;
+  World w(dir.path());
+  const TimePoint start = w.sim.Now();
+  std::vector<int64_t> runs;  // minutes since start
+  ASSERT_OK(w.registry.Register(
+      "always_fail", [&](const ActivityInput&) -> Result<ActivityOutput> {
+        runs.push_back((w.sim.Now() - start).micros() / 60'000'000);
+        return Status::Internal("boom");
+      }));
+  ASSERT_OK(w.engine->Startup());
+  auto def = ProcessBuilder("flaky")
+                 .Task(TaskBuilder::Activity("a", "always_fail")
+                           .Retry(4, Duration::Hours(1)))
+                 .Build();
+  ASSERT_OK(def.status());
+  ASSERT_OK(w.engine->RegisterTemplate(*def));
+  ASSERT_OK(w.engine->StartProcess("flaky").status());
+  w.sim.RunUntil(start + Duration::Minutes(10));
+  w.engine->Crash();
+  w.sim.RunUntil(start + Duration::Minutes(20));
+  ASSERT_OK(w.engine->Startup());
+  w.sim.Run();
+  EXPECT_EQ(runs, (std::vector<int64_t>{0, 20, 80, 140, 200}));
+}
+
 TEST(RecoveryTest, SyntheticAllVsAllCrashEveryFewMinutes) {
   // Chaos run: crash the server every 3 simulated minutes during a small
   // synthetic all-vs-all; the result must match the failure-free run.

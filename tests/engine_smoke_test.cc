@@ -109,6 +109,43 @@ TEST(EngineSmoke, RunsTinyProcessToCompletion) {
   EXPECT_EQ(writer, "consume");
 }
 
+TEST(EngineTest, DestroyedEngineLeavesNoEvents) {
+  // An up engine with a starved entry (pump retry), a running job
+  // (watchdog) and a failed activity waiting out its backoff (retry timer)
+  // is destroyed on a live simulator: every event it armed goes with it,
+  // so once the cluster kills its jobs nothing is left to run.
+  testing::TempDir dir;
+  EngineOptions options;
+  options.job_timeout_factor = 2;
+  World w(dir.path(), options);
+  RegisterTinyActivities(&w.registry);
+  ASSERT_OK(w.registry.Register(
+      "test.fail", [](const ActivityInput&) -> Result<ActivityOutput> {
+        return Status::Internal("boom");
+      }));
+  ASSERT_OK(w.cluster->AddNode({.name = "n1", .num_cpus = 1, .speed = 1.0}));
+  ASSERT_OK(w.engine->Startup());
+  auto def = ProcessBuilder("busy")
+                 .Data("x", Value(5))
+                 .Task(TaskBuilder::Activity("a", "test.produce")
+                           .Input("wb.x", "in.x"))
+                 .Task(TaskBuilder::Activity("b", "test.produce")
+                           .Input("wb.x", "in.x"))
+                 .Task(TaskBuilder::Activity("c", "test.fail")
+                           .Retry(3, Duration::Hours(1)))
+                 .Build();
+  ASSERT_OK(def.status());
+  ASSERT_OK(w.engine->RegisterTemplate(*def));
+  ASSERT_OK(w.engine->StartProcess("busy").status());
+  EXPECT_EQ(w.engine->GetRunningJobs().size(), 1u);
+  EXPECT_EQ(w.engine->GetDispatchStats().parked_starved, 1u);
+
+  w.engine.reset();
+  w.cluster->KillAllJobs();
+  ASSERT_EQ(w.sim.NumPending(), 0u);
+  w.sim.Run();
+}
+
 TEST(EngineSmoke, FailedStartLeavesNoInstance) {
   testing::TempDir dir;
   obs::Observability obs;
