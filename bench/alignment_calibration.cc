@@ -6,15 +6,18 @@
 // kWindows timing windows, printed with their min–max — then derives a
 // modern-hardware `sw_cell_seconds` from the fastest kernel
 // (CalibratedCostOptions) with the kernel variant recorded as
-// provenance. Finally it runs the small real-dataset
-// all-vs-all once inline and once on a real-thread pool, checking the
-// span/lineage exports stay byte-identical while recording both
-// wall-clock times.
+// provenance. The `exact-batch` row times the batched exact double
+// kernel (ExactScores) on the same pairs, and the bench fails if any of
+// its scores differs in bits from SmithWatermanScore. Finally it runs
+// the small real-dataset all-vs-all once inline and once on a
+// real-thread pool, checking the span/lineage exports stay
+// byte-identical while recording both wall-clock times.
 //
 // `--json[=path]` writes BENCH_alignment.json for the CI artifact.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -198,7 +201,39 @@ int Main(int argc, char** argv) {
     }
   }
 
+  // The batched exact double kernel over the same pairs: four pairs per
+  // vector on AVX2 hosts, the scalar reference pair by pair elsewhere.
+  // Its scores must equal SmithWatermanScore's in every bit.
+  std::vector<darwin::SequencePair> pairs;
+  for (const Sequence* t : targets) pairs.push_back({&query, t});
+  const std::vector<double> batched = darwin::ExactScores(pairs, matrix);
+  size_t bit_differences = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const double want = darwin::SmithWatermanScore(query, *targets[i], matrix);
+    if (std::memcmp(&batched[i], &want, sizeof(double)) != 0) {
+      ++bit_differences;
+    }
+  }
+  Throughput exact = Measure(batch_cells, [&] {
+    darwin::ExactScores(pairs, matrix);
+  });
+  const double exact_speedup =
+      exact.cells_per_second / scalar.cells_per_second;
+  table.AddRow({"exact-batch", StrFormat("%.3g", exact.cells_per_second),
+                Spread(exact), StrFormat("%.1fx", exact_speedup)});
+  json.Add("kernel_exact_batch",
+           {{"cells_per_s", exact.cells_per_second},
+            {"cells_per_s_min", exact.min},
+            {"cells_per_s_max", exact.max},
+            {"length", static_cast<double>(kLength)},
+            {"speedup_vs_scalar", exact_speedup},
+            {"bit_differences", static_cast<double>(bit_differences)}},
+           {{"kernel", std::string(darwin::SwKernelName(
+                           darwin::ResolveSwKernel()))}});
+
   std::printf("%s\n", table.ToString().c_str());
+  std::printf("exact-batch scores bit-identical to SmithWatermanScore: %s\n\n",
+              bit_differences == 0 ? "yes" : "NO");
 
   // Cost-model calibration from the fastest kernel, with provenance.
   darwin::CostModelOptions calibrated =
@@ -238,6 +273,13 @@ int Main(int argc, char** argv) {
   }
 
   if (!json_path.empty() && !json.Write(json_path)) return 1;
+  if (bit_differences != 0) {
+    std::fprintf(stderr,
+                 "alignment_calibration: %zu exact-batch scores differ from "
+                 "SmithWatermanScore\n",
+                 bit_differences);
+    return 1;
+  }
   return 0;
 }
 

@@ -37,6 +37,27 @@ void BM_SmithWatermanScore(benchmark::State& state) {
 }
 BENCHMARK(BM_SmithWatermanScore)->Arg(100)->Arg(360)->Arg(1000);
 
+// The batched exact kernel on four pairs of the same length (one vector
+// of four lanes on AVX2 hosts); its scores equal SmithWatermanScore's.
+void BM_ExactScores(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  std::vector<Sequence> storage;
+  for (uint64_t s = 0; s < 8; ++s) storage.push_back(MakeRandom(len, 40 + s));
+  std::vector<SequencePair> pairs;
+  for (size_t k = 0; k < 4; ++k) {
+    pairs.push_back({&storage[2 * k], &storage[2 * k + 1]});
+  }
+  const ScoringMatrix& matrix = SharedPamFamily().Scoring(250);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ExactScores(pairs, matrix));
+  }
+  state.counters["cells/s"] = benchmark::Counter(
+      static_cast<double>(len) * len * pairs.size() * state.iterations(),
+      benchmark::Counter::kIsRate);
+  state.SetLabel(std::string(SwKernelName(ResolveSwKernel())));
+}
+BENCHMARK(BM_ExactScores)->Arg(100)->Arg(360)->Arg(1000);
+
 // Striped-SIMD kernels (one query profile, a batch of targets) next to
 // the scalar baseline above; arg is the kernel enum value. Unsupported
 // kernels skip so the suite runs unchanged on non-AVX2 machines.

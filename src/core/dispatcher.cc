@@ -122,24 +122,26 @@ void Dispatcher::TaskReady(ProcessInstance* inst, TaskNode* node) {
 
 void Dispatcher::RetryDue(ProcessInstance* inst, TaskNode* node,
                           Duration backoff) {
-  const uint64_t timer = next_retry_timer_++;
-  retry_timers_[timer] = sim_->Schedule(
-      backoff, [this, timer, instance_id = inst->id(), path = node->path] {
-        retry_timers_.erase(timer);
-        ProcessInstance* inst2 = host_->FindInstance(instance_id);
-        if (inst2 == nullptr) return;
-        TaskNode* node2 = inst2->FindByPath(path);
-        if (node2 == nullptr || node2->state != TaskState::kRetryWait) return;
-        RecordStore::CommitScope commit_group(spaces_->store());
-        WriteBatch batch;
-        navigator_->MarkReady(inst2, node2, &batch);
-        if (Status st = host_->Commit(&batch); !st.ok()) {
-          BIOPERA_LOG(kError) << "retry commit failed: " << st.ToString();
-          return;
-        }
-        TaskReady(inst2, node2);
-        Pump();
-      });
+  // One backoff per task: re-arming replaces the task's pending timer.
+  RetryKey key{inst->id(), node->path};
+  EventId& event = retry_timers_[key];
+  sim_->Cancel(event);
+  event = sim_->Schedule(backoff, [this, key] {
+    retry_timers_.erase(key);
+    ProcessInstance* inst2 = host_->FindInstance(key.first);
+    if (inst2 == nullptr) return;
+    TaskNode* node2 = inst2->FindByPath(key.second);
+    if (node2 == nullptr || node2->state != TaskState::kRetryWait) return;
+    RecordStore::CommitScope commit_group(spaces_->store());
+    WriteBatch batch;
+    navigator_->MarkReady(inst2, node2, &batch);
+    if (Status st = host_->Commit(&batch); !st.ok()) {
+      BIOPERA_LOG(kError) << "retry commit failed: " << st.ToString();
+      return;
+    }
+    TaskReady(inst2, node2);
+    Pump();
+  });
 }
 
 void Dispatcher::KillJobs(ProcessInstance* inst, const TaskNode* subtree) {
@@ -164,6 +166,15 @@ void Dispatcher::KillJobs(ProcessInstance* inst, const TaskNode* subtree) {
 
 void Dispatcher::EnqueueReady(ProcessInstance* inst, TaskNode* node,
                               ReadyEntry entry) {
+  // A task queued by other means (RESTART, RESUME) leaves its backoff:
+  // a timer still pending would re-ready it once it fails again.
+  if (!retry_timers_.empty()) {
+    auto timer = retry_timers_.find(RetryKey{inst->id(), node->path});
+    if (timer != retry_timers_.end()) {
+      sim_->Cancel(timer->second);
+      retry_timers_.erase(timer);
+    }
+  }
   entry.instance_id = inst->id();
   entry.path = node->path;
   entry.priority = inst->priority();

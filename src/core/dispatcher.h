@@ -289,9 +289,9 @@ class Dispatcher {
   std::deque<ReadyEntry> pump_overflow_;
   std::set<std::string, std::less<>> pump_frozen_;
   EventId pump_event_ = kInvalidEventId;
-  /// Pending retry backoffs by arming order.
-  std::map<uint64_t, EventId> retry_timers_;
-  uint64_t next_retry_timer_ = 0;
+  /// Pending retry backoffs, one per task: (instance id, task path).
+  using RetryKey = std::pair<std::string, std::string>;
+  std::map<RetryKey, EventId> retry_timers_;
 
   JobMap jobs_;
   /// Indices over jobs_ (JobId order inside each bucket), so the kills,

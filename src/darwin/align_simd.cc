@@ -1,9 +1,11 @@
 #include "darwin/align_simd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -181,12 +183,18 @@ PairScorer::PairScorer(const Sequence& query, const QuantizedMatrix& matrix,
   lanes_ = kernel_ == SwKernel::kAvx2 ? 16 : 8;
   seg_len_ = (length_ + lanes_ - 1) / lanes_;
   profile_.assign(kAlphabetSize * seg_len_ * lanes_, kPadScore);
-  for (int r = 0; r < kAlphabetSize; ++r) {
-    for (size_t p = 0; p < length_; ++p) {
-      size_t lane = p / seg_len_;
-      size_t slot = p % seg_len_;
-      profile_[(static_cast<size_t>(r) * seg_len_ + slot) * lanes_ + lane] =
-          matrix.score[query_[p]][r];
+  // Query position p = lane * seg_len_ + slot lives at
+  // [residue][slot][lane]; walking (lane, slot) in order visits p in
+  // order, so each position copies its matrix row without a division.
+  const size_t residue_stride = seg_len_ * lanes_;
+  size_t p = 0;
+  for (size_t lane = 0; lane < lanes_ && p < length_; ++lane) {
+    for (size_t slot = 0; slot < seg_len_ && p < length_; ++slot, ++p) {
+      const auto& row = matrix.score[query_[p]];
+      int16_t* out = profile_.data() + slot * lanes_ + lane;
+      for (int r = 0; r < kAlphabetSize; ++r) {
+        out[static_cast<size_t>(r) * residue_stride] = row[r];
+      }
     }
   }
   h_.resize(seg_len_ * lanes_);
@@ -283,6 +291,64 @@ double SimdSmithWatermanScore(const Sequence& a, const Sequence& b,
   SwScore s = scorer.Score(b);
   if (s.saturated) return SmithWatermanScore(a, b, matrix, gaps);
   return s.Value();
+}
+
+std::vector<double> ExactScores(const std::vector<SequencePair>& pairs,
+                                const ScoringMatrix& matrix,
+                                const GapPenalty& gaps, SwKernel kernel) {
+  std::vector<double> out(pairs.size(), 0.0);
+#if BIOPERA_HAVE_AVX2
+  // -inf padding keeps a lane's best only while gaps cost >= 0.
+  if (ResolveSwKernel(kernel) == SwKernel::kAvx2 && gaps.open >= 0 &&
+      gaps.extend >= 0) {
+    constexpr int kStride = internal::kExactTableStride;
+    constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+    std::array<double, kStride * kStride> table;
+    table.fill(kNegInf);
+    for (int r = 0; r < kAlphabetSize; ++r) {
+      std::copy(matrix.score[r].begin(), matrix.score[r].end(),
+                table.begin() + r * kStride);
+    }
+    // Lanes run to the longest pair of their group: group pairs of
+    // similar shape by sorting on (query length, target length).
+    std::vector<uint32_t> order(pairs.size());
+    size_t max_target = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      order[i] = static_cast<uint32_t>(i);
+      max_target = std::max(max_target, pairs[i].target->length());
+    }
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const size_t qa = pairs[a].query->length();
+      const size_t qb = pairs[b].query->length();
+      if (qa != qb) return qa < qb;
+      return pairs[a].target->length() < pairs[b].target->length();
+    });
+    std::vector<uint8_t> tidx(4 * max_target);
+    std::vector<double> h(4 * max_target), e(4 * max_target);
+    for (size_t g = 0; g < order.size(); g += 4) {
+      internal::ExactLanes lanes;
+      const size_t width = std::min<size_t>(4, order.size() - g);
+      for (size_t k = 0; k < width; ++k) {
+        const SequencePair& pair = pairs[order[g + k]];
+        lanes.query[k] = pair.query->residues().data();
+        lanes.query_len[k] = pair.query->length();
+        lanes.target[k] = pair.target->residues().data();
+        lanes.target_len[k] = pair.target->length();
+      }
+      double best[4];
+      internal::Avx2ExactScores4(table.data(), gaps.open, gaps.extend, lanes,
+                                 tidx.data(), h.data(), e.data(), best);
+      for (size_t k = 0; k < width; ++k) out[order[g + k]] = best[k];
+    }
+    return out;
+  }
+#endif
+  (void)kernel;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    out[i] = SmithWatermanScore(*pairs[i].query, *pairs[i].target, matrix,
+                                gaps);
+  }
+  return out;
 }
 
 double QuantizationErrorBound(size_t len_a, size_t len_b,

@@ -113,6 +113,27 @@ double SimdSmithWatermanScore(const Sequence& a, const Sequence& b,
                               const GapPenalty& gaps = GapPenalty(),
                               SwKernel kernel = SwKernel::kAuto);
 
+/// One (query, target) pair of a batched exact re-score.
+struct SequencePair {
+  const Sequence* query = nullptr;
+  const Sequence* target = nullptr;
+};
+
+/// Exact double-precision Smith-Waterman scores of `pairs`, in order:
+/// element i is bit-identical to SmithWatermanScore(*pairs[i].query,
+/// *pairs[i].target, matrix, gaps). When `kernel` resolves to AVX2, four
+/// pairs share one vector, one pair per lane, and each lane evaluates the
+/// reference recurrence with the same operands in the same order (lanes
+/// of shorter pairs are padded with a -inf substitution score, which
+/// cannot raise a lane's best; see docs/KERNELS.md). Every other kernel,
+/// and gap penalties below zero, run SmithWatermanScore pair by pair.
+/// Both sides of every pair must be non-null. Scratch is per call, so
+/// concurrent calls are safe.
+std::vector<double> ExactScores(const std::vector<SequencePair>& pairs,
+                                const ScoringMatrix& matrix,
+                                const GapPenalty& gaps = GapPenalty(),
+                                SwKernel kernel = SwKernel::kAuto);
+
 /// Upper bound on |exact double score - de-quantized score| for a pair of
 /// these lengths: each aligned column charges at most the matrix's worst
 /// rounding error, and each gap op at most half a quantum when the
@@ -130,6 +151,28 @@ SwScore Avx2ScoreStriped(const int16_t* profile, size_t seg_len,
                          const uint8_t* target, size_t target_len,
                          int16_t gap_open, int16_t gap_extend, int16_t* h,
                          int16_t* h2, int16_t* e);
+
+/// Residue index of the exact kernel's padding: row and column
+/// kExactPadResidue of its substitution table are -inf.
+inline constexpr int kExactPadResidue = kAlphabetSize;
+inline constexpr int kExactTableStride = kAlphabetSize + 1;
+
+/// The four pairs of one AVX2 exact-kernel call, lane k holding pair k
+/// (a lane with length 0 on either side scores 0).
+struct ExactLanes {
+  const uint8_t* query[4] = {};
+  size_t query_len[4] = {};
+  const uint8_t* target[4] = {};
+  size_t target_len[4] = {};
+};
+
+/// AVX2 exact kernel entry point, compiled in align_simd_avx2.cc with
+/// -mavx2. `table` is the ScoringMatrix widened to kExactTableStride
+/// columns and rows with -inf in the padding row and column; `tidx`
+/// holds 4 * (max target length) residues and `h`, `e` as many doubles.
+void Avx2ExactScores4(const double* table, double gap_open,
+                      double gap_extend, const ExactLanes& lanes,
+                      uint8_t* tidx, double* h, double* e, double best[4]);
 }  // namespace internal
 
 }  // namespace biopera::darwin

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.h"
@@ -31,7 +29,8 @@ ShardedService::ShardedService(std::string root_dir,
                                ServiceOptions options)
     : root_dir_(std::move(root_dir)),
       registry_(registry),
-      options_(std::move(options)) {
+      options_(std::move(options)),
+      fs_(options_.fs != nullptr ? options_.fs : Fs::Default()) {
   if (options_.shards < 1) options_.shards = 1;
   fleet_clock_ = std::make_unique<FleetClock>(this);
   fleet_obs_.reset(new obs::Observability{
@@ -64,9 +63,7 @@ std::string ShardedService::ManifestPath() const {
 
 Status ShardedService::Startup() {
   if (started_) return Status::FailedPrecondition("service already started");
-  std::error_code ec;
-  std::filesystem::create_directories(root_dir_, ec);
-  if (ec) {
+  if (!fs_->CreateDirs(root_dir_).ok()) {
     return Status::IOError("cannot create service root " + root_dir_);
   }
 
@@ -76,7 +73,7 @@ Status ShardedService::Startup() {
   // they drain instead of orphaning instances.
   int hosted = options_.shards;
   for (int i = hosted;; ++i) {
-    if (!std::filesystem::is_directory(ShardDir(i))) break;
+    if (!fs_->Exists(ShardDir(i))) break;
     hosted = i + 1;
   }
 
@@ -92,7 +89,7 @@ Status ShardedService::Startup() {
 
   for (int i = 0; i < hosted; ++i) {
     auto shard = std::make_unique<EngineShard>(i, ShardDir(i), registry_,
-                                               shard_options);
+                                               shard_options, fs_);
     if (!shard->ok()) {
       return Status::IOError(
           StrFormat("shard %d: store open failed under %s", i,
@@ -115,6 +112,7 @@ Status ShardedService::Startup() {
         "service_placements_total", {{"shard", StrFormat("%d", i)}});
   }
   BIOPERA_RETURN_IF_ERROR(LoadManifest());
+  BIOPERA_ASSIGN_OR_RETURN(manifest_, fs_->OpenForAppend(ManifestPath()));
   RefreshLiveness();
   UpdateGauges();
   started_ = true;
@@ -122,8 +120,11 @@ Status ShardedService::Startup() {
 }
 
 Status ShardedService::LoadManifest() {
-  std::ifstream in(ManifestPath());
-  if (!in.is_open()) return Status::OK();  // fresh service
+  Result<std::string> text = fs_->ReadFileToString(ManifestPath());
+  if (text.status().IsNotFound()) return Status::OK();  // fresh service
+  BIOPERA_RETURN_IF_ERROR(text.status());
+  manifest_torn_ = !text->empty() && text->back() != '\n';
+  std::istringstream in(*text);
   std::string line;
   while (std::getline(in, line)) {
     // instance <global> <shard> <local-id> <tenant-json-escaped>
@@ -156,15 +157,13 @@ Status ShardedService::LoadManifest() {
 }
 
 Status ShardedService::AppendManifest(const InstanceRec& rec) {
-  std::ofstream out(ManifestPath(), std::ios::app);
-  if (!out.is_open()) {
-    return Status::IOError("cannot append service manifest");
-  }
-  out << "instance " << rec.global_id << " " << rec.shard << " "
-      << rec.instance_id << " " << obs::JsonEscape(rec.tenant) << "\n";
-  out.flush();
-  return out.good() ? Status::OK()
-                    : Status::IOError("service manifest write failed");
+  std::string line = manifest_torn_ ? "\n" : "";
+  line += StrFormat("instance %s %d %s %s\n", rec.global_id.c_str(),
+                    rec.shard, rec.instance_id.c_str(),
+                    obs::JsonEscape(rec.tenant).c_str());
+  BIOPERA_RETURN_IF_ERROR(manifest_->Append(line));
+  manifest_torn_ = false;
+  return manifest_->Flush();
 }
 
 Status ShardedService::RegisterTemplate(const ocr::ProcessDef& def) {

@@ -66,6 +66,10 @@ struct ServiceOptions {
   /// Per-barrier stall records kept for the Chrome export (totals and
   /// histograms accumulate beyond it).
   size_t barrier_profile_records = 4096;
+  /// The filesystem under the service: the shards' stores, the service
+  /// MANIFEST and the directory checks. Null means the real disk; a set
+  /// one must outlive the service.
+  Fs* fs = nullptr;
 };
 
 /// One unit of work at the front door.
@@ -289,6 +293,8 @@ class ShardedService {
   void AdvanceAll(TimePoint target);
 
   Status LoadManifest();
+  /// Appends one admission line to the MANIFEST through the handle
+  /// Startup opened, and flushes it (page cache, no fsync).
   Status AppendManifest(const InstanceRec& rec);
   std::string ManifestPath() const;
   std::string ShardDir(int index) const;
@@ -307,6 +313,10 @@ class ShardedService {
   std::string root_dir_;
   core::ActivityRegistry* registry_;
   ServiceOptions options_;
+  Fs* fs_;  // options_.fs, or the real disk
+  std::unique_ptr<WritableFile> manifest_;
+  /// The MANIFEST ended in a torn line: the next append starts a new one.
+  bool manifest_torn_ = false;
   std::unique_ptr<Router> router_;
   std::vector<std::unique_ptr<EngineShard>> shards_;
 

@@ -9,11 +9,11 @@ namespace biopera::service {
 
 EngineShard::EngineShard(int idx, std::string shard_dir,
                          core::ActivityRegistry* registry,
-                         const Options& options)
+                         const Options& options, Fs* fs)
     : index(idx),
       dir(std::move(shard_dir)),
       obs{.spans = obs::SpanSink(options.span_capacity)} {
-  auto opened = RecordStore::Open(dir);
+  auto opened = RecordStore::Open(dir, fs);
   if (!opened.ok()) {
     BIOPERA_LOG(kError) << "shard " << index << ": store open failed: "
                         << opened.status().ToString();

@@ -43,11 +43,12 @@ class EngineShard {
     size_t span_capacity = 1 << 20;
   };
 
-  /// Opens (or creates) the store in `dir` and builds the world. The
-  /// registry is shared across shards and must be fully populated before
-  /// concurrent pumping starts (engines only read it).
+  /// Opens (or creates) the store in `dir` on `fs` (null: the real
+  /// disk) and builds the world. The registry is shared across shards and
+  /// must be fully populated before concurrent pumping starts (engines
+  /// only read it).
   EngineShard(int index, std::string dir, core::ActivityRegistry* registry,
-              const Options& options);
+              const Options& options, Fs* fs = nullptr);
   ~EngineShard();
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;

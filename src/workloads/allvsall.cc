@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cassert>
+#include <utility>
 
 #include "common/strings.h"
 #include "darwin/align.h"
@@ -448,14 +449,17 @@ Status RegisterAllVsAllActivities(ActivityRegistry* registry,
           // every pair inside the quantization band of the threshold
           // re-scored by the exact double kernel — the accept set and
           // the recorded scores are bit-identical to scoring every
-          // pair with SmithWatermanScore.
+          // pair with SmithWatermanScore. The band pairs of the whole
+          // TEU are re-scored in one batch, and the matches are built in
+          // the order the screen found them.
           const darwin::QuantizedMatrix& qmatrix =
               ctx->pam->QuantizedScoring(ctx->fixed_pam);
           const darwin::SwKernel kernel = darwin::ResolveSwKernel();
           darwin::ScorePairsStats sw_stats;
-          uint64_t rescored = 0;
           std::vector<const darwin::Sequence*> targets;
           std::vector<uint32_t> partners;
+          std::vector<darwin::SequencePair> band;
+          std::vector<std::pair<uint32_t, uint32_t>> band_entries;
           for (uint32_t qi = teu.first; qi < teu.last; ++qi) {
             const uint32_t ei = entries[qi];
             const darwin::Sequence& sa = (*ctx->dataset)[ei];
@@ -477,18 +481,23 @@ Status RegisterAllVsAllActivities(ActivityRegistry* registry,
                   sa.length(), targets[t]->length(), qmatrix,
                   darwin::GapPenalty{});
               if (scores[t] < ctx->match_threshold - bound) continue;
-              double score =
-                  darwin::SmithWatermanScore(sa, *targets[t], matrix);
-              ++rescored;
-              if (score < ctx->match_threshold) continue;
-              Match m;
-              m.entry_a = std::min(ei, partners[t]);
-              m.entry_b = std::max(ei, partners[t]);
-              m.score = score;
-              m.pam_distance = ctx->fixed_pam;
-              matches.push_back(m);
+              band.push_back({&sa, targets[t]});
+              band_entries.emplace_back(std::min(ei, partners[t]),
+                                        std::max(ei, partners[t]));
             }
           }
+          const std::vector<double> exact = darwin::ExactScores(
+              band, matrix, darwin::GapPenalty{}, kernel);
+          for (size_t k = 0; k < band.size(); ++k) {
+            if (exact[k] < ctx->match_threshold) continue;
+            Match m;
+            m.entry_a = band_entries[k].first;
+            m.entry_b = band_entries[k].second;
+            m.score = exact[k];
+            m.pam_distance = ctx->fixed_pam;
+            matches.push_back(m);
+          }
+          const uint64_t rescored = band.size();
           out.provenance.emplace_back(
               "sw_kernel", std::string(darwin::SwKernelName(kernel)));
           out.provenance.emplace_back(

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -171,6 +173,87 @@ TEST(AlignSimdTest, ScorePairsMatchesSinglePairCalls) {
   EXPECT_EQ(wstats.promotions, 1u);
   EXPECT_EQ(wscores[0],
             SmithWatermanScore(wquery, owned.back(), family.Scoring(10)));
+}
+
+// The batched exact re-score against the scalar reference, compared in
+// bits: random, homolog, poly-A, poly-W, length-0 and length-1
+// sequences, batches whose lengths differ by 10x or more, batch sizes
+// 1-9 (so groups of four meet every remainder and every lane position),
+// three PAM distances, the differential suite's gap sets and every
+// kernel the host supports.
+TEST(AlignSimdExactTest, BatchedScoresAreBitIdenticalToTheReference) {
+  Rng rng(20261020);
+  const PamFamily& family = SharedPamFamily();
+  Sequence root = RandomSeq(&rng, 300, "root");
+  std::vector<std::pair<Sequence, Sequence>> owned = {
+      {RandomSeq(&rng, 360), RandomSeq(&rng, 300)},
+      {root, MutateSequence(root, 80, family, &rng)},
+      {Sequence("pa", std::vector<uint8_t>(120, 0)),
+       Sequence("pa2", std::vector<uint8_t>(90, 0))},
+      {Sequence("pw", std::vector<uint8_t>(200, 17)),
+       Sequence("pw2", std::vector<uint8_t>(200, 17))},
+      {RandomSeq(&rng, 0), RandomSeq(&rng, 50)},
+      {RandomSeq(&rng, 50), RandomSeq(&rng, 0)},
+      {RandomSeq(&rng, 1), RandomSeq(&rng, 360)},
+      {RandomSeq(&rng, 360), RandomSeq(&rng, 1)},
+      {RandomSeq(&rng, 36), RandomSeq(&rng, 400)},
+      {RandomSeq(&rng, 500), RandomSeq(&rng, 30)},
+      {root, MutateSequence(root, 250, family, &rng)},
+      {RandomSeq(&rng, 7), RandomSeq(&rng, 7)},
+  };
+  std::vector<SequencePair> all;
+  for (const auto& [a, b] : owned) all.push_back({&a, &b});
+
+  const std::vector<GapPenalty> penalty_sets = {
+      GapPenalty{}, GapPenalty{5.0, 0.5}, GapPenalty{30.0, 3.0},
+      GapPenalty{7.3, 0.9}};
+  int compared = 0;
+  for (int pam : {10, 250, 720}) {
+    const ScoringMatrix& matrix = family.Scoring(pam);
+    for (const GapPenalty& gaps : penalty_sets) {
+      std::vector<double> reference;
+      for (const SequencePair& pair : all) {
+        reference.push_back(
+            SmithWatermanScore(*pair.query, *pair.target, matrix, gaps));
+      }
+      for (SwKernel kernel : SupportedKernels()) {
+        size_t next = 0;  // batches walk the pair list cyclically
+        for (size_t size = 1; size <= 9; ++size) {
+          std::vector<SequencePair> batch;
+          std::vector<size_t> source;
+          for (size_t k = 0; k < size; ++k, next = (next + 1) % all.size()) {
+            batch.push_back(all[next]);
+            source.push_back(next);
+          }
+          std::vector<double> got = ExactScores(batch, matrix, gaps, kernel);
+          ASSERT_EQ(got.size(), batch.size());
+          for (size_t k = 0; k < batch.size(); ++k, ++compared) {
+            ASSERT_EQ(std::memcmp(&got[k], &reference[source[k]],
+                                  sizeof(double)),
+                      0)
+                << SwKernelName(kernel) << " pam=" << pam
+                << " open=" << gaps.open << " size=" << size << " lane=" << k
+                << " la=" << batch[k].query->length()
+                << " lb=" << batch[k].target->length() << " got=" << got[k]
+                << " want=" << reference[source[k]];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 3 * 4 * static_cast<int>(SupportedKernels().size()) *
+                          45);
+
+  // Negative gap costs (which -inf padding cannot bound) still match
+  // the reference.
+  const ScoringMatrix& matrix = family.Scoring(250);
+  const GapPenalty negative{-1.0, -0.5};
+  std::vector<double> got = ExactScores(all, matrix, negative);
+  for (size_t k = 0; k < all.size(); ++k) {
+    double want =
+        SmithWatermanScore(*all[k].query, *all[k].target, matrix, negative);
+    EXPECT_EQ(std::memcmp(&got[k], &want, sizeof(double)), 0) << k;
+  }
 }
 
 TEST(AlignSimdTest, RefinementMemoizationSkipsRepeatedDistances) {

@@ -285,6 +285,28 @@ TEST(DispatcherTest, DestructionCancelsEveryEventItArmed) {
   EXPECT_EQ(w.ledger_.running_jobs->value(), 0);
 }
 
+TEST(DispatcherTest, ATaskHasOneBackoffAndLeavesItWhenQueued) {
+  World w({kNode1});
+  w.Register("fail", [](const ActivityInput&) -> Result<ActivityOutput> {
+    return Status::Internal("boom");
+  });
+  ProcessInstance* inst =
+      w.Start(ProcessBuilder("flaky")
+                  .Task(TaskBuilder::Activity("c", "fail")
+                            .Retry(3, Duration::Hours(1)))
+                  .Build());
+  TaskNode* node = inst->root()->FindChild("c");
+  ASSERT_EQ(node->state, TaskState::kRetryWait);
+  EXPECT_EQ(w.sim_.NumPending(), 1u);  // c's backoff
+  // Arming again replaces the task's pending timer.
+  w.dispatcher_->RetryDue(inst, node, Duration::Hours(2));
+  EXPECT_EQ(w.sim_.NumPending(), 1u);
+  // Queued by other means (as RESTART queues it), the task leaves its
+  // backoff: no timer stays behind to re-ready it after its next failure.
+  w.dispatcher_->TaskReady(inst, node);
+  EXPECT_EQ(w.sim_.NumPending(), 0u);
+}
+
 TEST(DispatcherTest, LedgerCarriesJobIdsAndCountersAcrossRestarts) {
   World w({kNode1});
   RegisterSquare(&w);

@@ -439,6 +439,39 @@ TEST(RecoveryTest, RetryBackoffHoldsAcrossAQuickRestart) {
   EXPECT_EQ(runs, (std::vector<int64_t>{0, 20, 80, 140, 200}));
 }
 
+TEST(RecoveryTest, RestartDuringABackoffRunsOneRetryChain) {
+  // An always-failing activity (1 run + 2 retries) is RESTARTed while it
+  // waits out its first backoff. The restart re-queues it at once (10 min)
+  // and resets its attempts; the timer armed by the first failure must
+  // not fire into the new chain and re-ready it early.
+  testing::TempDir dir;
+  World w(dir.path());
+  const TimePoint start = w.sim.Now();
+  std::vector<int64_t> runs;  // minutes since start
+  ASSERT_OK(w.registry.Register(
+      "always_fail", [&](const ActivityInput&) -> Result<ActivityOutput> {
+        runs.push_back((w.sim.Now() - start).micros() / 60'000'000);
+        return Status::Internal("boom");
+      }));
+  ASSERT_OK(w.engine->Startup());
+  auto def = ProcessBuilder("flaky")
+                 .Task(TaskBuilder::Activity("a", "always_fail")
+                           .Retry(2, Duration::Hours(1)))
+                 .Build();
+  ASSERT_OK(def.status());
+  ASSERT_OK(w.engine->RegisterTemplate(*def));
+  ASSERT_OK_AND_ASSIGN(std::string id, w.engine->StartProcess("flaky"));
+  w.sim.RunUntil(start + Duration::Minutes(10));
+  ASSERT_OK(w.engine->Restart(id));
+  w.sim.RunUntil(start + Duration::Minutes(129));
+  EXPECT_EQ(w.engine->GetInstanceState(id).value_or(InstanceState::kDone),
+            InstanceState::kRunning);
+  w.sim.Run();
+  EXPECT_EQ(runs, (std::vector<int64_t>{0, 10, 70, 130}));
+  EXPECT_EQ(w.engine->GetInstanceState(id).value_or(InstanceState::kDone),
+            InstanceState::kFailed);
+}
+
 TEST(RecoveryTest, SyntheticAllVsAllCrashEveryFewMinutes) {
   // Chaos run: crash the server every 3 simulated minutes during a small
   // synthetic all-vs-all; the result must match the failure-free run.

@@ -17,6 +17,7 @@
 #include "ocr/builder.h"
 #include "service/service.h"
 #include "service/service_console.h"
+#include "store/fs.h"
 #include "tests/test_util.h"
 
 namespace biopera {
@@ -627,6 +628,63 @@ TEST(ShardedServiceTest, ReopenCountsRecoveredInstancesPerTenant) {
   }
   ASSERT_OK_AND_ASSIGN(InstanceState state, svc.GetState(queued.global_id));
   EXPECT_EQ(state, InstanceState::kDone);
+}
+
+TEST(ShardedServiceTest, StoresAndManifestGoThroughTheServiceFs) {
+  testing::TempDir dir;
+  core::ActivityRegistry registry;
+  RegisterJobActivities(&registry);
+  FaultFs fs(Fs::Default());
+  ServiceOptions options = BaseOptions(2, 5);
+  options.fs = &fs;
+
+  std::vector<std::string> ids;
+  {
+    ShardedService svc(dir.path(), &registry, options);
+    ASSERT_OK(svc.Startup());
+    ASSERT_OK(svc.RegisterTemplate(JobProcess()));
+    const uint64_t manifest_before = fs.Hits().count("manifest.append")
+                                         ? fs.Hits().at("manifest.append")
+                                         : 0;
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_OK_AND_ASSIGN(Ticket t, svc.Submit(MakeJob(i)));
+      ids.push_back(t.global_id);
+    }
+    // One manifest line per admission, each flushed.
+    EXPECT_EQ(fs.Hits().at("manifest.append") - manifest_before, 12u);
+    EXPECT_GE(fs.Hits().at("manifest.flush"), 12u);
+    svc.RunUntilQuiescent(100000);
+    EXPECT_GT(fs.Hits().at("wal.append"), 0u);  // the shards' stores
+  }
+
+  // A torn trailing line (a crash mid-append) is skipped on reopen, and
+  // the next admission starts a line of its own.
+  {
+    ASSERT_OK_AND_ASSIGN(auto manifest,
+                         fs.OpenForAppend(dir.path() + "/MANIFEST"));
+    ASSERT_OK(manifest->Append("instance g"));
+    ASSERT_OK(manifest->Close());
+  }
+  {
+    ShardedService svc(dir.path(), &registry, options);
+    ASSERT_OK(svc.Startup());
+    ASSERT_OK(svc.RegisterTemplate(JobProcess()));
+    for (const std::string& id : ids) {
+      ASSERT_OK_AND_ASSIGN(InstanceState state, svc.GetState(id));
+      EXPECT_EQ(state, InstanceState::kDone) << id;
+    }
+    ASSERT_OK_AND_ASSIGN(Ticket t, svc.Submit(MakeJob(12)));
+    ids.push_back(t.global_id);
+    svc.RunUntilQuiescent(100000);
+  }
+  ShardedService svc(dir.path(), &registry, options);
+  ASSERT_OK(svc.Startup());
+  for (const std::string& id : ids) {
+    ASSERT_OK_AND_ASSIGN(Ticket t, svc.Find(id));
+    EXPECT_GE(t.shard, 0) << id;
+    ASSERT_OK_AND_ASSIGN(InstanceState state, svc.GetState(id));
+    EXPECT_EQ(state, InstanceState::kDone) << id;
+  }
 }
 
 }  // namespace
